@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 
@@ -192,45 +192,15 @@ def invariants_json(inv: AlgebraInvariants) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Multiset helpers
-# ---------------------------------------------------------------------------
-
-def multiset_union(a: Mapping, b: Mapping) -> dict:
-    """Per-key maximum of two frequency mappings."""
-    out = dict(a)
-    for k, f in b.items():
-        if f > out.get(k, 0):
-            out[k] = f
-    return out
-
-
-def multiset_intersection(a: Mapping, b: Mapping) -> dict:
-    """Per-key minimum, restricted to keys present in both mappings."""
-    return {k: min(f, b[k]) for k, f in a.items() if k in b and min(f, b[k]) > 0}
-
-
-# ---------------------------------------------------------------------------
 # Valency, successor sequences, quiver
 # ---------------------------------------------------------------------------
 
-def _valencies(config: BrauerConfiguration) -> Counter:
-    counts: Counter = Counter()
-    for poly in config.polygons:
-        counts.update(poly.word)
-    return counts
-
-
 def valency(config: BrauerConfiguration, vertex: str) -> int:
     """Total number of occurrences of ``vertex`` over all polygon words."""
-    val = _valencies(config).get(vertex, 0)
+    val = sum(poly.word.count(vertex) for poly in config.polygons)
     if val == 0:
         raise UnknownVertexError(vertex)
     return val
-
-
-def mu(config: BrauerConfiguration, vertex: str) -> int:
-    """Multiplicity: 2 for valency-1 vertices, 1 otherwise."""
-    return 2 if valency(config, vertex) == 1 else 1
 
 
 def successor_sequence(config: BrauerConfiguration, vertex: str) -> SuccessorSequence:
@@ -251,7 +221,9 @@ def build_quiver(config: BrauerConfiguration) -> Quiver:
 
     A vertex of valency v >= 2 yields v arrows, one per consecutive pair of
     its successor sequence including the wrap-around closing the circular
-    order.  A valency-1 vertex yields a single loop at its polygon.
+    order.  A valency-1 vertex yields a single loop at its polygon.  This is
+    the definition-level construction, the reference ``invariants`` is
+    checked against; it rescans the configuration once per vertex.
     """
     arrows: list[Arrow] = []
     for vertex in config.vertex_universe:
@@ -308,12 +280,7 @@ def is_connected(config: BrauerConfiguration) -> bool:
 def dim_lambda(config: BrauerConfiguration) -> int:
     """Dimension of the induced algebra:
     2 * #polygons + sum over vertices of val * (val * mu - 1)."""
-    valencies = _valencies(config)
-    total = 2 * len(config.polygons)
-    for val in valencies.values():
-        m = 2 if val == 1 else 1
-        total += val * (val * m - 1)
-    return total
+    return invariants(config).dim_lambda
 
 
 def dim_center(config: BrauerConfiguration, require_connected: bool = True) -> int:
@@ -324,33 +291,35 @@ def dim_center(config: BrauerConfiguration, require_connected: bool = True) -> i
     input raises by default; pass ``require_connected=False`` to apply it
     verbatim anyway.
     """
-    if require_connected:
-        comps = polygon_components(config)
-        if len(comps) > 1:
-            raise DisconnectedError(comps)
-    valencies = _valencies(config)
-    val_one = sum(1 for v in valencies.values() if v == 1)
-    mu_sum = sum(2 if v == 1 else 1 for v in valencies.values())
-    loops = build_quiver(config).loop_count
-    return 1 + len(config.polygons) - len(valencies) + mu_sum + loops - val_one
+    inv = invariants(config)
+    if require_connected and not inv.connected:
+        raise DisconnectedError(polygon_components(config))
+    return inv.dim_center
 
 
 def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
-    """Full invariant bundle; disconnected input is flagged rather than
-    rejected, with the center formula applied verbatim."""
-    valencies = _valencies(config)
-    histogram: Counter = Counter(valencies.values())
-    connected = is_connected(config)
-    return AlgebraInvariants(
-        dim_lambda=dim_lambda(config),
-        dim_center=dim_center(config, require_connected=False),
-        loops=build_quiver(config).loop_count,
-        polygon_count=len(config.polygons),
-        vertex_count=len(valencies),
-        mu_sum=sum(2 if v == 1 else 1 for v in valencies.values()),
-        valency_histogram=dict(sorted(histogram.items())),
-        connected=connected,
+    """Full invariant bundle from one counting pass over the polygons;
+    disconnected input is flagged rather than rejected, with the center
+    formula applied verbatim.
+
+    The loop census is the closed form of the circular successor orders:
+    each polygon contributes (word length - #distinct vertices) loops, one
+    per repeated occurrence, and a vertex confined to one polygon closes its
+    circular order there with one loop more.
+    """
+    valencies: Counter = Counter()
+    polygons_of: Counter = Counter()  # vertex -> distinct polygons holding it
+    loops = 0
+    for poly in config.polygons:
+        distinct = set(poly.word)
+        valencies.update(poly.word)
+        polygons_of.update(distinct)
+        loops += len(poly.word) - len(distinct)
+    loops += sum(1 for k in polygons_of.values() if k == 1)
+    inv = invariants_from_histogram(
+        len(config.polygons), Counter(valencies.values()), loops
     )
+    return inv if is_connected(config) else replace(inv, connected=False)
 
 
 def invariants_from_histogram(
@@ -360,7 +329,8 @@ def invariants_from_histogram(
 ) -> AlgebraInvariants:
     """Invariants from summary data alone: a valency histogram, the polygon
     count and a loop census.  Assumes the standard multiplicity rule and a
-    connected configuration."""
+    connected configuration.  This is the one home of the dimension
+    formulas; ``invariants`` feeds it the counts of a configuration."""
     if polygon_count < 1:
         raise ConfigError("polygon count must be positive")
     histogram = {int(k): int(v) for k, v in valency_histogram.items()}
@@ -414,10 +384,12 @@ def check_center_identity(config: BrauerConfiguration) -> CenterIdentityVerdict:
                     f"polygon {poly.index}: vertex {v!r} occurs {f} times; "
                     "the identity requires within-polygon frequency 1"
                 )
-    valencies = _valencies(config)
-    m = len(config.polygons)
-    n = sum(1 for v in valencies.values() if v == 1)
-    return CenterIdentityVerdict(m, n, m + n + 1, dim_center(config))
+    inv = invariants(config)
+    if not inv.connected:
+        raise DisconnectedError(polygon_components(config))
+    m = inv.polygon_count
+    n = inv.valency_histogram.get(1, 0)
+    return CenterIdentityVerdict(m, n, m + n + 1, inv.dim_center)
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +425,3 @@ def parse_config(text: str) -> BrauerConfiguration:
         return config_from_words(words, labels)
     except ConfigError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def format_config(config: BrauerConfiguration) -> str:
-    lines = []
-    for poly in config.polygons:
-        line = " ".join(poly.word)
-        if poly.label is not None:
-            line += " label: " + " ".join(map(str, poly.label))
-        lines.append(line)
-    return "\n".join(lines) + "\n"

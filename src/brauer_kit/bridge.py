@@ -56,17 +56,18 @@ def transposition_to_config(text: str, block_sizes: Sequence[int]) -> BrauerConf
     return config_from_words([tuple(b) for b in blocks])
 
 
-def brauer_ioc(cipher: str, m: int, alphabet: Alphabet = DEFAULT_ALPHABET) -> Fraction:
-    """(dim - 2m) / (N(N-1)) for the key length m configuration.
+def brauer_ioc(inv: AlgebraInvariants) -> Fraction:
+    """(dim - 2m) / (N(N-1)) from the invariants of a key length m split.
 
-    Coincides with the standard index of coincidence exactly when no
-    character of the text is a singleton; each singleton adds 1/(N(N-1)).
+    m is the polygon count and N, the text length, is the occurrence total
+    sum(val * count) of the valency histogram.  Coincides with the standard
+    index of coincidence exactly when no character of the text is a
+    singleton; each singleton adds 1/(N(N-1)).
     """
-    cipher = alphabet.normalize(cipher)
-    n = len(cipher)
+    n = sum(val * count for val, count in inv.valency_histogram.items())
     if n < 2:
         raise CipherError("text shorter than 2")
-    return Fraction(dim_lambda(vigenere_to_config(cipher, m, alphabet)) - 2 * m, n * (n - 1))
+    return Fraction(inv.dim_lambda - 2 * inv.polygon_count, n * (n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -137,16 +137,20 @@ def _cmd_crypt(args, encrypting: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_attack(args) -> int:
+    if args.keylen is not None and args.keylen < 1:
+        raise CipherError("--keylen must be >= 1")
+    if args.top < 1:
+        raise CipherError("--top must be >= 1")
     cipher = DEFAULT_ALPHABET.normalize(_read_input(args), strip=args.strip)
     candidates = friedman_keylength(cipher, args.max_keylen)
-    m = args.keylen or candidates[0].m
+    m = candidates[0].m if args.keylen is None else args.keylen
     recovery = friedman_recover_key(cipher, m)
     inv = invariants(vigenere_to_config(cipher, m))
     report = {
         "schema": SCHEMA,
         "length": len(cipher),
         "ioc": _round(index_of_coincidence(cipher)),
-        "brauerIoc": _round(brauer_ioc(cipher, m)),
+        "brauerIoc": _round(brauer_ioc(inv)),
         "keylengthCandidates": [
             {
                 "m": c.m,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .cipher import Alphabet, CipherError, DEFAULT_ALPHABET, VigenereKey, vigenere_decrypt
+from .cipher import Alphabet, CipherError, DEFAULT_ALPHABET
 
 # Relative letter frequencies of English text, in percent.
 ENGLISH_FREQUENCIES = {
@@ -62,11 +62,14 @@ def mutual_index_shift(
     """
     if not t1 or not t2:
         raise CipherError("mutual index needs two non-empty texts")
-    f1 = letter_counts(t1, alphabet)
-    f2 = letter_counts(t2, alphabet)
-    n = alphabet.size
-    num = sum(f1[i] * f2[(i - shift) % n] for i in range(n))
+    num = _overlap(letter_counts(t1, alphabet), letter_counts(t2, alphabet), shift)
     return Fraction(num, len(t1) * len(t2))
+
+
+def _overlap(f1: list[int], f2: list[int], shift: int) -> int:
+    """Numerator of the shifted mutual index: sum_i f1[i] * f2[i - shift]."""
+    n = len(f1)
+    return sum(f1[i] * f2[(i - shift) % n] for i in range(n))
 
 
 def decimate(text: str, m: int) -> list[str]:
@@ -84,8 +87,13 @@ def chi_squared(
     """Chi-squared statistic of ``text`` against an expected distribution."""
     if not text:
         raise CipherError("chi-squared needs a non-empty text")
-    counts = letter_counts(text, alphabet)
-    n = len(text)
+    return _chi_squared(letter_counts(text, alphabet), len(text), alphabet, expected)
+
+
+def _chi_squared(
+    counts: list[int], n: int, alphabet: Alphabet, expected: Mapping[str, float]
+) -> float:
+    """Chi-squared statistic of letter counts summing to ``n``."""
     score = 0.0
     for i, ch in enumerate(alphabet.symbols):
         exp = n * expected.get(ch, 0.0) / 100.0
@@ -93,38 +101,6 @@ def chi_squared(
             continue
         score += (counts[i] - exp) ** 2 / exp
     return score
-
-
-@dataclass(frozen=True)
-class CoincidenceReport:
-    """Coincidence statistics of a ciphertext under an assumed key length:
-    the whole-text index, one index per decimated list, and the full mutual
-    index table over list pairs and shifts."""
-
-    text_ioc: Fraction
-    per_list_ioc: tuple[Fraction, ...]
-    mic_table: dict  # (i, j) -> tuple of one mutual index per shift
-
-
-def coincidence_report(
-    cipher: str, m: int, alphabet: Alphabet = DEFAULT_ALPHABET
-) -> CoincidenceReport:
-    lists = decimate(cipher, m)
-    if any(len(part) < 2 for part in lists):
-        raise CipherError(f"splitting into {m} lists leaves a list shorter than 2")
-    table = {
-        (i, j): tuple(
-            mutual_index_shift(lists[i], lists[j], s, alphabet)
-            for s in range(alphabet.size)
-        )
-        for i in range(m)
-        for j in range(i + 1, m)
-    }
-    return CoincidenceReport(
-        text_ioc=index_of_coincidence(cipher, alphabet),
-        per_list_ioc=tuple(index_of_coincidence(part, alphabet) for part in lists),
-        mic_table=table,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +220,19 @@ def friedman_recover_key(
     For each list pair the shift maximizing the mutual index gives one
     difference k_i - k_j; the star rooted at the first list anchors a key
     for every choice of k_0, and the resulting keys are ranked by the
-    chi-squared fit of their decryptions against English frequencies.
+    chi-squared fit of their decryptions against English frequencies, taken
+    from the per-list letter counts rotated by each key residue.
     """
     lists = decimate(cipher, m)
     if any(len(part) < 2 for part in lists):
         raise CipherError(f"splitting into {m} lists leaves a list shorter than 2")
     n = alphabet.size
     counts = [letter_counts(part, alphabet) for part in lists]
-
-    def best_shift(i: int, j: int) -> int:
-        fi, fj = counts[i], counts[j]
-        best, best_num = 0, -1
-        for s in range(n):
-            num = sum(fi[h] * fj[(h - s) % n] for h in range(n))
-            if num > best_num:
-                best, best_num = s, num
-        return best
-
+    # max keeps the first of equal overlaps, so ties go to the smaller shift
     differences = {
-        (i, j): best_shift(i, j) for i in range(m) for j in range(i + 1, m)
+        (i, j): max(range(n), key=lambda s: _overlap(counts[i], counts[j], s))
+        for i in range(m)
+        for j in range(i + 1, m)
     }
     if m > 1:
         base, residuals = solve_shift_differences(m, differences, 0, n)
@@ -272,9 +242,13 @@ def friedman_recover_key(
     for k0 in range(n):
         # the difference system is translation invariant, so every anchor
         # choice shifts the base solution uniformly
-        key = VigenereKey(tuple((r + k0) % n for r in base))
-        plain = vigenere_decrypt(cipher, key, alphabet)
-        candidates.append(KeyCandidate(key.to_text(alphabet), chi_squared(plain, alphabet)))
+        key = tuple((r + k0) % n for r in base)
+        # list j decrypts cipher letter h + k_j to plaintext letter h
+        plain = [sum(c[(h + k) % n] for c, k in zip(counts, key)) for h in range(n)]
+        candidates.append(KeyCandidate(
+            alphabet.from_indices(key),
+            _chi_squared(plain, len(cipher), alphabet, ENGLISH_FREQUENCIES),
+        ))
     candidates.sort(key=lambda c: c.chi2)
     return KeyRecovery(
         m=m,

@@ -59,9 +59,13 @@ class ClassPoint:
 
 @dataclass(frozen=True)
 class PointDiagram:
+    """Points plus two kinds of edges: ``edges`` joins consecutive pitched
+    points (the polyline), ``closures`` holds user-chosen pairs."""
+
     points: tuple
     edges: tuple = ()
     orientation: str = "standard"
+    closures: tuple = ()
 
 
 def assign_points(
@@ -83,7 +87,7 @@ def assign_points(
             points.append(ClassPoint(cls.label, x, None))
         else:
             points.append(ClassPoint(cls.label, x, sign * letter_offset(cls.pitch, reference)))
-    return PointDiagram(tuple(points), (), orientation)
+    return PointDiagram(tuple(points), orientation=orientation)
 
 
 def build_polyline(
@@ -94,19 +98,22 @@ def build_polyline(
     """Add edges between consecutive pitched points.
 
     Equal-offset neighbours are skipped unless ``connect_equal_y``;
-    ``extra_edges`` are user-chosen closure pairs of point indices."""
+    ``extra_edges`` are user-chosen closure pairs of pitched point indices."""
     pitched = [i for i, p in enumerate(diagram.points) if p.y is not None]
     edges = []
     for a, b in zip(pitched, pitched[1:]):
         if connect_equal_y or diagram.points[a].y != diagram.points[b].y:
             edges.append((a, b))
     n = len(diagram.points)
+    closures = []
     for pair in extra_edges:
         i, j = pair
         if not (0 <= i < n and 0 <= j < n):
             raise DiagramError(f"extra edge ({i}, {j}) references an unknown point")
-        edges.append((i, j))
-    return replace(diagram, edges=tuple(edges))
+        if diagram.points[i].y is None or diagram.points[j].y is None:
+            raise DiagramError(f"extra edge ({i}, {j}) touches a rest")
+        closures.append((i, j))
+    return replace(diagram, edges=tuple(edges), closures=tuple(closures))
 
 
 def diagram_for_score(
@@ -150,7 +157,7 @@ def emit_json(diagram: PointDiagram) -> str:
         "points": [
             {"label": p.label, "x": p.x, "y": p.y} for p in diagram.points
         ],
-        "edges": [list(e) for e in diagram.edges],
+        "edges": [list(e) for e in diagram.edges + diagram.closures],
     }
     return json.dumps(data, indent=2) + "\n"
 
@@ -161,7 +168,7 @@ _MARGIN = 60
 
 def emit_svg(diagram: PointDiagram) -> str:
     """Stand-alone SVG 1.1: labeled circles on an integer grid (y up),
-    polyline chains for the consecutive edges, plain lines for closure
+    polyline chains for the consecutive edges, dashed lines for closure
     edges, vertical dashes for rests."""
     points = diagram.points
     if not points:
@@ -178,12 +185,10 @@ def emit_svg(diagram: PointDiagram) -> str:
     def sy(y: int) -> int:
         return _MARGIN + _UNIT * (y_max - y)  # svg is y-down, diagram is y-up
 
-    consecutive = [e for e in diagram.edges if e[1] == e[0] + 1 or e[0] == e[1] + 1]
-    extra = [e for e in diagram.edges if e not in consecutive]
     # stitch consecutive edges into maximal chains so each renders as one
     # polyline element
     chains: list[list[int]] = []
-    for a, b in consecutive:
+    for a, b in diagram.edges:
         if chains and chains[-1][-1] == a:
             chains[-1].append(b)
         else:
@@ -199,10 +204,8 @@ def emit_svg(diagram: PointDiagram) -> str:
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="black" stroke-width="2"/>'
         )
-    for a, b in extra:
+    for a, b in diagram.closures:
         pa, pb = points[a], points[b]
-        if pa.y is None or pb.y is None:
-            raise DiagramError(f"extra edge ({a}, {b}) touches a rest")
         parts.append(
             f'<line x1="{sx(pa.x)}" y1="{sy(pa.y)}" x2="{sx(pb.x)}" y2="{sy(pb.y)}" '
             f'stroke="black" stroke-width="2" stroke-dasharray="6,4"/>'

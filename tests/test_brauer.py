@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,13 +15,10 @@ from brauer_kit.brauer import (
     config_from_words,
     dim_center,
     dim_lambda,
-    format_config,
     invariants,
     invariants_from_histogram,
     invariants_json,
     is_connected,
-    multiset_intersection,
-    multiset_union,
     parse_config,
     polygon_components,
     successor_sequence,
@@ -78,33 +76,6 @@ def random_config(rng, max_polygons=6, alphabet="abcdefgh"):
         size = rng.randint(2, 7)
         words.append([rng.choice(alphabet) for _ in range(size)])
     return config_from_words(words)
-
-
-# ---------------------------------------------------------------------------
-# Multiset operations
-# ---------------------------------------------------------------------------
-
-def test_multiset_union_per_key_max():
-    assert multiset_union({"a": 2, "b": 1}, {"a": 1, "c": 3}) == {"a": 2, "b": 1, "c": 3}
-
-
-def test_multiset_intersection_per_key_min():
-    assert multiset_intersection({"a": 2}, {"a": 1, "c": 3}) == {"a": 1}
-
-
-@given(st.dictionaries(st.text(min_size=1, max_size=2), st.integers(1, 9), max_size=6))
-def test_multiset_union_idempotent(x):
-    assert multiset_union(x, x) == x
-    assert multiset_intersection(x, x) == x
-
-
-@given(
-    st.dictionaries(st.text(min_size=1, max_size=2), st.integers(1, 9), max_size=6),
-    st.dictionaries(st.text(min_size=1, max_size=2), st.integers(1, 9), max_size=6),
-)
-def test_multiset_ops_commute(a, b):
-    assert multiset_union(a, b) == multiset_union(b, a)
-    assert multiset_intersection(a, b) == multiset_intersection(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +246,30 @@ def test_invariants_single_polygon():
     assert inv.mu_sum == 4
 
 
-def test_invariants_match_dedicated_operations():
-    cfg = slym_config()
+@given(st.lists(
+    st.lists(st.sampled_from("abcdefghijkl"), min_size=2, max_size=7),
+    min_size=1,
+    max_size=6,
+))
+def test_invariants_match_dedicated_operations(words):
+    # README's formulas evaluated vertex by vertex from the definition-level
+    # operations; the alphabet is wide enough for disconnected input,
+    # repeated vertices and valency-1 vertices alike
+    cfg = config_from_words(words)
+    val = {v: len(successor_sequence(cfg, v).entries) for v in cfg.vertex_universe}
+    mu = {v: 2 if f == 1 else 1 for v, f in val.items()}
+    loops = build_quiver(cfg).loop_count
+    singletons = sum(1 for f in val.values() if f == 1)
     inv = invariants(cfg)
-    assert inv.dim_lambda == dim_lambda(cfg)
-    assert inv.dim_center == dim_center(cfg)
-    assert inv.loops == build_quiver(cfg).loop_count
-    assert sum(inv.valency_histogram.values()) == inv.vertex_count
+    assert inv.dim_lambda == 2 * len(words) + sum(f * (f * mu[v] - 1) for v, f in val.items())
+    assert inv.dim_center == (
+        1 + len(words) - len(val) + sum(mu.values()) + loops - singletons
+    )
+    assert inv.loops == loops
+    assert inv.connected == (len(polygon_components(cfg)) == 1)
+    assert (inv.polygon_count, inv.vertex_count) == (len(words), len(val))
+    assert inv.mu_sum == sum(mu.values())
+    assert inv.valency_histogram == Counter(val.values())
 
 
 def test_invariants_disconnected_flags_center():
@@ -434,14 +422,12 @@ def test_parse_config_round_trip():
     text = "O E X B D K\nO L F W D\nP R G D E\nA I G O P\n"
     cfg = parse_config(text)
     assert cfg == vigenere_config()
-    assert format_config(cfg) == text
 
 
 def test_parse_config_comments_and_labels():
     cfg = parse_config("# two polygons\na b c label: 3 1 2\nb d # trailing\n")
     assert cfg.polygons[0].label == (3, 1, 2)
     assert cfg.polygons[1].word == ("b", "d")
-    assert "label: 3 1 2" in format_config(cfg)
 
 
 def test_parse_config_rejects_bad_label():

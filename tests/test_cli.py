@@ -145,6 +145,26 @@ def test_attack_rejects_short_input(capsys):
     assert "error[E_CIPHER]" in err
 
 
+def test_attack_rejects_keylen_below_one(capsys):
+    code, out, err = run(
+        capsys, "attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--max-keylen", "4",
+        "--keylen", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error[E_CIPHER]" in err
+
+
+def test_attack_rejects_top_below_one(capsys):
+    code, out, err = run(
+        capsys, "attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--max-keylen", "4",
+        "--top", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error[E_CIPHER]" in err
+
+
 def test_score_check_strict_failure(capsys):
     code, _, err = run(capsys, "score-check", str(FIXTURES / "canon_crab.bsc"))
     assert code == 2
@@ -216,6 +236,19 @@ def test_graph_bad_edge_rejected(capsys, tmp_path):
     edges.write_text("0 99\n")
     code, _, err = run(
         capsys, "graph", str(FIXTURES / "canon_a6.bsc"), "--edges", str(edges)
+    )
+    assert code == 2
+    assert "error[E_DIAGRAM]" in err
+
+
+def test_graph_edge_touching_rest_rejected(capsys, tmp_path):
+    score = tmp_path / "rest.bsc"
+    score.write_text("clef=treble\n| e4 r4 g4 a4\n")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n")
+    code, _, err = run(
+        capsys, "graph", str(score), "--svg", str(tmp_path / "rest.svg"),
+        "--edges", str(edges),
     )
     assert code == 2
     assert "error[E_DIAGRAM]" in err

@@ -5,11 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from brauer_kit.cipher import CipherError, VigenereKey, vigenere_encrypt
+from brauer_kit.cipher import CipherError, VigenereKey, vigenere_decrypt, vigenere_encrypt
 from brauer_kit.coincidence import (
     IOC_TARGET,
     chi_squared,
-    coincidence_report,
     decimate,
     friedman_keylength,
     friedman_recover_key,
@@ -195,19 +194,25 @@ def test_chi_squared_prefers_english():
     assert chi_squared(SAMPLE_TEXT) < chi_squared(shifted)
 
 
-def test_coincidence_report_bundle():
+def test_recovered_differences_peak_mutual_index():
     cipher = vigenere_encrypt(SAMPLE_TEXT, VigenereKey.from_text("KEY"))
-    report = coincidence_report(cipher, 3)
     lists = decimate(cipher, 3)
-    assert report.text_ioc == index_of_coincidence(cipher)
-    assert report.per_list_ioc == tuple(index_of_coincidence(p) for p in lists)
-    assert set(report.mic_table) == {(0, 1), (0, 2), (1, 2)}
-    for (i, j), row in report.mic_table.items():
-        assert len(row) == 26
-        assert all(0 <= value <= 1 for value in row)
-        assert row[13] == mutual_index_shift(lists[i], lists[j], 13)
-    # the peak of each row is the shift-difference estimate used by recovery
     recovery = friedman_recover_key(cipher, 3)
+    assert [(i, j) for i, j, _ in recovery.differences] == [(0, 1), (0, 2), (1, 2)]
     for i, j, d in recovery.differences:
-        row = report.mic_table[(i, j)]
+        row = [mutual_index_shift(lists[i], lists[j], s) for s in range(26)]
         assert row[d] == max(row)
+
+
+@pytest.mark.parametrize("m, length", [(1, 200), (3, 301), (4, 803), (7, 1000)])
+def test_key_candidate_chi2_equals_chi2_of_decryption(m, length):
+    # candidates are scored from rotated per-list counts; the decryption
+    # they stand for must give exactly the same float
+    rng = random.Random(m * length)
+    key = VigenereKey(tuple(rng.randrange(26) for _ in range(m)))
+    cipher = vigenere_encrypt(sample_english(rng, length), key)
+    candidates = friedman_recover_key(cipher, m).candidates
+    assert len(candidates) == 26
+    for c in candidates:
+        plain = vigenere_decrypt(cipher, VigenereKey.from_text(c.key))
+        assert c.chi2 == chi_squared(plain)

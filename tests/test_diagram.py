@@ -159,7 +159,8 @@ def test_edges_skip_rest_points():
 def test_extra_edges_appended():
     diagram = PointDiagram((ClassPoint("a16", 0, 0), ClassPoint("b16", 1, 1)))
     out = build_polyline(diagram, extra_edges=[(1, 0)])
-    assert out.edges == ((0, 1), (1, 0))
+    assert out.edges == ((0, 1),)
+    assert out.closures == ((1, 0),)
 
 
 def test_extra_edge_unknown_point_rejected():
@@ -169,8 +170,8 @@ def test_extra_edge_unknown_point_rejected():
 
 
 def test_edge_count_bound():
-    diagram = diagram_for_score(A6, extra_edges=[(0, 3)])
-    assert len(diagram.edges) <= len(diagram.points) - 1 + 1
+    diagram = diagram_for_score(A6, extra_edges=[(1, 3)])
+    assert len(diagram.edges) + len(diagram.closures) <= len(diagram.points) - 1 + 1
 
 
 def test_parse_edges_sidecar():
@@ -210,6 +211,15 @@ def test_emit_svg_y_axis_points_up():
         m = re.search(rf'<text x="\d+" y="(\d+)" font-size="12">{label}</text>', svg)
         return int(m.group(1))
     assert circle_y("a16") < circle_y("b16")  # higher offset renders higher
+
+
+def test_emit_svg_chain_edge_across_rest_stays_in_polyline():
+    # e4 -> g4 joins consecutive pitched points across the rest class r4
+    svg = emit_svg(diagram_for_score(parse_score("clef=treble\n| e4 r4 g4 a4\n")))
+    polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len(polylines) == 1
+    assert len(polylines[0].split()) == 3
+    assert 'stroke-dasharray="6,4"' not in svg
 
 
 def test_emit_svg_extra_edges_dashed():
