@@ -38,8 +38,9 @@ def classify_notes(score: Score) -> list:
     seen: dict = {}
     for measure in score.measures:
         for event in measure.events:
-            bare = replace(event, groups=frozenset())
-            seen.setdefault(bare.label, bare)
+            label = event.label
+            if label not in seen:
+                seen[label] = replace(event, groups=frozenset())
     return list(seen.values())
 
 

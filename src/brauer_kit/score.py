@@ -167,24 +167,28 @@ _TOKEN = re.compile(
 )
 
 
-def _position(text: str, pos: int) -> tuple:
-    line = text.count("\n", 0, pos) + 1
-    col = pos - text.rfind("\n", 0, pos)
-    return line, col
-
-
 def _tokenize(text: str):
+    """Yield ``(kind, text, (line, col))`` for every token but whitespace and
+    comments; line and column are 1-based, the column counts characters.
+    Comments stop before a newline, so only whitespace tokens move the line:
+    each is scanned once, which keeps tokenizing linear in the text."""
     pos = 0
+    line, line_start = 1, 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            line, col = _position(text, pos)
             bad = text[pos:].split()[0][:12]
-            raise ScoreParseError(f"unknown token {bad!r}", line, col)
+            raise ScoreParseError(f"unknown token {bad!r}", line, pos - line_start + 1)
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            yield kind, m.group(), _position(text, pos)
-        pos = m.end()
+        end = m.end()
+        if kind == "ws":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, end) + 1
+        elif kind != "comment":
+            yield kind, m.group(), (line, pos - line_start + 1)
+        pos = end
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +202,8 @@ class _Group:
     line: int
     col: int
     measure: int
-    start: int  # event index in the open measure (braces only)
+    start: int      # event index in the open measure (braces only)
+    start_sum: int  # exponent sum of the open measure (braces only)
 
 
 def _parse_header_item(item: str, line: int, col: int, header: dict) -> None:
@@ -229,26 +234,31 @@ def parse_score(text: str, strict: bool = True) -> Score:
     """Parse DSL text.  Measure-sum violations raise in strict mode and are
     collected as warnings otherwise."""
     header: dict = {}
-    measures: list = []
+    measures: list = []  # (events, position of the first event, exponent sum)
     current: list = []
     current_pos: tuple | None = None
+    current_sum = 0
     open_groups: list[_Group] = []
     next_group = 0
     seen_content = False
+    classes: dict = {}  # token -> its NoteEvent, built once per note class
 
-    def flush_measure(line: int, col: int, at_end: bool) -> None:
-        nonlocal current, current_pos
+    def flush_measure(bar: tuple | None) -> None:
+        """Close the open measure at a bar (its position) or at the end of
+        the text (None)."""
+        nonlocal current, current_pos, current_sum
         for g in open_groups:
             if g.kind == "brace":
                 raise ScoreParseError(
                     "repeat group must close inside its measure", g.line, g.col
                 )
         if current:
-            measures.append((tuple(current), current_pos))
-        elif measures and not at_end:
-            raise ScoreParseError("empty measure", line, col)
+            measures.append((tuple(current), current_pos, current_sum))
+        elif measures and bar is not None:
+            raise ScoreParseError("empty measure", *bar)
         current = []
         current_pos = None
+        current_sum = 0
 
     for kind, value, (line, col) in _tokenize(text):
         if kind == "header":
@@ -258,17 +268,21 @@ def parse_score(text: str, strict: bool = True) -> Score:
             continue
         seen_content = True
         if kind == "bar":
-            flush_measure(line, col, at_end=False)
+            flush_measure((line, col))
         elif kind in ("note", "rest"):
             if current_pos is None:
                 current_pos = (line, col)
-            event = event_from_label(value)
-            current.append(replace(
-                event, groups=frozenset(g.ident for g in open_groups)
-            ))
+            event = classes.get(value)
+            if event is None:
+                event = classes[value] = event_from_label(value)
+            if open_groups:
+                event = replace(event, groups=frozenset(g.ident for g in open_groups))
+            current.append(event)
+            current_sum += event.effective_exponent
         elif kind in ("obracket", "oparen", "obrace"):
             open_groups.append(_Group(
-                kind[1:], next_group, line, col, len(measures), len(current)
+                kind[1:], next_group, line, col, len(measures), len(current),
+                current_sum,
             ))
             next_group += 1
         elif kind in ("cbracket", "cparen"):
@@ -290,17 +304,26 @@ def parse_score(text: str, strict: bool = True) -> Score:
                     "repeat group must close inside its measure", match.line, match.col
                 )
             open_groups.remove(match)
-            repeats = int(value[2:])
+            try:
+                repeats = int(value[2:])
+            except ValueError:  # more digits than int() converts
+                raise ScoreParseError("repeat count is too large", line, col) from None
             if repeats < 1:
                 raise ScoreParseError("repeat count must be >= 1", line, col)
-            body = current[match.start:]
-            for _ in range(repeats - 1):
-                current.extend(body)
+            current_sum += (current_sum - match.start_sum) * (repeats - 1)
+            # A strict measure already over its target fails the check below,
+            # and its error needs only the sum, so the events that the repeat
+            # count alone would multiply are never built.
+            time = header.get("time")
+            if not (strict and time is not None and current_sum > measure_target(time)):
+                body = current[match.start:]
+                for _ in range(repeats - 1):
+                    current.extend(body)
 
     if open_groups:
         g = open_groups[0]
         raise ScoreParseError(f"unclosed group ({g.kind})", g.line, g.col)
-    flush_measure(*_position(text, len(text)), at_end=True)
+    flush_measure(None)
     if not measures:
         raise ScoreParseError("score has no measures", 1, 1)
 
@@ -308,8 +331,7 @@ def parse_score(text: str, strict: bool = True) -> Score:
     time = header.get("time")
     if time is not None:
         target = measure_target(time)
-        for i, (events, pos) in enumerate(measures):
-            total = sum(e.effective_exponent for e in events)
+        for i, (_, pos, total) in enumerate(measures):
             if total != target:
                 message = (
                     f"measure {i + 1} sums to {total}, expected {target} "
@@ -320,7 +342,7 @@ def parse_score(text: str, strict: bool = True) -> Score:
                 warnings.append(message)
 
     return Score(
-        measures=tuple(Measure(events) for events, _ in measures),
+        measures=tuple(Measure(events) for events, _, _ in measures),
         clef=header.get("clef", "treble"),
         time=time,
         ref=header.get("ref"),

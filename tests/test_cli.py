@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from brauer_kit.cli import main
 
@@ -266,3 +270,34 @@ def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "score-check", "no-such-file.bsc")
     assert code == 2
     assert "error[E_IO]" in err
+
+
+# Score DSL fragments, valid and not; repeat counts stay small so that
+# nested repeats cannot grow past a few thousand events.
+DSL_TEXTS = st.lists(
+    st.sampled_from([
+        "|", "c4", "-d8", "+e16", "=f2", "g64", "r4", "a16.", "c1.", "h4", "#c",
+        "[", "]", "(", ")", "{", "}x2", "}x0", "clef=bass", "time=4/4",
+        "time=3/0", "ref=x", "accidentals=-c",
+    ]).flatmap(lambda t: st.sampled_from([" ", "\n", ""]).map(lambda sep: t + sep)),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.text(st.characters(exclude_categories=("Cs",))), DSL_TEXTS))
+def test_score_commands_never_exit_internal(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.bsc"
+        path.write_text(text)
+        svg = str(Path(tmp) / "out.svg")
+        for argv in (
+            ["score-check", str(path)],
+            ["graph", str(path), "--svg", svg],
+            ["analyze", "--score", str(path)],
+        ):
+            for lax in ([], ["--lax"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv + lax)
+                assert code in (0, 2), err.getvalue()

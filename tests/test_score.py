@@ -1,8 +1,13 @@
+import random
+import time
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from brauer_kit.brauer import dim_lambda, invariants, valency
+from brauer_kit.brauer import config_from_words, dim_lambda, invariants, valency
 from brauer_kit.score import (
     Measure,
     NoteEvent,
@@ -18,9 +23,14 @@ from brauer_kit.score import (
     step_pitch,
 )
 
+import textgen
+
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "brauer_kit" / "fixtures"
 
 SLYM = (FIXTURES / "slym.bsc").read_text()
+
+# Valid note and rest tokens, each its own canonical label.
+TOKENS = ("c4", "-d8", "+e16", "=f2", "g64", "a32.", "b1", "r4", "r16.", "-b16")
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +168,150 @@ def test_parse_bad_time_signature():
         parse_score("time=4/3 | c16 c16")
 
 
+def test_parse_repeat_over_target_builds_no_copies():
+    # strict parsing under a time signature rejects the measure from the
+    # arithmetic sum; the three million copies are never built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScoreParseError) as err:
+            parse_score("time=4/4 | {c64}x3000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 1, column 13: measure 1 sums to 192000000, expected 64 for 4/4"
+    assert peak < 1_000_000
+
+
+def test_parse_repeat_over_target_keeps_error_order():
+    # a later token error and an earlier measure's error still come first
+    with pytest.raises(ScoreParseError, match="unknown token 'h4'"):
+        parse_score("time=4/4 | {c64}x3000000 | h4")
+    with pytest.raises(ScoreParseError, match="measure 1 sums to 16"):
+        parse_score("time=4/4 | c16 | {c64}x3000000")
+    # the sum of a repeat around an unexpanded repeat is still exact
+    with pytest.raises(ScoreParseError, match="measure 1 sums to 432, "):
+        parse_score("time=4/4 | {c16 {c64}x3}x2 c16")
+
+
+def test_parse_repeat_lax_still_expands():
+    score = parse_score("time=4/4 | { c64 }x3 c16", strict=False)
+    assert [e.label for e in score.measures[0].events] == ["c64"] * 3 + ["c16"]
+    assert score.warnings == ("measure 1 sums to 208, expected 64 for 4/4",)
+
+
+def test_parse_repeat_count_too_large():
+    with pytest.raises(ScoreParseError, match="repeat count is too large"):
+        parse_score("| { c16 }x" + "9" * 5000)
+
+
+# ---------------------------------------------------------------------------
+# Source positions
+# ---------------------------------------------------------------------------
+
+SEPARATORS = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\n\n", "  \n \t", " # note | c4 (\n", " #\n"]),
+    min_size=1, max_size=3,
+).map("".join)
+
+
+@st.composite
+def laid_out_scores(draw):
+    """Random valid DSL text with random whitespace, blank lines and
+    comments, the token boundaries it has (offset, bracket open), and the
+    Score it must parse to, built here without the parser."""
+    time_sig = draw(st.sampled_from([None, (4, 4), (3, 8)]))
+    pieces = []  # (token, bracket open after it)
+    if time_sig is not None:
+        pieces.append((f"clef=bass time={time_sig[0]}/{time_sig[1]}", False))
+    measures = []
+    group = 0
+    for _ in range(draw(st.integers(1, 5))):
+        tokens = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5))
+        events = [event_from_label(t) for t in tokens]
+        pieces.append(("|", False))
+        shape = draw(st.sampled_from(["plain", "bracket", "repeat"]))
+        if shape == "plain":
+            pieces.extend((t, False) for t in tokens)
+        elif shape == "bracket":
+            i = draw(st.integers(0, len(tokens) - 1))
+            j = draw(st.integers(i + 1, len(tokens)))
+            pieces.extend((t, False) for t in tokens[:i])
+            pieces.append(("[", True))
+            pieces.extend((t, True) for t in tokens[i:j])
+            pieces.append(("]", False))
+            pieces.extend((t, False) for t in tokens[j:])
+            ids = frozenset({group})
+            events[i:j] = [replace(e, groups=ids) for e in events[i:j]]
+            group += 1
+        else:
+            n = draw(st.integers(1, 3))
+            pieces.append(("{", False))
+            pieces.extend((t, False) for t in tokens)
+            pieces.append((f"}}x{n}", False))
+            events = [replace(e, groups=frozenset({group})) for e in events] * n
+            group += 1
+        measures.append(Measure(tuple(events)))
+    text = ""
+    boundaries = []
+    for token, in_bracket in pieces:
+        text += draw(SEPARATORS)
+        text += token
+        boundaries.append((len(text), in_bracket))
+    text += draw(SEPARATORS)
+    warnings = ()
+    if time_sig is not None:
+        target = measure_target(time_sig)
+        warnings = tuple(
+            f"measure {i + 1} sums to {m.exponent_sum}, expected {target} "
+            f"for {time_sig[0]}/{time_sig[1]}"
+            for i, m in enumerate(measures) if m.exponent_sum != target
+        )
+    expected = Score(
+        measures=tuple(measures),
+        clef="bass" if time_sig else "treble",
+        time=time_sig,
+        warnings=warnings,
+    )
+    return text, boundaries, expected
+
+
+@given(laid_out_scores())
+def test_layout_does_not_change_the_score(case):
+    text, _, expected = case
+    assert parse_score(text, strict=False) == expected
+
+
+@given(laid_out_scores(), st.data())
+def test_parse_error_position_matches_reference(case, data):
+    text, boundaries, _ = case
+    offset, in_bracket = data.draw(st.sampled_from(boundaries))
+    bad = data.draw(st.sampled_from(
+        ["h4", "zz", "@", "c3", ")"] + ([] if in_bracket else ["]"])
+    ))
+    text = text[:offset] + data.draw(SEPARATORS) + bad + text[offset:]
+    pos = text.index(bad, offset)
+    with pytest.raises(ScoreParseError) as err:
+        parse_score(text, strict=False)
+    assert (err.value.line, err.value.col) == (
+        text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    )
+
+
+def test_parse_time_grows_linearly_with_measures():
+    # 8x the measures must cost well under 20x the time; counting newlines
+    # from the start of the text for every token grew about 35x at these
+    # sizes.  Alternating rounds let a slow spell of the host hit both sizes.
+    small = textgen.sample_score(random.Random(1), 500)
+    large = textgen.sample_score(random.Random(2), 4000)
+    best = {small: float("inf"), large: float("inf")}
+    for _ in range(5):
+        for text in best:
+            start = time.perf_counter()
+            parse_score(text)
+            best[text] = min(best[text], time.perf_counter() - start)
+    assert best[large] < 20 * best[small]
+
+
 def test_measure_target_values():
     assert measure_target((2, 2)) == 64
     assert measure_target((4, 4)) == 64
@@ -217,13 +371,20 @@ def test_config_to_message_round_trip():
     assert score_to_config(parse_score(text)) == config
 
 
+@given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=2, max_size=6),
+                min_size=1, max_size=6),
+       st.sampled_from([None, "treble", "bass", "alto"]))
+def test_config_to_message_round_trip_property(words, clef):
+    config = config_from_words(words)
+    assert score_to_config(parse_score(config_to_message(config, clef=clef))) == config
+
+
 def test_config_to_message_single_polygon():
     config = score_to_config(parse_score("| c16 d16"))
     assert config_to_message(config) == "| c16 d16\n"
 
 
 def test_config_to_message_rejects_foreign_labels():
-    from brauer_kit.brauer import config_from_words
     with pytest.raises(ScoreError):
         config_to_message(config_from_words([["O", "E"]]))
 

@@ -25,3 +25,17 @@ def sample_english(rng: random.Random, length: int) -> str:
 
 def sample_uniform(rng: random.Random, length: int) -> str:
     return "".join(rng.choices(LETTERS, k=length))
+
+
+def sample_score(rng: random.Random, measures: int) -> str:
+    """DSL text of a treble 4/4 score, one measure per line, each measure
+    filled with random notes and rests of 16, 8 and 4 units."""
+    lines = ["clef=treble time=4/4"]
+    for _ in range(measures):
+        left, bar = 64, []
+        while left:
+            duration = rng.choice([d for d in (16, 8, 4) if d <= left])
+            bar.append(f"{rng.choice('abcdefgr')}{duration}")
+            left -= duration
+        lines.append("| " + " ".join(bar))
+    return "\n".join(lines) + "\n"
