@@ -15,7 +15,6 @@ its center follow in exact integer arithmetic.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -187,10 +186,6 @@ class AlgebraInvariants:
         return out
 
 
-def invariants_json(inv: AlgebraInvariants) -> str:
-    return json.dumps(inv.to_json_dict(), indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Valency, successor sequences, quiver
 # ---------------------------------------------------------------------------
@@ -283,16 +278,16 @@ def dim_lambda(config: BrauerConfiguration) -> int:
     return invariants(config).dim_lambda
 
 
-def dim_center(config: BrauerConfiguration, require_connected: bool = True) -> int:
+def dim_center(config: BrauerConfiguration) -> int:
     """Dimension of the center of the induced algebra:
     1 + #polygons - #vertices + sum(mu) + #loops - #(valency-1 vertices).
 
     The formula is stated for connected configurations, so disconnected
-    input raises by default; pass ``require_connected=False`` to apply it
-    verbatim anyway.
+    input raises; ``invariants(config).dim_center`` carries the formula
+    value for any configuration.
     """
     inv = invariants(config)
-    if require_connected and not inv.connected:
+    if not inv.connected:
         raise DisconnectedError(polygon_components(config))
     return inv.dim_center
 

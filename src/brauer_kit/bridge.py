@@ -18,12 +18,10 @@ from .brauer import (
     AlgebraInvariants,
     BrauerConfiguration,
     config_from_words,
-    dim_center,
     dim_lambda,
     invariants,
 )
 from .cipher import (
-    Alphabet,
     BlockPermutation,
     CipherError,
     DEFAULT_ALPHABET,
@@ -33,12 +31,10 @@ from .cipher import (
 from .coincidence import decimate
 
 
-def vigenere_to_config(
-    cipher: str, m: int, alphabet: Alphabet = DEFAULT_ALPHABET
-) -> BrauerConfiguration:
+def vigenere_to_config(cipher: str, m: int) -> BrauerConfiguration:
     """Configuration of a ciphertext under an assumed key length: one
     polygon per decimated list, in list order."""
-    cipher = alphabet.normalize(cipher)
+    cipher = DEFAULT_ALPHABET.normalize(cipher)
     lists = decimate(cipher, m)
     short = [i for i, part in enumerate(lists) if len(part) < 2]
     if short:
@@ -124,13 +120,11 @@ class IdentityVerdict:
         return self.lhs - self.rhs
 
 
-def check_dim_coincidence_identity(
-    cipher: str, m: int, alphabet: Alphabet = DEFAULT_ALPHABET
-) -> IdentityVerdict:
+def check_dim_coincidence_identity(cipher: str, m: int) -> IdentityVerdict:
     """dim = 2m + N(N-1) * IoC, valid when every character present occurs
     at least twice.  Singletons each contribute 1 to the left side only."""
-    cipher = alphabet.normalize(cipher)
-    config = vigenere_to_config(cipher, m, alphabet)
+    cipher = DEFAULT_ALPHABET.normalize(cipher)
+    config = vigenere_to_config(cipher, m)
     counts = Counter(cipher)
     singletons = tuple(sorted(ch for ch, f in counts.items() if f == 1))
     lhs = dim_lambda(config)
@@ -138,14 +132,12 @@ def check_dim_coincidence_identity(
     return IdentityVerdict("dim = 2m + N(N-1)*IoC", not singletons, lhs, rhs, singletons)
 
 
-def check_center_frequency_identity(
-    cipher: str, m: int, alphabet: Alphabet = DEFAULT_ALPHABET
-) -> IdentityVerdict:
+def check_center_frequency_identity(cipher: str, m: int) -> IdentityVerdict:
     """dim of the center = 1 + m + sum over lists of (frequency - 1),
     valid when every character occurs at least twice and in at least two
     different lists."""
-    cipher = alphabet.normalize(cipher)
-    config = vigenere_to_config(cipher, m, alphabet)
+    cipher = DEFAULT_ALPHABET.normalize(cipher)
+    config = vigenere_to_config(cipher, m)
     lists = decimate(cipher, m)
     per_list = [Counter(part) for part in lists]
     spread = Counter()
@@ -156,7 +148,7 @@ def check_center_frequency_identity(
         ch for ch in total if total[ch] == 1 or spread[ch] < 2
     ))
     # the identity is about the formula value, which needs no connectivity
-    lhs = dim_center(config, require_connected=False)
+    lhs = invariants(config).dim_center
     rhs = 1 + m + sum(f - 1 for counts in per_list for f in counts.values())
     return IdentityVerdict(
         "dim Z = 1 + m + sum(f_ij - 1)", not violations, lhs, rhs, violations

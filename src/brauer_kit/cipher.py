@@ -1,14 +1,17 @@
-"""Classical cryptosystems over a fixed alphabet.
+"""Classical cryptosystems over the fixed alphabet A-Z.
 
 Vigenere shifts, block transpositions with one permutation per block, and
-route (grid) reading.  Texts are residue sequences over the alphabet;
-anything outside the alphabet is rejected unless explicitly stripped.
+route (grid) reading.  ``LETTERS`` is the one alphabet of the package: a
+letter's index in it is its residue, and its length 26 is the modulus of
+every shift.  Anything outside it is rejected unless explicitly stripped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class CipherError(ValueError):
@@ -19,25 +22,8 @@ class CipherError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Ordered distinct symbols; a symbol's index is its residue value."""
-
-    symbols: str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols) or not self.symbols:
-            raise CipherError("alphabet symbols must be distinct and non-empty")
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def index(self, symbol: str) -> int:
-        i = self.symbols.find(symbol)
-        if i < 0:
-            raise CipherError(f"character {symbol!r} is not in the alphabet")
-        return i
+    """Folding of free text into ``LETTERS``."""
 
     def normalize(self, text: str, strip: bool = False) -> str:
         """Case-fold ``text`` into the alphabet.
@@ -48,7 +34,7 @@ class Alphabet:
         folded = text.upper()
         out = []
         for i, ch in enumerate(folded):
-            if ch in self.symbols:
+            if ch in LETTERS:
                 out.append(ch)
             elif strip or ch.isspace():
                 continue
@@ -59,11 +45,10 @@ class Alphabet:
                 )
         return "".join(out)
 
-    def to_indices(self, text: str) -> list[int]:
-        return [self.index(ch) for ch in text]
 
-    def from_indices(self, values: Sequence[int]) -> str:
-        return "".join(self.symbols[v % self.size] for v in values)
+def _letters(residues: Iterable[int]) -> str:
+    """The letters of ``residues`` taken modulo the alphabet size."""
+    return "".join(LETTERS[r % len(LETTERS)] for r in residues)
 
 
 DEFAULT_ALPHABET = Alphabet()
@@ -84,35 +69,34 @@ class VigenereKey:
             raise CipherError("key residues must be non-negative")
 
     @classmethod
-    def from_text(cls, key: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> "VigenereKey":
-        key = alphabet.normalize(key)
+    def from_text(cls, key: str) -> "VigenereKey":
+        key = DEFAULT_ALPHABET.normalize(key)
         if not key:
             raise CipherError("empty key")
-        return cls(tuple(alphabet.to_indices(key)))
+        return cls(tuple(LETTERS.index(ch) for ch in key))
 
-    def to_text(self, alphabet: Alphabet = DEFAULT_ALPHABET) -> str:
-        return alphabet.from_indices(self.residues)
+    def to_text(self) -> str:
+        return _letters(self.residues)
 
     def __len__(self) -> int:
         return len(self.residues)
 
 
-def _shift(text: str, key: VigenereKey, alphabet: Alphabet, sign: int) -> str:
-    values = alphabet.to_indices(alphabet.normalize(text))
+def _shift(text: str, key: VigenereKey, sign: int) -> str:
     m = len(key)
-    return alphabet.from_indices(
-        (v + sign * key.residues[i % m]) % alphabet.size
-        for i, v in enumerate(values)
+    return _letters(
+        LETTERS.index(ch) + sign * key.residues[i % m]
+        for i, ch in enumerate(DEFAULT_ALPHABET.normalize(text))
     )
 
 
-def vigenere_encrypt(plain: str, key: VigenereKey, alphabet: Alphabet = DEFAULT_ALPHABET) -> str:
+def vigenere_encrypt(plain: str, key: VigenereKey) -> str:
     """Shift position i by key[i mod len(key)]."""
-    return _shift(plain, key, alphabet, +1)
+    return _shift(plain, key, +1)
 
 
-def vigenere_decrypt(cipher: str, key: VigenereKey, alphabet: Alphabet = DEFAULT_ALPHABET) -> str:
-    return _shift(cipher, key, alphabet, -1)
+def vigenere_decrypt(cipher: str, key: VigenereKey) -> str:
+    return _shift(cipher, key, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ _ERROR_CODES = (
     (DiagramError, "E_DIAGRAM"),
     (UnknownVertexError, "E_VERTEX"),
     (OSError, "E_IO"),
+    (UnicodeDecodeError, "E_IO"),
 )
 
 # worked reference values used by --verify
@@ -192,8 +193,10 @@ def _cmd_analyze(args) -> int:
     if len(sources) != 1:
         raise ConfigError("analyze needs exactly one of --config, --ciphertext, --score")
     if args.ciphertext is not None:
-        if not args.keylen:
+        if args.keylen is None:
             raise ConfigError("--ciphertext requires --keylen")
+        if args.keylen < 1:
+            raise CipherError("--keylen must be >= 1")
         cipher = DEFAULT_ALPHABET.normalize(args.ciphertext, strip=args.strip)
         config = vigenere_to_config(cipher, args.keylen)
     elif args.config is not None:

@@ -14,47 +14,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .cipher import Alphabet, CipherError, DEFAULT_ALPHABET
+from .cipher import CipherError, LETTERS, VigenereKey
 
-# Relative letter frequencies of English text, in percent.
-ENGLISH_FREQUENCIES = {
-    "A": 8.167, "B": 1.492, "C": 2.782, "D": 4.253, "E": 12.702, "F": 2.228,
-    "G": 2.015, "H": 6.094, "I": 6.966, "J": 0.153, "K": 0.772, "L": 4.025,
-    "M": 2.406, "N": 6.749, "O": 7.507, "P": 1.929, "Q": 0.095, "R": 5.987,
-    "S": 6.327, "T": 9.056, "U": 2.758, "V": 0.978, "W": 2.360, "X": 0.150,
-    "Y": 1.974, "Z": 0.074,
-}
+# Relative letter frequencies of English text, in percent, A to Z.
+ENGLISH_FREQUENCIES = dict(zip(LETTERS, (
+    8.167, 1.492, 2.782, 4.253, 12.702, 2.228, 2.015, 6.094, 6.966, 0.153,
+    0.772, 4.025, 2.406, 6.749, 7.507, 1.929, 0.095, 5.987, 6.327, 9.056,
+    2.758, 0.978, 2.360, 0.150, 1.974, 0.074,
+)))
 
 IOC_TARGET = Fraction(65, 1000)
 IOC_WINDOW = Fraction(1, 100)
 
 
-def letter_counts(text: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> list[int]:
+def letter_counts(text: str) -> list[int]:
+    """Occurrences of each letter of A-Z in ``text``, in alphabet order."""
     counts = Counter(text)
-    unknown = set(counts) - set(alphabet.symbols)
+    unknown = set(counts) - set(LETTERS)
     if unknown:
         raise CipherError(f"characters {sorted(unknown)} are not in the alphabet")
-    return [counts.get(ch, 0) for ch in alphabet.symbols]
+    return [counts.get(ch, 0) for ch in LETTERS]
 
 
-def index_of_coincidence(text: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Fraction:
+def index_of_coincidence(text: str) -> Fraction:
     """Probability that two random positions of ``text`` hold the same
     character: sum f(f-1) / (N(N-1))."""
     n = len(text)
     if n < 2:
         raise CipherError("index of coincidence needs a text of length >= 2")
-    num = sum(f * (f - 1) for f in letter_counts(text, alphabet))
+    num = sum(f * (f - 1) for f in letter_counts(text))
     return Fraction(num, n * (n - 1))
 
 
-def mutual_index(t1: str, t2: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> Fraction:
+def mutual_index(t1: str, t2: str) -> Fraction:
     """Probability that a random character of ``t1`` equals one of ``t2``."""
-    return mutual_index_shift(t1, t2, 0, alphabet)
+    return mutual_index_shift(t1, t2, 0)
 
 
-def mutual_index_shift(
-    t1: str, t2: str, shift: int, alphabet: Alphabet = DEFAULT_ALPHABET
-) -> Fraction:
+def mutual_index_shift(t1: str, t2: str, shift: int) -> Fraction:
     """Mutual index of ``t1`` against ``t2`` decrypted by ``shift``.
 
     The maximizing shift estimates the key difference k1 - k2 when both
@@ -62,7 +59,7 @@ def mutual_index_shift(
     """
     if not t1 or not t2:
         raise CipherError("mutual index needs two non-empty texts")
-    num = _overlap(letter_counts(t1, alphabet), letter_counts(t2, alphabet), shift)
+    num = _overlap(letter_counts(t1), letter_counts(t2), shift)
     return Fraction(num, len(t1) * len(t2))
 
 
@@ -79,27 +76,19 @@ def decimate(text: str, m: int) -> list[str]:
     return [text[i::m] for i in range(m)]
 
 
-def chi_squared(
-    text: str,
-    alphabet: Alphabet = DEFAULT_ALPHABET,
-    expected: Mapping[str, float] = ENGLISH_FREQUENCIES,
-) -> float:
-    """Chi-squared statistic of ``text`` against an expected distribution."""
+def chi_squared(text: str) -> float:
+    """Chi-squared statistic of ``text`` against English letter frequencies."""
     if not text:
         raise CipherError("chi-squared needs a non-empty text")
-    return _chi_squared(letter_counts(text, alphabet), len(text), alphabet, expected)
+    return _chi_squared(letter_counts(text), len(text))
 
 
-def _chi_squared(
-    counts: list[int], n: int, alphabet: Alphabet, expected: Mapping[str, float]
-) -> float:
-    """Chi-squared statistic of letter counts summing to ``n``."""
+def _chi_squared(counts: list[int], n: int) -> float:
+    """Chi-squared statistic of letter counts summing to ``n`` > 0."""
     score = 0.0
-    for i, ch in enumerate(alphabet.symbols):
-        exp = n * expected.get(ch, 0.0) / 100.0
-        if exp <= 0:
-            continue
-        score += (counts[i] - exp) ** 2 / exp
+    for count, freq in zip(counts, ENGLISH_FREQUENCIES.values()):
+        exp = n * freq / 100.0
+        score += (count - exp) ** 2 / exp
     return score
 
 
@@ -120,9 +109,7 @@ class KeyLengthCandidate:
         return self.in_window == self.m
 
 
-def friedman_keylength(
-    cipher: str, max_len: int, alphabet: Alphabet = DEFAULT_ALPHABET
-) -> list[KeyLengthCandidate]:
+def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
     """Rank candidate key lengths 1..max_len by mean |IoC - 0.065|.
 
     Candidates are sorted by ascending score, ties by smaller length.  When
@@ -138,7 +125,7 @@ def friedman_keylength(
         )
     raw: list[KeyLengthCandidate] = []
     for m in range(1, max_len + 1):
-        iocs = tuple(index_of_coincidence(part, alphabet) for part in decimate(cipher, m))
+        iocs = tuple(index_of_coincidence(part) for part in decimate(cipher, m))
         deviations = [abs(i - IOC_TARGET) for i in iocs]
         score = sum(deviations, Fraction(0)) / m
         in_window = sum(1 for d in deviations if d <= IOC_WINDOW)
@@ -176,18 +163,16 @@ class KeyRecovery:
 
 
 def solve_shift_differences(
-    m: int,
-    differences: Mapping[tuple[int, int], int],
-    anchor: int = 0,
-    modulus: int = 26,
+    m: int, differences: Mapping[tuple[int, int], int]
 ) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
-    """Solve k_i - k_j = d[(i, j)] (mod modulus) with k_0 = anchor.
+    """Solve k_i - k_j = d[(i, j)] (mod 26) with k_0 = 0.
 
     Returns the residue vector and the list of constraints the solution
-    violates, as (i, j, residual) with residual = d - (k_i - k_j) mod n.
+    violates, as (i, j, residual) with residual = d - (k_i - k_j) mod 26.
     Unreached positions are an error.
     """
-    residues: dict[int, int] = {0: anchor % modulus}
+    modulus = len(LETTERS)
+    residues: dict[int, int] = {0: 0}
     adjacency: dict[int, list[tuple[int, int]]] = {}
     for (i, j), d in differences.items():
         if not (0 <= i < m and 0 <= j < m) or i == j:
@@ -212,9 +197,7 @@ def solve_shift_differences(
     return tuple(residues[i] for i in range(m)), residuals
 
 
-def friedman_recover_key(
-    cipher: str, m: int, alphabet: Alphabet = DEFAULT_ALPHABET
-) -> KeyRecovery:
+def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
     """Recover Vigenere key candidates of length ``m``.
 
     For each list pair the shift maximizing the mutual index gives one
@@ -226,18 +209,15 @@ def friedman_recover_key(
     lists = decimate(cipher, m)
     if any(len(part) < 2 for part in lists):
         raise CipherError(f"splitting into {m} lists leaves a list shorter than 2")
-    n = alphabet.size
-    counts = [letter_counts(part, alphabet) for part in lists]
+    n = len(LETTERS)
+    counts = [letter_counts(part) for part in lists]
     # max keeps the first of equal overlaps, so ties go to the smaller shift
     differences = {
         (i, j): max(range(n), key=lambda s: _overlap(counts[i], counts[j], s))
         for i in range(m)
         for j in range(i + 1, m)
     }
-    if m > 1:
-        base, residuals = solve_shift_differences(m, differences, 0, n)
-    else:
-        base, residuals = (0,), []
+    base, residuals = solve_shift_differences(m, differences)
     candidates = []
     for k0 in range(n):
         # the difference system is translation invariant, so every anchor
@@ -245,10 +225,9 @@ def friedman_recover_key(
         key = tuple((r + k0) % n for r in base)
         # list j decrypts cipher letter h + k_j to plaintext letter h
         plain = [sum(c[(h + k) % n] for c, k in zip(counts, key)) for h in range(n)]
-        candidates.append(KeyCandidate(
-            alphabet.from_indices(key),
-            _chi_squared(plain, len(cipher), alphabet, ENGLISH_FREQUENCIES),
-        ))
+        candidates.append(
+            KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, len(cipher)))
+        )
     candidates.sort(key=lambda c: c.chi2)
     return KeyRecovery(
         m=m,

@@ -28,11 +28,6 @@ DECRYPTED_GRID = grid_from_columns("CRYPRGOTAPHY", rows=4)
 # Alphabet
 # ---------------------------------------------------------------------------
 
-def test_alphabet_rejects_duplicates():
-    with pytest.raises(CipherError):
-        Alphabet("ABA")
-
-
 def test_normalize_case_folds():
     assert Alphabet().normalize("classical") == "CLASSICAL"
 

@@ -5,7 +5,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brauer_kit.cli import main
 
@@ -30,6 +30,7 @@ def test_analyze_ciphertext(capsys):
         "schema", "dimLambda", "dimCenter", "loops", "polygons", "vertices",
         "valencyHistogram",
     ]
+    assert data["valencyHistogram"] == {"1": 9, "2": 3, "3": 2}
 
 
 def test_analyze_is_deterministic(capsys):
@@ -66,6 +67,16 @@ def test_analyze_ciphertext_needs_keylen(capsys):
     code, _, err = run(capsys, "analyze", "--ciphertext", "ABCD")
     assert code == 2
     assert "error[E_CONFIG]" in err
+
+
+def test_analyze_rejects_keylen_below_one(capsys):
+    for keylen in ("0", "-3"):
+        code, out, err = run(
+            capsys, "analyze", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--keylen", keylen
+        )
+        assert code == 2
+        assert out == ""
+        assert "error[E_CIPHER]: --keylen must be >= 1" in err
 
 
 def test_analyze_bad_ciphertext_character(capsys):
@@ -272,6 +283,26 @@ def test_missing_file_is_io_error(capsys):
     assert "error[E_IO]" in err
 
 
+def test_undecodable_input_is_io_error(capsys, tmp_path, monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    for argv in (
+        ["attack", "--in", str(bad)],
+        ["encrypt", "--system", "vigenere", "--key", "MDPI", "--in", str(bad)],
+        ["graph", str(FIXTURES / "canon_a6.bsc"), "--edges", str(bad)],
+        ["score-check", str(bad)],
+        ["analyze", "--score", str(bad)],
+        ["analyze", "--config", str(bad)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error[E_IO]" in err, argv
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), "utf-8"))
+    code, _, err = run(capsys, "decrypt", "--system", "vigenere", "--key", "MDPI")
+    assert code == 2
+    assert "error[E_IO]" in err
+
+
 # Score DSL fragments, valid and not; repeat counts stay small so that
 # nested repeats cannot grow past a few thousand events.
 DSL_TEXTS = st.lists(
@@ -285,11 +316,11 @@ DSL_TEXTS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.text(st.characters(exclude_categories=("Cs",))), DSL_TEXTS))
+@given(st.one_of(st.text(st.characters(exclude_categories=("Cs",))), DSL_TEXTS, st.binary()))
 def test_score_commands_never_exit_internal(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.bsc"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         svg = str(Path(tmp) / "out.svg")
         for argv in (
             ["score-check", str(path)],
@@ -301,3 +332,35 @@ def test_score_commands_never_exit_internal(text):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = main(argv + lax)
                 assert code in (0, 2), err.getvalue()
+
+
+# Every subcommand that takes user input, on arbitrary text and on raw bytes
+# that need not be UTF-8.
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(st.text(st.characters(exclude_categories=("Cs",))), st.binary()),
+    st.one_of(st.sampled_from(["MDPI", "3 4 1 2"]), st.text(max_size=8)),
+    st.integers(-2, 12),
+)
+@example(b"\xff\n", "MDPI", 2)
+def test_commands_never_exit_internal(data, key, keylen):
+    raw = data if isinstance(data, bytes) else data.encode()
+    text = raw.decode(errors="replace")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes(raw)
+        argvs = [
+            [command, "--system", system, f"--key={key}", "--in", str(path)]
+            for command in ("encrypt", "decrypt")
+            for system in ("vigenere", "transposition")
+        ] + [
+            ["attack", "--in", str(path)],
+            ["analyze", "--config", str(path)],
+            ["analyze", f"--ciphertext={text}", "--keylen", str(keylen)],
+            ["graph", str(FIXTURES / "canon_a6.bsc"), "--edges", str(path)],
+        ]
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), (argv, err.getvalue())

@@ -149,9 +149,9 @@ def test_keylength_rejects_short_ciphertext():
 # ---------------------------------------------------------------------------
 
 def test_solve_difference_system_forced():
-    # k1 - k0 = 3 and k2 - k1 = 12 with anchor 0 force (0, 3, 15)
+    # k1 - k0 = 3 and k2 - k1 = 12 with k0 = 0 force (0, 3, 15)
     diffs = {(0, 1): (0 - 3) % 26, (1, 2): (3 - 15) % 26}
-    residues, residuals = solve_shift_differences(3, diffs, anchor=0)
+    residues, residuals = solve_shift_differences(3, diffs)
     assert residues == (0, 3, 15)
     assert residuals == []
 
@@ -160,7 +160,7 @@ def test_solve_difference_system_reports_cycle_residual():
     # (0,1) and (0,2) fix the solution (0, 25, 21); the cycle through (1,2)
     # then disagrees by 1 - (25 - 21) = -3
     diffs = {(0, 1): 1, (1, 2): 1, (0, 2): 5}
-    residues, residuals = solve_shift_differences(3, diffs, anchor=0)
+    residues, residuals = solve_shift_differences(3, diffs)
     assert residues == (0, 25, 21)
     assert residuals == [(1, 2, 23)]
 
