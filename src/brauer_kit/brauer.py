@@ -264,10 +264,6 @@ def polygon_components(config: BrauerConfiguration) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def is_connected(config: BrauerConfiguration) -> bool:
-    return len(polygon_components(config)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Dimensions
 # ---------------------------------------------------------------------------
@@ -314,7 +310,7 @@ def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
     inv = invariants_from_histogram(
         len(config.polygons), Counter(valencies.values()), loops
     )
-    return inv if is_connected(config) else replace(inv, connected=False)
+    return inv if len(polygon_components(config)) == 1 else replace(inv, connected=False)
 
 
 def invariants_from_histogram(
@@ -416,7 +412,4 @@ def parse_config(text: str) -> BrauerConfiguration:
         labels.append(label)
     if not words:
         raise ConfigError("no polygons found")
-    try:
-        return config_from_words(words, labels)
-    except ConfigError as exc:
-        raise ConfigError(str(exc)) from None
+    return config_from_words(words, labels)

@@ -17,10 +17,6 @@ LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 class CipherError(ValueError):
     """Invalid key, block shape, route or out-of-alphabet character."""
 
-    def __init__(self, message: str, offset: int | None = None):
-        self.offset = offset
-        super().__init__(message)
-
 
 class Alphabet:
     """Folding of free text into ``LETTERS``."""
@@ -39,10 +35,7 @@ class Alphabet:
             elif strip or ch.isspace():
                 continue
             else:
-                raise CipherError(
-                    f"character {ch!r} at offset {i} is not in the alphabet",
-                    offset=i,
-                )
+                raise CipherError(f"character {ch!r} at offset {i} is not in the alphabet")
         return "".join(out)
 
 

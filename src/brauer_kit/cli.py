@@ -22,8 +22,6 @@ from pathlib import Path
 
 from .brauer import (
     ConfigError,
-    DisconnectedError,
-    UnknownVertexError,
     invariants,
     invariants_from_histogram,
     parse_config,
@@ -49,13 +47,10 @@ SCHEMA = "1"
 _ERROR_CODES = (
     (ScoreParseError, "E_SCORE_PARSE"),
     (ScoreError, "E_SCORE"),
-    (DisconnectedError, "E_DISCONNECTED"),
     (ConfigError, "E_CONFIG"),
     (CipherError, "E_CIPHER"),
     (DiagramError, "E_DIAGRAM"),
-    (UnknownVertexError, "E_VERTEX"),
     (OSError, "E_IO"),
-    (UnicodeDecodeError, "E_IO"),
 )
 
 # worked reference values used by --verify
@@ -88,16 +83,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_input(args) -> str:
-    if getattr(args, "ciphertext", None) is not None:
-        return args.ciphertext
-    if getattr(args, "infile", None):
-        return Path(args.infile).read_text()
-    return sys.stdin.read()
-
-
-def _fixture_dir():
-    return resources.files("brauer_kit") / "fixtures"
+def _read(path: str | None) -> str:
+    """The text of the file at ``path``, or of stdin for None.  Input that
+    is not valid text is an ``E_IO`` error naming the file or ``<stdin>``."""
+    try:
+        return sys.stdin.read() if path is None else Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{'<stdin>' if path is None else path}: {exc}") from None
 
 
 def _round(value) -> float:
@@ -109,7 +101,7 @@ def _round(value) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_crypt(args, encrypting: bool) -> int:
-    text = DEFAULT_ALPHABET.normalize(_read_input(args), strip=args.strip)
+    text = DEFAULT_ALPHABET.normalize(_read(args.infile or None), strip=args.strip)
     if args.system == "vigenere":
         key = VigenereKey.from_text(args.key)
         out = vigenere_encrypt(text, key) if encrypting else vigenere_decrypt(text, key)
@@ -142,7 +134,8 @@ def _cmd_attack(args) -> int:
         raise CipherError("--keylen must be >= 1")
     if args.top < 1:
         raise CipherError("--top must be >= 1")
-    cipher = DEFAULT_ALPHABET.normalize(_read_input(args), strip=args.strip)
+    text = args.ciphertext if args.ciphertext is not None else _read(args.infile or None)
+    cipher = DEFAULT_ALPHABET.normalize(text, strip=args.strip)
     candidates = friedman_keylength(cipher, args.max_keylen)
     m = candidates[0].m if args.keylen is None else args.keylen
     recovery = friedman_recover_key(cipher, m)
@@ -188,10 +181,17 @@ def _invariants_payload(inv) -> str:
 
 def _cmd_analyze(args) -> int:
     if args.verify:
+        values = (args.config, args.ciphertext, args.keylen, args.score, args.out)
+        if args.lax or args.strip or any(v is not None for v in values):
+            raise ConfigError("--verify takes no other flag")
         return _cmd_verify()
     sources = [s for s in (args.config, args.ciphertext, args.score) if s is not None]
     if len(sources) != 1:
         raise ConfigError("analyze needs exactly one of --config, --ciphertext, --score")
+    if args.ciphertext is None and (args.keylen is not None or args.strip):
+        raise ConfigError("--keylen and --strip apply only to --ciphertext")
+    if args.score is None and args.lax:
+        raise ConfigError("--lax applies only to --score")
     if args.ciphertext is not None:
         if args.keylen is None:
             raise ConfigError("--ciphertext requires --keylen")
@@ -200,9 +200,9 @@ def _cmd_analyze(args) -> int:
         cipher = DEFAULT_ALPHABET.normalize(args.ciphertext, strip=args.strip)
         config = vigenere_to_config(cipher, args.keylen)
     elif args.config is not None:
-        config = parse_config(Path(args.config).read_text())
+        config = parse_config(_read(args.config))
     else:
-        score = parse_score(Path(args.score).read_text(), strict=not args.lax)
+        score = parse_score(_read(args.score), strict=not args.lax)
         for warning in score.warnings:
             print(f"brauer-kit: warning: {warning}", file=sys.stderr)
         config = score_to_config(score)
@@ -227,7 +227,7 @@ def _verify_checks():
 
     yield ("vigenere-split-invariants", split_dims, (35, 14, 9))
 
-    fixture_dir = _fixture_dir()
+    fixture_dir = resources.files("brauer_kit") / "fixtures"
     for stem in ("slym", "canon_a6", "canon_crab", "canon_qi"):
         def score_payload(stem=stem):
             score = parse_score((fixture_dir / f"{stem}.bsc").read_text(), strict=False)
@@ -270,7 +270,7 @@ def _cmd_verify() -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_score_check(args) -> int:
-    score = parse_score(Path(args.score).read_text(), strict=not args.lax)
+    score = parse_score(_read(args.score), strict=not args.lax)
     events = sum(len(m.events) for m in score.measures)
     for warning in score.warnings:
         print(f"warning: {warning}")
@@ -287,8 +287,8 @@ def _cmd_score_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_graph(args) -> int:
-    score = parse_score(Path(args.score).read_text(), strict=not args.lax)
-    extra = parse_edges(Path(args.edges).read_text()) if args.edges else ()
+    score = parse_score(_read(args.score), strict=not args.lax)
+    extra = parse_edges(_read(args.edges)) if args.edges else ()
     diagram = diagram_for_score(
         score,
         clef=args.clef,

@@ -46,11 +46,6 @@ def index_of_coincidence(text: str) -> Fraction:
     return Fraction(num, n * (n - 1))
 
 
-def mutual_index(t1: str, t2: str) -> Fraction:
-    """Probability that a random character of ``t1`` equals one of ``t2``."""
-    return mutual_index_shift(t1, t2, 0)
-
-
 def mutual_index_shift(t1: str, t2: str, shift: int) -> Fraction:
     """Mutual index of ``t1`` against ``t2`` decrypted by ``shift``.
 

@@ -16,7 +16,8 @@ times inside one measure.  ``#`` starts a comment.
 
 Under a time signature n/2^m every measure's effective exponents must sum
 to n * 2^(6-m); strict parsing rejects violations, lax parsing records them
-as warnings.
+as warnings.  A repeat group may not expand the score past ``MAX_EVENTS``
+events.
 
 A score maps to a configuration with one polygon per measure; the vertex of
 an event is its (duration + dot, accidental, pitch-or-rest) class, written
@@ -50,6 +51,8 @@ ACCIDENTAL_CHARS = {"flat": "-", "sharp": "+", "natural": "="}
 ACCIDENTAL_NAMES = {v: k for k, v in ACCIDENTAL_CHARS.items()}
 
 CLEFS = ("treble", "bass", "alto")
+
+MAX_EVENTS = 10**6  # events a score may hold once its repeat groups are expanded
 
 NOTE_TOKEN = re.compile(r"([-+=]?)([a-g])(64|32|16|8|4|2|1)(\.?)$")
 REST_TOKEN = re.compile(r"r(64|32|16|8|4|2|1)(\.?)$")
@@ -201,7 +204,6 @@ class _Group:
     ident: int
     line: int
     col: int
-    measure: int
     start: int      # event index in the open measure (braces only)
     start_sum: int  # exponent sum of the open measure (braces only)
 
@@ -235,9 +237,11 @@ def parse_score(text: str, strict: bool = True) -> Score:
     collected as warnings otherwise."""
     header: dict = {}
     measures: list = []  # (events, position of the first event, exponent sum)
+    measured = 0  # events in ``measures``
     current: list = []
     current_pos: tuple | None = None
     current_sum = 0
+    too_many: ScoreParseError | None = None  # the first repeat past MAX_EVENTS
     open_groups: list[_Group] = []
     next_group = 0
     seen_content = False
@@ -246,7 +250,7 @@ def parse_score(text: str, strict: bool = True) -> Score:
     def flush_measure(bar: tuple | None) -> None:
         """Close the open measure at a bar (its position) or at the end of
         the text (None)."""
-        nonlocal current, current_pos, current_sum
+        nonlocal measured, current, current_pos, current_sum
         for g in open_groups:
             if g.kind == "brace":
                 raise ScoreParseError(
@@ -254,6 +258,7 @@ def parse_score(text: str, strict: bool = True) -> Score:
                 )
         if current:
             measures.append((tuple(current), current_pos, current_sum))
+            measured += len(current)
         elif measures and bar is not None:
             raise ScoreParseError("empty measure", *bar)
         current = []
@@ -280,10 +285,9 @@ def parse_score(text: str, strict: bool = True) -> Score:
             current.append(event)
             current_sum += event.effective_exponent
         elif kind in ("obracket", "oparen", "obrace"):
-            open_groups.append(_Group(
-                kind[1:], next_group, line, col, len(measures), len(current),
-                current_sum,
-            ))
+            open_groups.append(
+                _Group(kind[1:], next_group, line, col, len(current), current_sum)
+            )
             next_group += 1
         elif kind in ("cbracket", "cparen"):
             want = kind[1:]
@@ -299,10 +303,6 @@ def parse_score(text: str, strict: bool = True) -> Score:
             )
             if match is None:
                 raise ScoreParseError("unmatched closing brace", line, col)
-            if match.measure != len(measures):
-                raise ScoreParseError(
-                    "repeat group must close inside its measure", match.line, match.col
-                )
             open_groups.remove(match)
             try:
                 repeats = int(value[2:])
@@ -311,14 +311,15 @@ def parse_score(text: str, strict: bool = True) -> Score:
             if repeats < 1:
                 raise ScoreParseError("repeat count must be >= 1", line, col)
             current_sum += (current_sum - match.start_sum) * (repeats - 1)
-            # A strict measure already over its target fails the check below,
-            # and its error needs only the sum, so the events that the repeat
-            # count alone would multiply are never built.
-            time = header.get("time")
-            if not (strict and time is not None and current_sum > measure_target(time)):
-                body = current[match.start:]
-                for _ in range(repeats - 1):
-                    current.extend(body)
+            # A repeat past the limit builds no copy; its error waits for the
+            # end, so an error at a later token or a strict sum comes first.
+            body = current[match.start:]
+            if measured + len(current) + len(body) * (repeats - 1) > MAX_EVENTS:
+                too_many = too_many or ScoreParseError(
+                    f"repeat group expands the score past {MAX_EVENTS} events", line, col
+                )
+            elif body:
+                current.extend(body * (repeats - 1))
 
     if open_groups:
         g = open_groups[0]
@@ -340,6 +341,8 @@ def parse_score(text: str, strict: bool = True) -> Score:
                 if strict:
                     raise ScoreParseError(message, *pos)
                 warnings.append(message)
+    if too_many is not None:
+        raise too_many
 
     return Score(
         measures=tuple(Measure(events) for events, _, _ in measures),
@@ -388,24 +391,3 @@ def config_to_message(
         lines.append(" ".join(head))
     lines.extend("| " + " ".join(poly.word) for poly in config.polygons)
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Pitch operators
-# ---------------------------------------------------------------------------
-
-def step_pitch(event: NoteEvent, k: int) -> NoteEvent:
-    """Advance the letter k positions along the cyclic order a..g."""
-    if event.kind != "note":
-        raise ScoreError("cannot step a rest")
-    i = PITCHES.index(event.pitch)
-    return replace(event, pitch=PITCHES[(i + k) % len(PITCHES)])
-
-
-def apply_accidental(event: NoteEvent, accidental: str | None) -> NoteEvent:
-    """Set the accidental state: None, flat, sharp or natural."""
-    if event.kind != "note":
-        raise ScoreError("cannot inflect a rest")
-    if accidental not in (None, "flat", "sharp", "natural"):
-        raise ScoreError(f"unknown accidental {accidental!r}")
-    return replace(event, accidental=accidental)

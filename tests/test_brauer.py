@@ -16,7 +16,6 @@ from brauer_kit.brauer import (
     dim_lambda,
     invariants,
     invariants_from_histogram,
-    is_connected,
     parse_config,
     polygon_components,
     successor_sequence,
@@ -223,9 +222,9 @@ def test_dim_center_requires_connected():
 
 
 def test_is_connected():
-    assert is_connected(vigenere_config())
-    assert is_connected(config_from_words([["a", "b"]]))
-    assert not is_connected(config_from_words([["a", "b"], ["c", "d"]]))
+    assert len(polygon_components(vigenere_config())) == 1
+    assert len(polygon_components(config_from_words([["a", "b"]]))) == 1
+    assert len(polygon_components(config_from_words([["a", "b"], ["c", "d"]]))) == 2
 
 
 def test_polygon_components_grouping():
@@ -310,7 +309,7 @@ def test_invariants_from_histogram_matches_full_computation():
     rng = random.Random(7)
     for _ in range(50):
         cfg = random_config(rng)
-        if not is_connected(cfg):
+        if len(polygon_components(cfg)) != 1:
             continue
         inv = invariants(cfg)
         summary = invariants_from_histogram(
@@ -389,7 +388,7 @@ def test_dim_invariant_under_word_shuffle(words, rng):
     cfg2 = config_from_words(shuffled)
     assert dim_lambda(cfg) == dim_lambda(cfg2)
     assert build_quiver(cfg).loop_count == build_quiver(cfg2).loop_count
-    if is_connected(cfg):
+    if len(polygon_components(cfg)) == 1:
         assert dim_center(cfg) == dim_center(cfg2)
 
 
@@ -414,7 +413,7 @@ def test_center_equals_one_plus_polygons_plus_loops(words):
     # Consequence of the fixed multiplicity rule: the mu-sum cancels the
     # vertex count against the valency-1 census.
     cfg = config_from_words(words)
-    if not is_connected(cfg):
+    if len(polygon_components(cfg)) != 1:
         return
     assert dim_center(cfg) == 1 + len(cfg.polygons) + build_quiver(cfg).loop_count
 

@@ -35,7 +35,7 @@ def test_normalize_case_folds():
 def test_normalize_rejects_foreign_character_with_offset():
     with pytest.raises(CipherError) as err:
         Alphabet().normalize("AB3C")
-    assert err.value.offset == 2
+    assert str(err.value) == "character '3' at offset 2 is not in the alphabet"
 
 
 def test_normalize_strip_drops_foreign_characters():

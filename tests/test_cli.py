@@ -3,6 +3,8 @@ import io
 import json
 import sys
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -83,6 +85,27 @@ def test_analyze_bad_ciphertext_character(capsys):
     code, _, err = run(capsys, "analyze", "--ciphertext", "AB3D", "--keylen", "2")
     assert code == 2
     assert "error[E_CIPHER]" in err
+
+
+def test_analyze_rejects_flags_its_source_does_not_read(capsys, tmp_path):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("a b\nb c\n")
+    out_path = tmp_path / "x.json"
+    for argv in (
+        ["--config", str(cfg), "--keylen", "0"],
+        ["--config", str(cfg), "--strip"],
+        ["--score", str(FIXTURES / "slym.bsc"), "--keylen", "2"],
+        ["--config", str(cfg), "--lax"],
+        ["--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--keylen", "4", "--lax"],
+        ["--verify", "--config", "nope.cfg", "--out", str(out_path)],
+        ["--verify", "--keylen", "0"],
+        ["--verify", "--strip"],
+        ["--verify", "--lax"],
+    ):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error[E_CONFIG]" in err, argv
+    assert not out_path.exists()
 
 
 def test_analyze_verify_passes(capsys, monkeypatch):
@@ -286,29 +309,32 @@ def test_missing_file_is_io_error(capsys):
 def test_undecodable_input_is_io_error(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\n")
+    edges = tmp_path / "e.txt"
+    edges.write_text("1 3\n")
     for argv in (
         ["attack", "--in", str(bad)],
         ["encrypt", "--system", "vigenere", "--key", "MDPI", "--in", str(bad)],
         ["graph", str(FIXTURES / "canon_a6.bsc"), "--edges", str(bad)],
+        ["graph", str(bad), "--edges", str(edges)],
         ["score-check", str(bad)],
         ["analyze", "--score", str(bad)],
         ["analyze", "--config", str(bad)],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert "error[E_IO]" in err, argv
+        assert f"error[E_IO]: {bad}: 'utf-8' codec can't decode" in err, argv
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), "utf-8"))
     code, _, err = run(capsys, "decrypt", "--system", "vigenere", "--key", "MDPI")
     assert code == 2
-    assert "error[E_IO]" in err
+    assert "error[E_IO]: <stdin>: 'utf-8' codec can't decode" in err
 
 
-# Score DSL fragments, valid and not; repeat counts stay small so that
-# nested repeats cannot grow past a few thousand events.
+# Score DSL fragments, valid and not.  A huge repeat count, nested or not,
+# must end in the repeat limit's error without building the copies.
 DSL_TEXTS = st.lists(
     st.sampled_from([
         "|", "c4", "-d8", "+e16", "=f2", "g64", "r4", "a16.", "c1.", "h4", "#c",
-        "[", "]", "(", ")", "{", "}x2", "}x0", "clef=bass", "time=4/4",
+        "[", "]", "(", ")", "{", "}x2", "}x0", "}x999999999", "clef=bass", "time=4/4",
         "time=3/0", "ref=x", "accidentals=-c",
     ]).flatmap(lambda t: st.sampled_from([" ", "\n", ""]).map(lambda sep: t + sep)),
     max_size=24,
@@ -364,3 +390,33 @@ def test_commands_never_exit_internal(data, key, keylen):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 2), (argv, err.getvalue())
+
+
+def test_nested_repeats_fail_fast_in_little_memory(tmp_path):
+    # 25 bytes that ask for 9999**3 events: every score command refuses
+    # the text before it builds them, with a time signature or without,
+    # strict or lax
+    for header in ("time=4/4 ", ""):
+        path = tmp_path / "nested.bsc"
+        path.write_text(header + "| {{{c64}x9999}x9999}x9999\n")
+        for argv in (
+            ["score-check", str(path)],
+            ["analyze", "--score", str(path)],
+            ["graph", str(path)],
+        ):
+            for lax in ([], ["--lax"]):
+                err = io.StringIO()
+                tracemalloc.start()
+                start = time.perf_counter()
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(err):
+                        code = main(argv + lax)
+                    elapsed = time.perf_counter() - start
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 2, (argv + lax, err.getvalue())
+                assert "error[E_SCORE_PARSE]" in err.getvalue()
+                assert elapsed < 0.1, (argv + lax, elapsed)
+                assert peak < 1_000_000, (argv + lax, peak)

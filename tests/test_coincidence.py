@@ -13,7 +13,6 @@ from brauer_kit.coincidence import (
     friedman_keylength,
     friedman_recover_key,
     index_of_coincidence,
-    mutual_index,
     mutual_index_shift,
     solve_shift_differences,
 )
@@ -68,16 +67,16 @@ def test_ioc_permutation_invariant(text, rng):
 # ---------------------------------------------------------------------------
 
 def test_mutual_index_identical_single_characters():
-    assert mutual_index("A", "A") == 1
+    assert mutual_index_shift("A", "A", 0) == 1
 
 
 def test_mutual_index_disjoint_alphabets():
-    assert mutual_index("AAAA", "BBBB") == 0
+    assert mutual_index_shift("AAAA", "BBBB", 0) == 0
 
 
 def test_mutual_index_empty_rejected():
     with pytest.raises(CipherError):
-        mutual_index("", "A")
+        mutual_index_shift("", "A", 0)
 
 
 def test_mutual_index_shift_peaks_at_key_difference():

@@ -9,18 +9,17 @@ from hypothesis import given, strategies as st
 
 from brauer_kit.brauer import config_from_words, dim_lambda, invariants, valency
 from brauer_kit.score import (
+    MAX_EVENTS,
     Measure,
     NoteEvent,
     Score,
     ScoreError,
     ScoreParseError,
-    apply_accidental,
     config_to_message,
     event_from_label,
     measure_target,
     parse_score,
     score_to_config,
-    step_pitch,
 )
 
 import textgen
@@ -202,6 +201,25 @@ def test_parse_repeat_lax_still_expands():
 def test_parse_repeat_count_too_large():
     with pytest.raises(ScoreParseError, match="repeat count is too large"):
         parse_score("| { c16 }x" + "9" * 5000)
+
+
+def test_parse_repeat_limit():
+    # a score holds at most MAX_EVENTS events once its repeats are expanded;
+    # the error names the }xN token that would pass the limit
+    score = parse_score("| c4 {c4}x999999")
+    assert sum(len(m.events) for m in score.measures) == MAX_EVENTS
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("| c4 c4\n| {c4}x999999 { c4 }x2", strict=False)
+    assert str(err.value) == (
+        f"line 2, column 6: repeat group expands the score past {MAX_EVENTS} events"
+    )
+    # a later token error and a strict measure sum still come first
+    with pytest.raises(ScoreParseError, match="unknown token 'h4'"):
+        parse_score("| {c4}x9999999 | h4")
+    with pytest.raises(ScoreParseError, match="measure 1 sums to 39999996, "):
+        parse_score("time=4/4 | {c4}x9999999")
+    # an empty body has nothing to copy, however large its count
+    assert len(parse_score("| c4 { }x999999999 c4").measures[0].events) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -411,42 +429,3 @@ def test_fixture_measures_sum_to_signature():
         else:
             assert len(off) == len(score.warnings) > 0
 
-
-# ---------------------------------------------------------------------------
-# Pitch operators
-# ---------------------------------------------------------------------------
-
-def test_step_pitch_advances_cycle():
-    a = event_from_label("a16")
-    assert step_pitch(a, 1).pitch == "b"
-    assert step_pitch(a, 7).pitch == "a"
-    assert step_pitch(event_from_label("g16"), 1).pitch == "a"
-
-
-def test_step_pitch_inverse():
-    e = event_from_label("d8")
-    assert step_pitch(step_pitch(e, 1), -1) == e
-
-
-def test_step_pitch_rejects_rest():
-    with pytest.raises(ScoreError):
-        step_pitch(event_from_label("r8"), 1)
-
-
-def test_apply_accidental_flat_is_distinct_vertex():
-    g = event_from_label("g8")
-    flat = apply_accidental(g, "flat")
-    assert flat.label == "-g8" != g.label
-
-
-def test_apply_accidental_natural_then_none():
-    g = apply_accidental(event_from_label("g8"), "natural")
-    assert g.label == "=g8"
-    assert apply_accidental(g, None).label == "g8"
-
-
-def test_apply_accidental_rejects_rest_and_garbage():
-    with pytest.raises(ScoreError):
-        apply_accidental(event_from_label("r8"), "flat")
-    with pytest.raises(ScoreError):
-        apply_accidental(event_from_label("g8"), "double-flat")
