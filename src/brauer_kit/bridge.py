@@ -33,15 +33,12 @@ from .coincidence import decimate
 
 def vigenere_to_config(cipher: str, m: int) -> BrauerConfiguration:
     """Configuration of a ciphertext under an assumed key length: one
-    polygon per decimated list, in list order."""
-    cipher = DEFAULT_ALPHABET.normalize(cipher)
-    lists = decimate(cipher, m)
-    short = [i for i, part in enumerate(lists) if len(part) < 2]
-    if short:
-        raise CipherError(
-            f"key length {m} leaves lists {short} shorter than 2 characters"
-        )
-    return config_from_words([tuple(part) for part in lists])
+    polygon per decimated list, in list order.  ``cipher`` is already
+    normalized (``Alphabet.normalize``); every caller folds its text once."""
+    # every list holds 2 characters exactly when the text has 2m: check first
+    if len(cipher) < 2 * m:
+        raise CipherError(f"key length {m} leaves lists shorter than 2 characters")
+    return config_from_words([tuple(part) for part in decimate(cipher, m)])
 
 
 def transposition_to_config(text: str, block_sizes: Sequence[int]) -> BrauerConfiguration:

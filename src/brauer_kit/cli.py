@@ -84,10 +84,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read(path: str | None) -> str:
-    """The text of the file at ``path``, or of stdin for None.  Input that
-    is not valid text is an ``E_IO`` error naming the file or ``<stdin>``."""
+    """The UTF-8 text of the file at ``path``, or of stdin for None.  Input
+    that is not valid UTF-8 is an ``E_IO`` error naming the file or
+    ``<stdin>``, whatever the locale."""
     try:
-        return sys.stdin.read() if path is None else Path(path).read_text()
+        if path is not None:
+            return Path(path).read_text(encoding="utf-8")
+        if hasattr(sys.stdin, "reconfigure"):  # a stream that decodes bytes
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+        return sys.stdin.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{'<stdin>' if path is None else path}: {exc}") from None
 
@@ -271,7 +276,7 @@ def _cmd_verify() -> int:
 
 def _cmd_score_check(args) -> int:
     score = parse_score(_read(args.score), strict=not args.lax)
-    events = sum(len(m.events) for m in score.measures)
+    events = sum(map(len, score.measures))
     for warning in score.warnings:
         print(f"warning: {warning}")
     time = f"{score.time[0]}/{score.time[1]}" if score.time else "free"

@@ -201,9 +201,10 @@ def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
     chi-squared fit of their decryptions against English frequencies, taken
     from the per-list letter counts rotated by each key residue.
     """
-    lists = decimate(cipher, m)
-    if any(len(part) < 2 for part in lists):
+    # every list holds 2 characters exactly when the text has 2m: check first
+    if len(cipher) < 2 * m:
         raise CipherError(f"splitting into {m} lists leaves a list shorter than 2")
+    lists = decimate(cipher, m)
     n = len(LETTERS)
     counts = [letter_counts(part) for part in lists]
     # max keeps the first of equal overlaps, so ties go to the smaller shift

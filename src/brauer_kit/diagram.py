@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .score import NoteEvent, PITCHES, Score
+from .score import NoteEvent, PITCHES, Score, event_from_label
 
 CLEF_REFERENCE = {"treble": "e", "bass": "d", "alto": "a"}
 
@@ -31,17 +31,12 @@ class DiagramError(ValueError):
 
 
 def classify_notes(score: Score) -> list:
-    """Distinct note classes in first-appearance order, group metadata
-    stripped.  Pitched classes and rest classes both count."""
-    if not any(m.events for m in score.measures):
+    """Distinct note classes in first-appearance order.  Pitched classes
+    and rest classes both count."""
+    labels = dict.fromkeys(token for measure in score.measures for token in measure)
+    if not labels:
         raise DiagramError("score has no events")
-    seen: dict = {}
-    for measure in score.measures:
-        for event in measure.events:
-            label = event.label
-            if label not in seen:
-                seen[label] = replace(event, groups=frozenset())
-    return list(seen.values())
+    return [event_from_label(label) for label in labels]
 
 
 def letter_offset(pitch: str, reference: str) -> int:

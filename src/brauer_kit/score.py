@@ -10,25 +10,28 @@ A note token is ``[-+=]?[a-g](64|32|16|8|4|2|1)`` with an optional trailing
 dot: ``-`` flat, ``+`` sharp, ``=`` natural; the number is the duration
 exponent (whole note 64 down to sixty-fourth 1); the dot multiplies the
 effective exponent by 3/2.  Rests are ``r<exponent>``.  ``|`` separates
-measures.  ``[ ]`` bracket groups and ``( )`` ties/slurs are carried as
-metadata (parens may span measures); ``{ ... }xN`` repeats its contents N
-times inside one measure.  ``#`` starts a comment.
+measures.  ``[ ]`` bracket groups and ``( )`` ties/slurs (parens may span
+measures) are checked for balance and then dropped; ``{ ... }xN`` repeats
+its contents N times inside one measure.  ``ref=`` and ``accidentals=``
+header items are accepted annotations that are not stored.  ``#`` starts a
+comment.
 
 Under a time signature n/2^m every measure's effective exponents must sum
 to n * 2^(6-m); strict parsing rejects violations, lax parsing records them
 as warnings.  A repeat group may not expand the score past ``MAX_EVENTS``
 events.
 
-A score maps to a configuration with one polygon per measure; the vertex of
-an event is its (duration + dot, accidental, pitch-or-rest) class, written
-as the canonical token text.  Octaves and grouping never enter vertex
-identity.
+A score is its measures, each a tuple of note tokens.  A token is the
+canonical text of its (duration + dot, accidental, pitch-or-rest) class, so
+the measures are already the words of the score's configuration: one
+polygon per measure, one vertex per class.  Octaves and grouping never
+enter vertex identity.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from .brauer import BrauerConfiguration, config_from_words
 
 
@@ -60,18 +63,13 @@ REST_TOKEN = re.compile(r"r(64|32|16|8|4|2|1)(\.?)$")
 
 @dataclass(frozen=True)
 class NoteEvent:
-    """One pitched note or rest.
-
-    ``groups`` holds the ids of enclosing group symbols; it is metadata and
-    excluded from the note-class label.
-    """
+    """One pitched note or rest: the class a token names."""
 
     kind: str                      # "note" | "rest"
     exponent: int
     pitch: str | None = None
     accidental: str | None = None  # None | "flat" | "sharp" | "natural"
     dotted: bool = False
-    groups: frozenset = frozenset()
 
     def __post_init__(self):
         if self.kind not in ("note", "rest"):
@@ -105,7 +103,7 @@ class NoteEvent:
 
 
 def event_from_label(label: str) -> NoteEvent:
-    """Parse a canonical token back into an event (no group metadata)."""
+    """Parse a canonical token into its event."""
     m = REST_TOKEN.match(label)
     if m:
         return NoteEvent("rest", int(m.group(1)), dotted=bool(m.group(2)))
@@ -119,21 +117,10 @@ def event_from_label(label: str) -> NoteEvent:
 
 
 @dataclass(frozen=True)
-class Measure:
-    events: tuple
-
-    @property
-    def exponent_sum(self) -> int:
-        return sum(e.effective_exponent for e in self.events)
-
-
-@dataclass(frozen=True)
 class Score:
-    measures: tuple
+    measures: tuple                    # one tuple of note tokens per measure
     clef: str = "treble"
     time: tuple | None = None          # (n, denominator), denominator = 2^m
-    ref: str | None = None             # reference line annotation
-    accidentals: tuple = ()            # global accidental conventions, metadata
     warnings: tuple = ()
 
     def __post_init__(self):
@@ -201,10 +188,9 @@ def _tokenize(text: str):
 @dataclass
 class _Group:
     kind: str
-    ident: int
     line: int
     col: int
-    start: int      # event index in the open measure (braces only)
+    start: int      # token index in the open measure (braces only)
     start_sum: int  # exponent sum of the open measure (braces only)
 
 
@@ -212,40 +198,35 @@ def _parse_header_item(item: str, line: int, col: int, header: dict) -> None:
     key, _, value = item.partition("=")
     if key in header:
         raise ScoreParseError(f"duplicate header item {key!r}", line, col)
-    if key == "clef":
-        if value not in CLEFS:
-            raise ScoreParseError(f"unknown clef {value!r}", line, col)
-        header["clef"] = value
-    elif key == "time":
+    header[key] = value
+    if key == "clef" and value not in CLEFS:
+        raise ScoreParseError(f"unknown clef {value!r}", line, col)
+    if key == "time":
         m = re.fullmatch(r"(\d+)/(\d+)", value)
         if not m:
             raise ScoreParseError(f"malformed time signature {value!r}", line, col)
-        time = (int(m.group(1)), int(m.group(2)))
         try:
-            measure_target(time)
+            header["time"] = (int(m.group(1)), int(m.group(2)))
+            str(measure_target(header["time"]))  # the measure-sum message prints it
         except ScoreError as exc:
             raise ScoreParseError(str(exc), line, col) from None
-        header["time"] = time
-    elif key == "ref":
-        header["ref"] = value
-    else:
-        header["accidentals"] = tuple(value.split(","))
+        except ValueError:  # more digits than Python converts between int and str
+            raise ScoreParseError("time signature is too large", line, col) from None
 
 
 def parse_score(text: str, strict: bool = True) -> Score:
     """Parse DSL text.  Measure-sum violations raise in strict mode and are
     collected as warnings otherwise."""
     header: dict = {}
-    measures: list = []  # (events, position of the first event, exponent sum)
-    measured = 0  # events in ``measures``
+    measures: list = []  # (tokens, position of the first token, exponent sum)
+    measured = 0  # tokens in ``measures``
     current: list = []
     current_pos: tuple | None = None
     current_sum = 0
     too_many: ScoreParseError | None = None  # the first repeat past MAX_EVENTS
     open_groups: list[_Group] = []
-    next_group = 0
     seen_content = False
-    classes: dict = {}  # token -> its NoteEvent, built once per note class
+    weights: dict = {}  # token -> effective exponent, computed once per class
 
     def flush_measure(bar: tuple | None) -> None:
         """Close the open measure at a bar (its position) or at the end of
@@ -277,33 +258,21 @@ def parse_score(text: str, strict: bool = True) -> Score:
         elif kind in ("note", "rest"):
             if current_pos is None:
                 current_pos = (line, col)
-            event = classes.get(value)
-            if event is None:
-                event = classes[value] = event_from_label(value)
-            if open_groups:
-                event = replace(event, groups=frozenset(g.ident for g in open_groups))
-            current.append(event)
-            current_sum += event.effective_exponent
+            weight = weights.get(value)
+            if weight is None:
+                weight = weights[value] = event_from_label(value).effective_exponent
+            current.append(value)
+            current_sum += weight
         elif kind in ("obracket", "oparen", "obrace"):
-            open_groups.append(
-                _Group(kind[1:], next_group, line, col, len(current), current_sum)
-            )
-            next_group += 1
-        elif kind in ("cbracket", "cparen"):
+            open_groups.append(_Group(kind[1:], line, col, len(current), current_sum))
+        else:  # cbracket, cparen or cbrace
             want = kind[1:]
-            match = next(
-                (g for g in reversed(open_groups) if g.kind == want), None
-            )
+            match = next((g for g in reversed(open_groups) if g.kind == want), None)
             if match is None:
                 raise ScoreParseError(f"unmatched closing {want}", line, col)
             open_groups.remove(match)
-        else:  # cbrace
-            match = next(
-                (g for g in reversed(open_groups) if g.kind == "brace"), None
-            )
-            if match is None:
-                raise ScoreParseError("unmatched closing brace", line, col)
-            open_groups.remove(match)
+            if want != "brace":
+                continue
             try:
                 repeats = int(value[2:])
             except ValueError:  # more digits than int() converts
@@ -334,10 +303,15 @@ def parse_score(text: str, strict: bool = True) -> Score:
         target = measure_target(time)
         for i, (_, pos, total) in enumerate(measures):
             if total != target:
-                message = (
-                    f"measure {i + 1} sums to {total}, expected {target} "
-                    f"for {time[0]}/{time[1]}"
-                )
+                try:
+                    message = (
+                        f"measure {i + 1} sums to {total}, expected {target} "
+                        f"for {time[0]}/{time[1]}"
+                    )
+                except ValueError:
+                    # a sum past Python's int/str digit limit needs far more
+                    # than MAX_EVENTS events, so a repeat has set too_many
+                    raise too_many from None
                 if strict:
                     raise ScoreParseError(message, *pos)
                 warnings.append(message)
@@ -345,11 +319,9 @@ def parse_score(text: str, strict: bool = True) -> Score:
         raise too_many
 
     return Score(
-        measures=tuple(Measure(events) for events, _, _ in measures),
+        measures=tuple(tokens for tokens, _, _ in measures),
         clef=header.get("clef", "treble"),
         time=time,
-        ref=header.get("ref"),
-        accidentals=header.get("accidentals", ()),
         warnings=tuple(warnings),
     )
 
@@ -360,19 +332,16 @@ def parse_score(text: str, strict: bool = True) -> Score:
 
 def score_to_config(score: Score) -> BrauerConfiguration:
     """One polygon per measure, in score order; vertices are note classes."""
-    words = []
     for i, measure in enumerate(score.measures):
-        if len(measure.events) < 2:
+        if len(measure) < 2:
             raise ScoreError(f"measure {i + 1} has fewer than 2 events")
-        words.append(tuple(e.label for e in measure.events))
-    return config_from_words(words)
+    return config_from_words(score.measures)
 
 
 def config_to_message(
     config: BrauerConfiguration,
     clef: str | None = None,
     time: tuple | None = None,
-    ref: str | None = None,
 ) -> str:
     """Emit the concatenated polygon words as DSL text, one measure per
     polygon.  Every vertex label must be a well-formed note or rest token."""
@@ -385,8 +354,6 @@ def config_to_message(
         head.append(f"clef={clef}")
     if time is not None:
         head.append(f"time={time[0]}/{time[1]}")
-    if ref is not None:
-        head.append(f"ref={ref}")
     if head:
         lines.append(" ".join(head))
     lines.extend("| " + " ".join(poly.word) for poly in config.polygons)

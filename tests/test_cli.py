@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -9,9 +11,11 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from brauer_kit import cipher
 from brauer_kit.cli import main
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "brauer_kit" / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = SRC / "brauer_kit" / "fixtures"
 
 
 def run(capsys, *argv):
@@ -193,6 +197,34 @@ def test_attack_rejects_keylen_below_one(capsys):
     assert "error[E_CIPHER]" in err
 
 
+def test_huge_keylen_fails_fast_with_a_short_message(capsys):
+    # the text is checked against 2 * keylen before any list is built
+    for argv in (
+        ["analyze", "--ciphertext", "ABCD", "--keylen", str(10**12)],
+        ["attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--keylen", str(10**12)],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, ""), argv
+        assert "error[E_CIPHER]" in err and len(err) < 1000, argv
+        assert elapsed < 0.1, (argv, elapsed)
+
+
+def test_attack_folds_its_text_once(capsys, monkeypatch):
+    calls = []
+    normalize = cipher.Alphabet.normalize
+
+    def counted(self, text, strip=False):
+        calls.append(text)
+        return normalize(self, text, strip)
+
+    monkeypatch.setattr(cipher.Alphabet, "normalize", counted)
+    code, _, _ = run(capsys, "attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--max-keylen", "4")
+    assert code == 0
+    assert calls == ["OOPAELRIXFGGBWDODDEPK"]
+
+
 def test_attack_rejects_top_below_one(capsys):
     code, out, err = run(
         capsys, "attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--max-keylen", "4",
@@ -329,13 +361,35 @@ def test_undecodable_input_is_io_error(capsys, tmp_path, monkeypatch):
     assert "error[E_IO]: <stdin>: 'utf-8' codec can't decode" in err
 
 
+def test_stdin_is_utf8_whatever_the_locale():
+    # UTF-8 mode (a C or POSIX locale turns it on) decodes stdin with
+    # surrogateescape, and PYTHONIOENCODING can pick a codec that never fails
+    for env in ({"PYTHONUTF8": "1"}, {"PYTHONIOENCODING": "latin-1"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "brauer_kit.cli", "decrypt", "--system", "vigenere",
+             "--key", "MDPI"],
+            input=b"\xff", capture_output=True, timeout=60,
+            env={**os.environ, **env, "PYTHONPATH": str(SRC)},
+        )
+        assert (proc.returncode, proc.stdout) == (2, b""), env
+        assert b"error[E_IO]: <stdin>: 'utf-8' codec can't decode" in proc.stderr, env
+
+
+# Numbers past Python's 4 300-digit int/str limit: a measure sum, a time
+# signature numerator, and a numerator whose measure target passes it.
+NINES = "9" * 3000
+HUGE_SUM = f"time=4/4 | {{{{c64}}x{NINES}}}x{NINES}"
+HUGE_TIME = f"time={'9' * 4400}/4 | c4"
+HUGE_TARGET = f"time={'9' * 4299}/4 | c4"
+
 # Score DSL fragments, valid and not.  A huge repeat count, nested or not,
 # must end in the repeat limit's error without building the copies.
 DSL_TEXTS = st.lists(
     st.sampled_from([
         "|", "c4", "-d8", "+e16", "=f2", "g64", "r4", "a16.", "c1.", "h4", "#c",
         "[", "]", "(", ")", "{", "}x2", "}x0", "}x999999999", "clef=bass", "time=4/4",
-        "time=3/0", "ref=x", "accidentals=-c",
+        "time=3/0", "ref=x", "accidentals=-c", f"}}x{NINES}", HUGE_TIME.split()[0],
+        HUGE_TARGET.split()[0],
     ]).flatmap(lambda t: st.sampled_from([" ", "\n", ""]).map(lambda sep: t + sep)),
     max_size=24,
 ).map("".join)
@@ -343,6 +397,9 @@ DSL_TEXTS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.text(st.characters(exclude_categories=("Cs",))), DSL_TEXTS, st.binary()))
+@example(HUGE_SUM)
+@example(HUGE_TIME)
+@example(HUGE_TARGET)
 def test_score_commands_never_exit_internal(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.bsc"
@@ -358,6 +415,87 @@ def test_score_commands_never_exit_internal(text):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = main(argv + lax)
                 assert code in (0, 2), err.getvalue()
+
+
+# A measure element is a token or a group: (symbols, elements, repeat count).
+ELEMENTS = st.recursive(
+    st.sampled_from(["c4", "-d8", "+e16", "=f2", "g64", "a32.", "r4", "r16.", "b16"]),
+    lambda inner: st.tuples(
+        st.sampled_from(["[]", "()", "{}"]), st.lists(inner, min_size=1, max_size=3),
+        st.integers(1, 3),
+    ),
+    max_leaves=8,
+)
+
+
+def _grouped(element) -> str:
+    if isinstance(element, str):
+        return element
+    symbols, body, n = element
+    inner = " ".join(map(_grouped, body))
+    return f"{{ {inner} }}x{n}" if symbols == "{}" else f"{symbols[0]} {inner} {symbols[1]}"
+
+
+def _expanded(element) -> list:
+    if isinstance(element, str):
+        return [element]
+    symbols, body, n = element
+    return [t for e in body for t in _expanded(e)] * (n if symbols == "{}" else 1)
+
+
+@st.composite
+def grouped_scores(draw):
+    """DSL text with random group symbols, a slur across bars among them,
+    and the same score with brackets and parens removed and repeats
+    expanded by hand."""
+    head = draw(st.sampled_from(["", "clef=bass ", "clef=alto time=4/4 "]))
+    measures = draw(st.lists(st.lists(ELEMENTS, min_size=2, max_size=4), min_size=1, max_size=4))
+    grouped = [" ".join(map(_grouped, m)) for m in measures]
+    i = draw(st.integers(0, len(measures) - 1))
+    j = draw(st.integers(i, len(measures) - 1))
+    grouped[i] = "( " + grouped[i]
+    grouped[j] += " )"
+    plain = [" ".join(t for e in m for t in _expanded(e)) for m in measures]
+    return head + " | ".join(["", *grouped]), head + " | ".join(["", *plain])
+
+
+@settings(max_examples=40, deadline=None)
+@given(grouped_scores())
+def test_group_symbols_never_change_any_output(case):
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for text in case:
+            path = Path(tmp) / "in.bsc"
+            path.write_text(text)
+            svg, diagram = Path(tmp) / "out.svg", Path(tmp) / "out.json"
+            seen = []
+            for argv in (
+                ["analyze", "--score", str(path), "--lax"],
+                ["graph", str(path), "--svg", str(svg), "--json", str(diagram), "--lax"],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                seen.append((code, out.getvalue(), err.getvalue()))
+            seen.append((svg.read_bytes(), diagram.read_bytes()))
+            outputs.append(seen)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][0] == 0
+
+
+def test_numbers_past_the_digit_limit_are_parse_errors(capsys, tmp_path):
+    path = tmp_path / "big.bsc"
+    for text in (HUGE_SUM, HUGE_TIME, HUGE_TARGET):
+        path.write_text(text)
+        for argv in (
+            ["score-check", str(path)],
+            ["analyze", "--score", str(path)],
+            ["graph", str(path)],
+        ):
+            for lax in ([], ["--lax"]):
+                code, out, err = run(capsys, *argv, *lax)
+                assert (code, out) == (2, ""), (text[:12], argv + lax)
+                assert "error[E_SCORE_PARSE]" in err, (text[:12], argv + lax, err)
 
 
 # Every subcommand that takes user input, on arbitrary text and on raw bytes

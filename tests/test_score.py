@@ -1,7 +1,6 @@
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, strategies as st
 from brauer_kit.brauer import config_from_words, dim_lambda, invariants, valency
 from brauer_kit.score import (
     MAX_EVENTS,
-    Measure,
     NoteEvent,
     Score,
     ScoreError,
@@ -30,6 +28,11 @@ SLYM = (FIXTURES / "slym.bsc").read_text()
 
 # Valid note and rest tokens, each its own canonical label.
 TOKENS = ("c4", "-d8", "+e16", "=f2", "g64", "a32.", "b1", "r4", "r16.", "-b16")
+
+
+def measure_sum(tokens) -> int:
+    """Effective exponent sum of one measure's tokens."""
+    return sum(event_from_label(t).effective_exponent for t in tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +81,13 @@ def test_parse_slym_fixture():
     assert len(score.measures) == 7
     assert score.clef == "bass"
     assert score.time == (2, 2)
-    assert score.accidentals == ("-c", "-g")
-    assert all(m.exponent_sum == 64 for m in score.measures)
+    assert all(measure_sum(m) == 64 for m in score.measures)
 
 
 def test_parse_single_measure():
     score = parse_score("clef=treble time=4/4 | c16 c16 c16 c16")
     assert len(score.measures) == 1
-    assert score.measures[0].exponent_sum == 64
+    assert measure_sum(score.measures[0]) == 64
 
 
 def test_parse_strict_duration_error():
@@ -132,10 +134,7 @@ def test_parse_empty_measure_rejected():
 
 def test_parse_group_spanning_measures():
     score = parse_score("| b8 ( b8 | b8 ) f8")
-    first = score.measures[0].events
-    second = score.measures[1].events
-    assert first[1].groups == second[0].groups != frozenset()
-    assert second[1].groups == frozenset()
+    assert score.measures == (("b8", "b8"), ("b8", "f8"))
 
 
 def test_parse_interleaved_group_kinds():
@@ -146,10 +145,7 @@ def test_parse_interleaved_group_kinds():
 
 def test_parse_brace_repeats_contents():
     score = parse_score("| { c16 d16 }x2")
-    labels = [e.label for e in score.measures[0].events]
-    assert labels == ["c16", "d16", "c16", "d16"]
-    groups = {e.groups for e in score.measures[0].events}
-    assert len(groups) == 1  # copies stay in the same group
+    assert score.measures == (("c16", "d16", "c16", "d16"),)
 
 
 def test_parse_brace_must_close_in_measure():
@@ -194,7 +190,7 @@ def test_parse_repeat_over_target_keeps_error_order():
 
 def test_parse_repeat_lax_still_expands():
     score = parse_score("time=4/4 | { c64 }x3 c16", strict=False)
-    assert [e.label for e in score.measures[0].events] == ["c64"] * 3 + ["c16"]
+    assert score.measures == (("c64",) * 3 + ("c16",),)
     assert score.warnings == ("measure 1 sums to 208, expected 64 for 4/4",)
 
 
@@ -207,7 +203,7 @@ def test_parse_repeat_limit():
     # a score holds at most MAX_EVENTS events once its repeats are expanded;
     # the error names the }xN token that would pass the limit
     score = parse_score("| c4 {c4}x999999")
-    assert sum(len(m.events) for m in score.measures) == MAX_EVENTS
+    assert sum(map(len, score.measures)) == MAX_EVENTS
     with pytest.raises(ScoreParseError) as err:
         parse_score("| c4 c4\n| {c4}x999999 { c4 }x2", strict=False)
     assert str(err.value) == (
@@ -219,7 +215,7 @@ def test_parse_repeat_limit():
     with pytest.raises(ScoreParseError, match="measure 1 sums to 39999996, "):
         parse_score("time=4/4 | {c4}x9999999")
     # an empty body has nothing to copy, however large its count
-    assert len(parse_score("| c4 { }x999999999 c4").measures[0].events) == 2
+    assert parse_score("| c4 { }x999999999 c4").measures == (("c4", "c4"),)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +238,8 @@ def laid_out_scores(draw):
     if time_sig is not None:
         pieces.append((f"clef=bass time={time_sig[0]}/{time_sig[1]}", False))
     measures = []
-    group = 0
     for _ in range(draw(st.integers(1, 5))):
         tokens = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5))
-        events = [event_from_label(t) for t in tokens]
         pieces.append(("|", False))
         shape = draw(st.sampled_from(["plain", "bracket", "repeat"]))
         if shape == "plain":
@@ -258,17 +252,13 @@ def laid_out_scores(draw):
             pieces.extend((t, True) for t in tokens[i:j])
             pieces.append(("]", False))
             pieces.extend((t, False) for t in tokens[j:])
-            ids = frozenset({group})
-            events[i:j] = [replace(e, groups=ids) for e in events[i:j]]
-            group += 1
         else:
             n = draw(st.integers(1, 3))
             pieces.append(("{", False))
             pieces.extend((t, False) for t in tokens)
             pieces.append((f"}}x{n}", False))
-            events = [replace(e, groups=frozenset({group})) for e in events] * n
-            group += 1
-        measures.append(Measure(tuple(events)))
+            tokens = tokens * n
+        measures.append(tuple(tokens))
     text = ""
     boundaries = []
     for token, in_bracket in pieces:
@@ -280,9 +270,9 @@ def laid_out_scores(draw):
     if time_sig is not None:
         target = measure_target(time_sig)
         warnings = tuple(
-            f"measure {i + 1} sums to {m.exponent_sum}, expected {target} "
+            f"measure {i + 1} sums to {measure_sum(m)}, expected {target} "
             f"for {time_sig[0]}/{time_sig[1]}"
-            for i, m in enumerate(measures) if m.exponent_sum != target
+            for i, m in enumerate(measures) if measure_sum(m) != target
         )
     expected = Score(
         measures=tuple(measures),
@@ -362,7 +352,7 @@ def test_single_measure_encoding():
 
 
 def test_score_to_config_rejects_tiny_measure():
-    score = Score(measures=(Measure((event_from_label("c64"),)),))
+    score = Score(measures=(("c64",),))
     with pytest.raises(ScoreError):
         score_to_config(score)
 
@@ -423,7 +413,7 @@ def test_fixture_measures_sum_to_signature():
     ]:
         score = parse_score((FIXTURES / name).read_text(), strict=not lax)
         target = measure_target(score.time)
-        off = [i for i, m in enumerate(score.measures) if m.exponent_sum != target]
+        off = [i for i, m in enumerate(score.measures) if measure_sum(m) != target]
         if not lax:
             assert off == []
         else:
