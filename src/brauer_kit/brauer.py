@@ -50,14 +50,11 @@ class Polygon:
     """One word of a configuration.
 
     ``index`` is the 0-based position in the configuration, ``word`` the
-    ordered vertex occurrences (repetitions allowed).  ``label`` is an
-    optional permutation of word positions (1-based); it is carried as
-    metadata only and never affects any computed invariant.
+    ordered vertex occurrences (repetitions allowed).
     """
 
     index: int
     word: tuple[str, ...]
-    label: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.index < 0:
@@ -68,12 +65,6 @@ class Polygon:
             )
         if any(not isinstance(v, str) or not v for v in self.word):
             raise ConfigError(f"polygon {self.index}: empty vertex label")
-        if self.label is not None:
-            if sorted(self.label) != list(range(1, len(self.word) + 1)):
-                raise ConfigError(
-                    f"polygon {self.index}: label is not a permutation "
-                    f"of 1..{len(self.word)}"
-                )
 
     def frequencies(self) -> Counter:
         """Occurrence count of each vertex within this word."""
@@ -105,21 +96,9 @@ class BrauerConfiguration:
         return tuple(seen)
 
 
-def config_from_words(
-    words: Iterable[Sequence[str]],
-    labels: Sequence[Sequence[int] | None] | None = None,
-) -> BrauerConfiguration:
+def config_from_words(words: Iterable[Sequence[str]]) -> BrauerConfiguration:
     """Build a configuration from an iterable of vertex-label sequences."""
-    words = [tuple(w) for w in words]
-    if labels is None:
-        labels = [None] * len(words)
-    if len(labels) != len(words):
-        raise ConfigError("labels and words differ in length")
-    polygons = tuple(
-        Polygon(i, w, tuple(lab) if lab is not None else None)
-        for i, (w, lab) in enumerate(zip(words, labels))
-    )
-    return BrauerConfiguration(polygons)
+    return BrauerConfiguration(tuple(Polygon(i, tuple(w)) for i, w in enumerate(words)))
 
 
 @dataclass(frozen=True)
@@ -388,28 +367,34 @@ def check_center_identity(config: BrauerConfiguration) -> CenterIdentityVerdict:
 # ---------------------------------------------------------------------------
 # Line-oriented: one polygon per line, whitespace-separated vertex labels,
 # '#' starts a comment, and an optional "label:" suffix gives a permutation
-# of word positions as space-separated 1-based integers.
+# of word positions as space-separated 1-based integers.  The permutation is
+# checked and then dropped: no invariant depends on it.
 
 def parse_config(text: str) -> BrauerConfiguration:
     words: list[tuple[str, ...]] = []
-    labels: list[tuple[int, ...] | None] = []
+    bad_label: str | None = None  # reported only once every line has parsed
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        label: tuple[int, ...] | None = None
+        label: list[int] | None = None
         if "label:" in line:
             head, _, tail = line.partition("label:")
             try:
-                label = tuple(int(tok) for tok in tail.split())
+                label = sorted(int(tok) for tok in tail.split())
             except ValueError:
                 raise ConfigError(f"line {lineno}: malformed label permutation")
             line = head.strip()
         tokens = tuple(line.split())
         if len(tokens) < 2:
             raise ConfigError(f"line {lineno}: polygon needs at least 2 vertices")
+        if bad_label is None and label is not None and label != list(range(1, len(tokens) + 1)):
+            bad_label = (
+                f"polygon {len(words)}: label is not a permutation of 1..{len(tokens)}"
+            )
         words.append(tokens)
-        labels.append(label)
     if not words:
         raise ConfigError("no polygons found")
-    return config_from_words(words, labels)
+    if bad_label is not None:
+        raise ConfigError(bad_label)
+    return config_from_words(words)

@@ -59,21 +59,17 @@ _REFERENCE_KEY = "MDPI"
 _REFERENCE_CIPHERTEXT = "OOPAELRIXFGGBWDODDEPK"
 
 
-def _color_enabled() -> bool:
-    mode = os.environ.get("BRAUER_KIT_COLOR", "auto")
-    if mode == "never":
-        return False
-    return sys.stdout.isatty()
-
-
-def _paint(text: str, code: str) -> str:
-    if _color_enabled():
+def _paint(text: str, code: str, stream) -> str:
+    """``text`` in ANSI color ``code`` when ``stream``, which will print it,
+    is a terminal and ``BRAUER_KIT_COLOR`` is not ``never``."""
+    if os.environ.get("BRAUER_KIT_COLOR", "auto") != "never" and stream.isatty():
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
 
 
 def _error(code: str, message: str) -> None:
-    print(f"brauer-kit: {_paint('error', '31')}[{code}]: {message}", file=sys.stderr)
+    marker = _paint("error", "31", sys.stderr)
+    print(f"brauer-kit: {marker}[{code}]: {message}", file=sys.stderr)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -260,13 +256,13 @@ def _cmd_verify() -> int:
             actual = compute()
         except Exception as exc:  # a broken fixture should not stop the rest
             failures += 1
-            print(f"{_paint('FAIL', '31')} {name}: {exc}")
+            print(f"{_paint('FAIL', '31', sys.stdout)} {name}: {exc}")
             continue
         if actual == expected:
-            print(f"{_paint('PASS', '32')} {name}")
+            print(f"{_paint('PASS', '32', sys.stdout)} {name}")
         else:
             failures += 1
-            print(f"{_paint('FAIL', '31')} {name}: got {actual!r}, want {expected!r}")
+            print(f"{_paint('FAIL', '31', sys.stdout)} {name}: got {actual!r}, want {expected!r}")
     return 0 if failures == 0 else 2
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .cipher import CipherError, LETTERS, VigenereKey
 
@@ -96,12 +95,8 @@ class KeyLengthCandidate:
     m: int
     per_list_ioc: tuple[Fraction, ...]
     score: Fraction  # mean |ioc - target| over the m lists
-    in_window: int   # lists with |ioc - target| <= IOC_WINDOW
-    related: tuple[int, ...] = ()  # other flagged lengths in divisor relation
-
-    @property
-    def flagged(self) -> bool:
-        return self.in_window == self.m
+    flagged: bool    # every list has |ioc - target| <= IOC_WINDOW
+    related: tuple[int, ...]  # other flagged lengths in divisor relation
 
 
 def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
@@ -118,23 +113,17 @@ def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
         raise CipherError(
             f"ciphertext of length {len(cipher)} is too short for key lengths up to {max_len}"
         )
-    raw: list[KeyLengthCandidate] = []
+    scored = []  # (m, per-list IoCs, score, flagged) for every m
     for m in range(1, max_len + 1):
         iocs = tuple(index_of_coincidence(part) for part in decimate(cipher, m))
         deviations = [abs(i - IOC_TARGET) for i in iocs]
-        score = sum(deviations, Fraction(0)) / m
-        in_window = sum(1 for d in deviations if d <= IOC_WINDOW)
-        raw.append(KeyLengthCandidate(m, iocs, score, in_window))
-    flagged = {c.m for c in raw if c.flagged}
+        scored.append((m, iocs, sum(deviations, Fraction(0)) / m, max(deviations) <= IOC_WINDOW))
+    flagged = [m for m, _, _, flag in scored if flag]
     candidates = [
-        KeyLengthCandidate(
-            c.m, c.per_list_ioc, c.score, c.in_window,
-            tuple(sorted(
-                other for other in flagged
-                if other != c.m and (other % c.m == 0 or c.m % other == 0)
-            )) if c.flagged else (),
-        )
-        for c in raw
+        KeyLengthCandidate(m, iocs, score, flag, tuple(
+            other for other in flagged if other != m and (other % m == 0 or m % other == 0)
+        ) if flag else ())
+        for m, iocs, score, flag in scored
     ]
     return sorted(candidates, key=lambda c: (c.score, c.m))
 
@@ -157,63 +146,34 @@ class KeyRecovery:
     candidates: tuple[KeyCandidate, ...]           # ranked by chi-squared, best first
 
 
-def solve_shift_differences(
-    m: int, differences: Mapping[tuple[int, int], int]
-) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
-    """Solve k_i - k_j = d[(i, j)] (mod 26) with k_0 = 0.
-
-    Returns the residue vector and the list of constraints the solution
-    violates, as (i, j, residual) with residual = d - (k_i - k_j) mod 26.
-    Unreached positions are an error.
-    """
-    modulus = len(LETTERS)
-    residues: dict[int, int] = {0: 0}
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), d in differences.items():
-        if not (0 <= i < m and 0 <= j < m) or i == j:
-            raise CipherError(f"difference pair ({i}, {j}) out of range")
-        adjacency.setdefault(i, []).append((j, -d))  # k_j = k_i - d
-        adjacency.setdefault(j, []).append((i, d))   # k_i = k_j + d
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j, delta in adjacency.get(i, []):
-            if j not in residues:
-                residues[j] = (residues[i] + delta) % modulus
-                frontier.append(j)
-    if len(residues) < m:
-        missing = sorted(set(range(m)) - set(residues))
-        raise CipherError(f"difference system leaves positions {missing} unconstrained")
-    residuals = [
-        (i, j, (d - (residues[i] - residues[j])) % modulus)
-        for (i, j), d in differences.items()
-        if (residues[i] - residues[j]) % modulus != d % modulus
-    ]
-    return tuple(residues[i] for i in range(m)), residuals
-
-
 def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
     """Recover Vigenere key candidates of length ``m``.
 
     For each list pair the shift maximizing the mutual index gives one
-    difference k_i - k_j; the star rooted at the first list anchors a key
-    for every choice of k_0, and the resulting keys are ranked by the
-    chi-squared fit of their decryptions against English frequencies, taken
-    from the per-list letter counts rotated by each key residue.
+    difference k_i - k_j.  The star of pairs (0, j) fixes the key up to k_0;
+    every other pair is checked against it and, where it disagrees, reported
+    in ``residuals``.  The 26 choices of k_0 are ranked by the chi-squared
+    fit of their decryptions against English frequencies, taken from the
+    per-list letter counts rotated by each key residue.
     """
     # every list holds 2 characters exactly when the text has 2m: check first
     if len(cipher) < 2 * m:
         raise CipherError(f"splitting into {m} lists leaves a list shorter than 2")
-    lists = decimate(cipher, m)
     n = len(LETTERS)
-    counts = [letter_counts(part) for part in lists]
+    counts = [letter_counts(part) for part in decimate(cipher, m)]
     # max keeps the first of equal overlaps, so ties go to the smaller shift
-    differences = {
-        (i, j): max(range(n), key=lambda s: _overlap(counts[i], counts[j], s))
+    differences = tuple(
+        (i, j, max(range(n), key=lambda s: _overlap(counts[i], counts[j], s)))
         for i in range(m)
         for j in range(i + 1, m)
-    }
-    base, residuals = solve_shift_differences(m, differences)
+    )
+    # the first m - 1 pairs are the star (0, j); with k_0 = 0 they fix the key
+    base = (0,) + tuple(-d % n for _, _, d in differences[: m - 1])
+    residuals = tuple(
+        (i, j, residual)
+        for i, j, d in differences
+        if (residual := (d - (base[i] - base[j])) % n)
+    )
     candidates = []
     for k0 in range(n):
         # the difference system is translation invariant, so every anchor
@@ -225,9 +185,4 @@ def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
             KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, len(cipher)))
         )
     candidates.sort(key=lambda c: c.chi2)
-    return KeyRecovery(
-        m=m,
-        differences=tuple((i, j, d) for (i, j), d in sorted(differences.items())),
-        residuals=tuple(residuals),
-        candidates=tuple(candidates),
-    )
+    return KeyRecovery(m, differences, residuals, tuple(candidates))

@@ -56,6 +56,9 @@ ACCIDENTAL_NAMES = {v: k for k, v in ACCIDENTAL_CHARS.items()}
 CLEFS = ("treble", "bass", "alto")
 
 MAX_EVENTS = 10**6  # events a score may hold once its repeat groups are expanded
+# A measure sum stops growing here: Python prints no int this long by default,
+# and only far more than MAX_EVENTS events can reach it.
+_SUM_CAP = 10**4300
 
 NOTE_TOKEN = re.compile(r"([-+=]?)([a-g])(64|32|16|8|4|2|1)(\.?)$")
 REST_TOKEN = re.compile(r"r(64|32|16|8|4|2|1)(\.?)$")
@@ -279,7 +282,9 @@ def parse_score(text: str, strict: bool = True) -> Score:
                 raise ScoreParseError("repeat count is too large", line, col) from None
             if repeats < 1:
                 raise ScoreParseError("repeat count must be >= 1", line, col)
-            current_sum += (current_sum - match.start_sum) * (repeats - 1)
+            current_sum = min(
+                current_sum + (current_sum - match.start_sum) * (repeats - 1), _SUM_CAP
+            )
             # A repeat past the limit builds no copy; its error waits for the
             # end, so an error at a later token or a strict sum comes first.
             body = current[match.start:]
@@ -303,14 +308,15 @@ def parse_score(text: str, strict: bool = True) -> Score:
         target = measure_target(time)
         for i, (_, pos, total) in enumerate(measures):
             if total != target:
+                if total >= _SUM_CAP:  # a repeat past MAX_EVENTS has set too_many
+                    raise too_many
                 try:
                     message = (
                         f"measure {i + 1} sums to {total}, expected {target} "
                         f"for {time[0]}/{time[1]}"
                     )
                 except ValueError:
-                    # a sum past Python's int/str digit limit needs far more
-                    # than MAX_EVENTS events, so a repeat has set too_many
+                    # so has a sum past a digit limit set below the default
                     raise too_many from None
                 if strict:
                     raise ScoreParseError(message, *pos)

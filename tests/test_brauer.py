@@ -85,9 +85,14 @@ def test_polygon_rejects_short_word():
 
 
 def test_polygon_label_must_be_permutation():
-    with pytest.raises(ConfigError):
-        Polygon(0, ("a", "b"), (1, 1))
-    assert Polygon(0, ("a", "b"), (2, 1)).label == (2, 1)
+    with pytest.raises(ConfigError, match="polygon 1: label is not a permutation of 1..2"):
+        parse_config("a b c\nd e label: 1 1\n")
+    with pytest.raises(ConfigError, match="polygon 0: label is not a permutation of 1..2"):
+        parse_config("a b label:\n")
+    # a line error anywhere comes before a label error
+    with pytest.raises(ConfigError, match="line 2: polygon needs at least 2 vertices"):
+        parse_config("a b label: 1 1\nc\n")
+    assert parse_config("a b label: 2 1\n") == parse_config("a b\n")
 
 
 def test_vertex_universe_order_is_first_occurrence():
@@ -430,8 +435,7 @@ def test_parse_config_round_trip():
 
 def test_parse_config_comments_and_labels():
     cfg = parse_config("# two polygons\na b c label: 3 1 2\nb d # trailing\n")
-    assert cfg.polygons[0].label == (3, 1, 2)
-    assert cfg.polygons[1].word == ("b", "d")
+    assert [p.word for p in cfg.polygons] == [("a", "b", "c"), ("b", "d")]
 
 
 def test_parse_config_rejects_bad_label():

@@ -338,6 +338,25 @@ def test_missing_file_is_io_error(capsys):
     assert "error[E_IO]" in err
 
 
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_markers_are_colored_by_the_stream_they_go_to(monkeypatch):
+    monkeypatch.setenv("BRAUER_KIT_COLOR", "auto")
+    for stdout_is_tty in (True, False):
+        out = _Terminal() if stdout_is_tty else io.StringIO()
+        err = io.StringIO() if stdout_is_tty else _Terminal()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["analyze", "--config", "no-such-file.cfg"]) == 2
+            assert main(["analyze", "--verify"]) == 0
+        error = "error" if stdout_is_tty else "\x1b[31merror\x1b[0m"
+        passed = "\x1b[32mPASS\x1b[0m" if stdout_is_tty else "PASS"
+        assert err.getvalue().startswith(f"brauer-kit: {error}[E_IO]: ")
+        assert out.getvalue().startswith(f"{passed} ")
+
+
 def test_undecodable_input_is_io_error(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\n")
@@ -558,3 +577,23 @@ def test_nested_repeats_fail_fast_in_little_memory(tmp_path):
                 assert "error[E_SCORE_PARSE]" in err.getvalue()
                 assert elapsed < 0.1, (argv + lax, elapsed)
                 assert peak < 1_000_000, (argv + lax, peak)
+
+
+def test_deeply_nested_huge_repeats_fail_in_linear_time(tmp_path):
+    # 200 nested groups of 4 000-digit counts (about 800 KB): the measure
+    # sum stops growing once no message can print it, so the repeat limit's
+    # error comes at once instead of after 200 multiplications of ever
+    # longer numbers
+    nines = "9" * 4000
+    path = tmp_path / "nested.bsc"
+    path.write_text("time=4/4 | " + "{" * 200 + "c64" + f"}}x{nines}" * 200 + "\n")
+    for lax in ([], ["--lax"]):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["score-check", str(path)] + lax)
+        elapsed = time.perf_counter() - start
+        assert code == 2, err.getvalue()
+        assert "error[E_SCORE_PARSE]" in err.getvalue()
+        assert "repeat group expands the score past" in err.getvalue()
+        assert elapsed < 1.0, (lax, elapsed)

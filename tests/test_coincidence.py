@@ -1,20 +1,21 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brauer_kit.cipher import CipherError, VigenereKey, vigenere_decrypt, vigenere_encrypt
 from brauer_kit.coincidence import (
     IOC_TARGET,
+    IOC_WINDOW,
     chi_squared,
     decimate,
     friedman_keylength,
     friedman_recover_key,
     index_of_coincidence,
     mutual_index_shift,
-    solve_shift_differences,
 )
 from textgen import SAMPLE_TEXT, sample_english, sample_uniform
 
@@ -143,30 +144,80 @@ def test_keylength_rejects_short_ciphertext():
         friedman_keylength("ABCDE", 8)
 
 
+def keylength_reference(cipher, max_len):
+    """README's ranking written out plainly: (m, per-list IoCs, score,
+    flagged, related) for every length, by ascending score, then length."""
+    rows = []
+    for m in range(1, max_len + 1):
+        iocs = []
+        for part in (cipher[i::m] for i in range(m)):
+            counts = Counter(part)
+            iocs.append(Fraction(sum(f * (f - 1) for f in counts.values()),
+                                 len(part) * (len(part) - 1)))
+        deviations = [abs(i - IOC_TARGET) for i in iocs]
+        rows.append((m, tuple(iocs), sum(deviations) / m,
+                     all(d <= IOC_WINDOW for d in deviations)))
+    flagged = {m for m, _, _, flag in rows if flag}
+    ranked = [
+        (m, iocs, score, flag, tuple(sorted(
+            other for other in flagged
+            if other != m and (other % m == 0 or m % other == 0)
+        )) if flag else ())
+        for m, iocs, score, flag in rows
+    ]
+    return sorted(ranked, key=lambda row: (row[2], row[0]))
+
+
+# English under a short key flags its length and the multiples; uniform
+# letters flag nothing
+ENCRYPTED_TEXTS = st.builds(
+    lambda seed, length, key: vigenere_encrypt(
+        sample_english(random.Random(seed), length), VigenereKey(tuple(key))
+    ),
+    st.integers(0, 2**32),
+    st.integers(24, 600),
+    st.lists(st.integers(0, 25), min_size=1, max_size=4),
+) | st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=24, max_size=300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ENCRYPTED_TEXTS, st.integers(1, 12))
+@example("AAABBBCCCDEFGHIJ", 1)  # IoC 18/240 = 0.075, on the window's edge
+def test_keylength_matches_plain_reference(cipher, max_len):
+    candidates = friedman_keylength(cipher, max_len)
+    assert [
+        (c.m, c.per_list_ioc, c.score, c.flagged, c.related) for c in candidates
+    ] == keylength_reference(cipher, max_len)
+
+
 # ---------------------------------------------------------------------------
 # Key recovery
 # ---------------------------------------------------------------------------
 
-def test_solve_difference_system_forced():
-    # k1 - k0 = 3 and k2 - k1 = 12 with k0 = 0 force (0, 3, 15)
-    diffs = {(0, 1): (0 - 3) % 26, (1, 2): (3 - 15) % 26}
-    residues, residuals = solve_shift_differences(3, diffs)
-    assert residues == (0, 3, 15)
-    assert residuals == []
+def test_recover_key_reports_pairs_off_the_star():
+    recovery = friedman_recover_key(CIPHERTEXT, 4)
+    assert recovery.differences == (
+        (0, 1, 18), (0, 2, 23), (0, 3, 15), (1, 2, 25), (1, 3, 14), (2, 3, 15),
+    )
+    # the star fixes k = (0, 8, 3, 11); (1, 2) then disagrees by 25 - (8 - 3)
+    assert recovery.residuals == ((1, 2, 20), (1, 3, 17), (2, 3, 23))
 
 
-def test_solve_difference_system_reports_cycle_residual():
-    # (0,1) and (0,2) fix the solution (0, 25, 21); the cycle through (1,2)
-    # then disagrees by 1 - (25 - 21) = -3
-    diffs = {(0, 1): 1, (1, 2): 1, (0, 2): 5}
-    residues, residuals = solve_shift_differences(3, diffs)
-    assert residues == (0, 25, 21)
-    assert residuals == [(1, 2, 23)]
-
-
-def test_solve_difference_system_unconstrained_position():
-    with pytest.raises(CipherError):
-        solve_shift_differences(3, {(0, 1): 4})
+@settings(max_examples=80, deadline=None)
+@given(st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=4, max_size=300), st.data())
+def test_residuals_are_the_pairs_off_the_star(cipher, data):
+    m = data.draw(st.integers(1, min(len(cipher) // 2, 12)))
+    recovery = friedman_recover_key(cipher, m)
+    assert [(i, j) for i, j, _ in recovery.differences] == [
+        (i, j) for i in range(m) for j in range(i + 1, m)
+    ]
+    for candidate in recovery.candidates:
+        k = VigenereKey.from_text(candidate.key).residues
+        off = {(i, j): (d - (k[i] - k[j])) % 26 for i, j, d in recovery.differences}
+        assert all(off[0, j] == 0 for j in range(1, m))
+        assert recovery.residuals == tuple(
+            (i, j, r) for (i, j), r in off.items() if r
+        )
 
 
 def test_recover_key_caesar_identity():
