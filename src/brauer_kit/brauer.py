@@ -15,6 +15,7 @@ its center follow in exact integer arithmetic.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -365,26 +366,30 @@ def check_center_identity(config: BrauerConfiguration) -> CenterIdentityVerdict:
 # ---------------------------------------------------------------------------
 # Configuration file format
 # ---------------------------------------------------------------------------
-# Line-oriented: one polygon per line, whitespace-separated vertex labels,
-# '#' starts a comment, and an optional "label:" suffix gives a permutation
-# of word positions as space-separated 1-based integers.  The permutation is
+# Line-oriented: one polygon per line (lines end only at "\n"),
+# whitespace-separated vertex labels, '#' starts a comment, and an optional
+# suffix, begun by a token that starts with "label:", gives a permutation of
+# word positions as space-separated 1-based integers.  The permutation is
 # checked and then dropped: no invariant depends on it.
+
+_LABEL_SUFFIX = re.compile(r"(?<!\S)label:")
+
 
 def parse_config(text: str) -> BrauerConfiguration:
     words: list[tuple[str, ...]] = []
     bad_label: str | None = None  # reported only once every line has parsed
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         label: list[int] | None = None
-        if "label:" in line:
-            head, _, tail = line.partition("label:")
+        suffix = "label:" in line and _LABEL_SUFFIX.search(line)
+        if suffix:
             try:
-                label = sorted(int(tok) for tok in tail.split())
+                label = sorted(int(tok) for tok in line[suffix.end():].split())
             except ValueError:
                 raise ConfigError(f"line {lineno}: malformed label permutation")
-            line = head.strip()
+            line = line[:suffix.start()]
         tokens = tuple(line.split())
         if len(tokens) < 2:
             raise ConfigError(f"line {lineno}: polygon needs at least 2 vertices")

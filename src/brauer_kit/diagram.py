@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .score import NoteEvent, PITCHES, Score, event_from_label
+from .score import PITCHES, Score, class_parts
 
 CLEF_REFERENCE = {"treble": "e", "bass": "d", "alto": "a"}
 
@@ -31,12 +31,14 @@ class DiagramError(ValueError):
 
 
 def classify_notes(score: Score) -> list:
-    """Distinct note classes in first-appearance order.  Pitched classes
-    and rest classes both count."""
-    labels = dict.fromkeys(token for measure in score.measures for token in measure)
+    """Distinct class tokens in first-appearance order, each checked by
+    ``class_parts``.  Pitched classes and rest classes both count."""
+    labels = list(dict.fromkeys(token for measure in score.measures for token in measure))
     if not labels:
         raise DiagramError("score has no events")
-    return [event_from_label(label) for label in labels]
+    for label in labels:
+        class_parts(label)
+    return labels
 
 
 def letter_offset(pitch: str, reference: str) -> int:
@@ -65,7 +67,7 @@ class PointDiagram:
 
 
 def assign_points(
-    classes: Sequence[NoteEvent],
+    classes: Sequence[str],
     clef: str,
     orientation: str = "standard",
 ) -> PointDiagram:
@@ -78,11 +80,10 @@ def assign_points(
     reference = CLEF_REFERENCE[clef]
     sign = 1 if orientation == "standard" else -1
     points = []
-    for x, cls in enumerate(classes):
-        if cls.kind == "rest":
-            points.append(ClassPoint(cls.label, x, None))
-        else:
-            points.append(ClassPoint(cls.label, x, sign * letter_offset(cls.pitch, reference)))
+    for x, label in enumerate(classes):
+        pitch = class_parts(label)[0]
+        y = None if pitch is None else sign * letter_offset(pitch, reference)
+        points.append(ClassPoint(label, x, y))
     return PointDiagram(tuple(points), orientation=orientation)
 
 
@@ -128,7 +129,7 @@ def diagram_for_score(
 def parse_edges(text: str) -> tuple:
     """Sidecar extra-edges format: one ``i j`` pair per line, ``#`` comments."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

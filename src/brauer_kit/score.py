@@ -6,26 +6,26 @@ The DSL writes a staff piece as measures of note tokens::
     | b8 f8 e8 b8 d8 -g8 e8 b8
     | -c16 -g8 e8 b16 f16
 
-A note token is ``[-+=]?[a-g](64|32|16|8|4|2|1)`` with an optional trailing
-dot: ``-`` flat, ``+`` sharp, ``=`` natural; the number is the duration
-exponent (whole note 64 down to sixty-fourth 1); the dot multiplies the
-effective exponent by 3/2.  Rests are ``r<exponent>``.  ``|`` separates
-measures.  ``[ ]`` bracket groups and ``( )`` ties/slurs (parens may span
-measures) are checked for balance and then dropped; ``{ ... }xN`` repeats
-its contents N times inside one measure.  ``ref=`` and ``accidentals=``
-header items are accepted annotations that are not stored.  ``#`` starts a
-comment.
+A class token is a pitch ``a``..``g`` after an optional ``-`` flat, ``+``
+sharp or ``=`` natural, or ``r`` for a rest; then the duration exponent
+(whole note 64 down to sixty-fourth 1); then an optional dot, which
+multiplies the effective exponent by 3/2.  ``|`` separates measures.
+``[ ]`` bracket groups and ``( )`` ties/slurs (parens may span measures) are
+checked for balance and then dropped; ``{ ... }xN`` repeats its contents N
+times inside one measure.  ``ref=`` and ``accidentals=`` header items are
+accepted annotations that are not stored.  ``#`` starts a comment.
 
 Under a time signature n/2^m every measure's effective exponents must sum
 to n * 2^(6-m); strict parsing rejects violations, lax parsing records them
 as warnings.  A repeat group may not expand the score past ``MAX_EVENTS``
 events.
 
-A score is its measures, each a tuple of note tokens.  A token is the
+A score is its measures, each a tuple of class tokens.  A token is the
 canonical text of its (duration + dot, accidental, pitch-or-rest) class, so
 the measures are already the words of the score's configuration: one
 polygon per measure, one vertex per class.  Octaves and grouping never
-enter vertex identity.
+enter vertex identity.  ``class_parts`` reads a token's pitch letter and
+effective exponent.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ class ScoreParseError(ScoreError):
 
 PITCHES = "abcdefg"
 EXPONENTS = (64, 32, 16, 8, 4, 2, 1)
-ACCIDENTAL_CHARS = {"flat": "-", "sharp": "+", "natural": "="}
-ACCIDENTAL_NAMES = {v: k for k, v in ACCIDENTAL_CHARS.items()}
 
 CLEFS = ("treble", "bass", "alto")
 
@@ -60,63 +58,21 @@ MAX_EVENTS = 10**6  # events a score may hold once its repeat groups are expande
 # and only far more than MAX_EVENTS events can reach it.
 _SUM_CAP = 10**4300
 
-NOTE_TOKEN = re.compile(r"([-+=]?)([a-g])(64|32|16|8|4|2|1)(\.?)$")
-REST_TOKEN = re.compile(r"r(64|32|16|8|4|2|1)(\.?)$")
+# One note or rest class: accidental and pitch letter (or r), exponent, dot.
+CLASS_TOKEN = r"(?:[-+=]?([a-g])|r)(64|32|16|8|4|2|1)(\.?)"
+_CLASS = re.compile(CLASS_TOKEN + "$")
 
 
-@dataclass(frozen=True)
-class NoteEvent:
-    """One pitched note or rest: the class a token names."""
-
-    kind: str                      # "note" | "rest"
-    exponent: int
-    pitch: str | None = None
-    accidental: str | None = None  # None | "flat" | "sharp" | "natural"
-    dotted: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("note", "rest"):
-            raise ScoreError(f"unknown event kind {self.kind!r}")
-        if self.exponent not in EXPONENTS:
-            raise ScoreError(f"duration exponent {self.exponent} is not a power of two <= 64")
-        if self.dotted and self.exponent == 1:
-            raise ScoreError("a sixty-fourth value cannot be dotted")
-        if self.kind == "note":
-            if self.pitch not in PITCHES:
-                raise ScoreError(f"pitch {self.pitch!r} is not a..g")
-            if self.accidental not in (None, "flat", "sharp", "natural"):
-                raise ScoreError(f"unknown accidental {self.accidental!r}")
-        else:
-            if self.pitch is not None or self.accidental is not None:
-                raise ScoreError("rests carry no pitch or accidental")
-
-    @property
-    def effective_exponent(self) -> int:
-        """Duration weight; dotting scales by exactly 3/2."""
-        return self.exponent * 3 // 2 if self.dotted else self.exponent
-
-    @property
-    def label(self) -> str:
-        """Canonical token; equal labels define equal note classes."""
-        dot = "." if self.dotted else ""
-        if self.kind == "rest":
-            return f"r{self.exponent}{dot}"
-        acc = ACCIDENTAL_CHARS.get(self.accidental, "")
-        return f"{acc}{self.pitch}{self.exponent}{dot}"
-
-
-def event_from_label(label: str) -> NoteEvent:
-    """Parse a canonical token into its event."""
-    m = REST_TOKEN.match(label)
-    if m:
-        return NoteEvent("rest", int(m.group(1)), dotted=bool(m.group(2)))
-    m = NOTE_TOKEN.match(label)
-    if m:
-        acc, pitch, exp, dot = m.groups()
-        return NoteEvent(
-            "note", int(exp), pitch, ACCIDENTAL_NAMES.get(acc), dotted=bool(dot)
-        )
-    raise ScoreError(f"foreign vertex label {label!r}")
+def class_parts(token: str) -> tuple:
+    """Pitch letter (None for a rest) and effective exponent of a class
+    token; a dot scales the exponent by exactly 3/2."""
+    m = _CLASS.match(token)
+    if m is None:
+        raise ScoreError(f"foreign vertex label {token!r}")
+    pitch, exponent, dot = m.groups()
+    if dot and exponent == "1":
+        raise ScoreError("a sixty-fourth value cannot be dotted")
+    return pitch, int(exponent) * 3 // 2 if dot else int(exponent)
 
 
 @dataclass(frozen=True)
@@ -150,8 +106,7 @@ _TOKEN = re.compile(
       | (?P<comment>\#[^\n]*)
       | (?P<header>(?:clef|time|ref|accidentals)=\S+)
       | (?P<bar>\|)
-      | (?P<note>[-+=]?[a-g](?:64|32|16|8|4|2|1)\.?)
-      | (?P<rest>r(?:64|32|16|8|4|2|1)\.?)
+      | (?P<event>""" + CLASS_TOKEN + r""")
       | (?P<obracket>\[) | (?P<cbracket>\])
       | (?P<oparen>\() | (?P<cparen>\))
       | (?P<obrace>\{) | (?P<cbrace>\}x\d+)
@@ -258,12 +213,12 @@ def parse_score(text: str, strict: bool = True) -> Score:
         seen_content = True
         if kind == "bar":
             flush_measure((line, col))
-        elif kind in ("note", "rest"):
+        elif kind == "event":
             if current_pos is None:
                 current_pos = (line, col)
             weight = weights.get(value)
             if weight is None:
-                weight = weights[value] = event_from_label(value).effective_exponent
+                weight = weights[value] = class_parts(value)[1]
             current.append(value)
             current_sum += weight
         elif kind in ("obracket", "oparen", "obrace"):
@@ -353,7 +308,7 @@ def config_to_message(
     polygon.  Every vertex label must be a well-formed note or rest token."""
     for poly in config.polygons:
         for label in poly.word:
-            event_from_label(label)
+            class_parts(label)
     lines = []
     head = []
     if clef is not None:

@@ -438,6 +438,26 @@ def test_parse_config_comments_and_labels():
     assert [p.word for p in cfg.polygons] == [("a", "b", "c"), ("b", "d")]
 
 
+def test_parse_config_label_suffix_starts_at_a_token():
+    # only a token that starts with "label:" begins the suffix
+    assert [p.word for p in parse_config("a b xlabel: 2 1 3\n").polygons] == [
+        ("a", "b", "xlabel:", "2", "1", "3")
+    ]
+    assert parse_config("a b label:2 1\n") == parse_config("a b\n")
+    assert parse_config("a\tb\tlabel:\t2 1\n") == parse_config("a b\n")
+    with pytest.raises(ConfigError, match="line 1: malformed label permutation"):
+        parse_config("a b label: 1 label: 2\n")
+
+
+def test_parse_config_breaks_lines_only_at_newline():
+    # form feed, NEL and U+2028 separate vertices, not polygons
+    for sep in ["\x0c", "\x85", "\u2028"]:
+        cfg = parse_config(f"a b{sep}c d\ne f\n")
+        assert [p.word for p in cfg.polygons] == [("a", "b", "c", "d"), ("e", "f")]
+    with pytest.raises(ConfigError, match="line 3: polygon needs at least 2 vertices"):
+        parse_config("a\x0cb\nc d\ne\n")
+
+
 def test_parse_config_rejects_bad_label():
     with pytest.raises(ConfigError):
         parse_config("a b label: 1 1\n")

@@ -9,12 +9,11 @@ from hypothesis import given, strategies as st
 from brauer_kit.brauer import config_from_words, dim_lambda, invariants, valency
 from brauer_kit.score import (
     MAX_EVENTS,
-    NoteEvent,
     Score,
     ScoreError,
     ScoreParseError,
+    class_parts,
     config_to_message,
-    event_from_label,
     measure_target,
     parse_score,
     score_to_config,
@@ -32,44 +31,59 @@ TOKENS = ("c4", "-d8", "+e16", "=f2", "g64", "a32.", "b1", "r4", "r16.", "-b16")
 
 def measure_sum(tokens) -> int:
     """Effective exponent sum of one measure's tokens."""
-    return sum(event_from_label(t).effective_exponent for t in tokens)
+    return sum(class_parts(t)[1] for t in tokens)
 
 
 # ---------------------------------------------------------------------------
 # Tokens and events
 # ---------------------------------------------------------------------------
 
-def test_event_label_round_trip():
-    for label in ["b8", "-g8", "+c16", "=a4", "r16", "a32", "b16.", "r8."]:
-        assert event_from_label(label).label == label
-
-
-def test_event_accidental_names():
-    assert event_from_label("-g8").accidental == "flat"
-    assert event_from_label("+g8").accidental == "sharp"
-    assert event_from_label("=g8").accidental == "natural"
-    assert event_from_label("g8").accidental is None
-
-
 def test_event_foreign_label_rejected():
-    for label in ["h8", "g3", "g", "rr8", "O", ""]:
-        with pytest.raises(ScoreError):
-            event_from_label(label)
+    for label in ["h8", "g3", "g", "rr8", "-r8", "O", "", "b8 "]:
+        with pytest.raises(ScoreError, match="foreign vertex label"):
+            class_parts(label)
 
 
 def test_dotted_effective_exponent():
-    assert event_from_label("b16.").effective_exponent == 24
-    assert event_from_label("b16").effective_exponent == 16
+    assert class_parts("b16.") == ("b", 24)
+    assert class_parts("-b16") == ("b", 16)
+    assert class_parts("r8.") == (None, 12)
 
 
 def test_dotting_sixty_fourth_rejected():
-    with pytest.raises(ScoreError):
-        NoteEvent("note", 1, "a", dotted=True)
+    for label in ["a1.", "r1."]:
+        with pytest.raises(ScoreError, match="a sixty-fourth value cannot be dotted"):
+            class_parts(label)
+    with pytest.raises(ScoreError, match="a sixty-fourth value cannot be dotted"):
+        parse_score("| a1. b1")
 
 
 def test_accidental_variants_are_distinct_classes():
-    labels = {event_from_label(t).label for t in ["g8", "-g8", "+g8", "=g8"]}
-    assert len(labels) == 4
+    config = score_to_config(parse_score("| g8 -g8 +g8 =g8 g8"))
+    assert config.vertex_universe == ("g8", "-g8", "+g8", "=g8")
+
+
+# Pieces of class tokens and of near misses, so joined strings often parse.
+PIECES = ("-", "+", "=", "a", "g", "h", "r", ".", "0", "1", "2", "3", "4", "6", "8",
+          "16", "32", "64", "9")
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=5).map("".join))
+def test_parser_and_class_parts_share_one_grammar(s):
+    try:
+        parts = class_parts(s)
+    except ScoreError:
+        parts = None
+    try:
+        measures = parse_score("| " + s).measures
+    except ScoreError:
+        measures = None
+    assert (measures == ((s,),)) == (parts is not None)
+    if parts is not None:
+        letter = s.lstrip("-+=")[0]
+        digits = int(s.lstrip("-+=abcdefgr").rstrip("."))
+        assert parts == (None if letter == "r" else letter,
+                         digits * 3 / 2 if s.endswith(".") else digits)
 
 
 # ---------------------------------------------------------------------------
