@@ -83,8 +83,7 @@ def check_permutation_invariance(
     """Blockwise transposition never changes the configuration invariants:
     encrypt ``plain`` with one permutation per block and compare."""
     sizes = [len(p) for p in perms]
-    blocks = split_blocks(plain, sizes)
-    cipher = transposition_encrypt(blocks, perms)
+    cipher = transposition_encrypt(plain, perms)
     plain_config = transposition_to_config(plain, sizes)
     cipher_config = transposition_to_config(cipher, sizes)
     return PermutationVerdict(invariants(plain_config), invariants(cipher_config))

@@ -1,8 +1,8 @@
 """Classical cryptosystems over the fixed alphabet A-Z.
 
-Vigenere shifts, block transpositions with one permutation per block, and
-route (grid) reading.  ``LETTERS`` is the one alphabet of the package: a
-letter's index in it is its residue, and its length 26 is the modulus of
+Vigenere shifts and block transpositions, of which reading a grid along a
+route is the one-block case.  ``LETTERS`` is the one alphabet of the package:
+a letter's index in it is its residue, and its length 26 is the modulus of
 every shift.  Anything outside it is rejected unless explicitly stripped.
 """
 
@@ -15,7 +15,7 @@ LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class CipherError(ValueError):
-    """Invalid key, block shape, route or out-of-alphabet character."""
+    """Invalid key, block shape, permutation or out-of-alphabet character."""
 
 
 class Alphabet:
@@ -63,10 +63,7 @@ class VigenereKey:
 
     @classmethod
     def from_text(cls, key: str) -> "VigenereKey":
-        key = DEFAULT_ALPHABET.normalize(key)
-        if not key:
-            raise CipherError("empty key")
-        return cls(tuple(LETTERS.index(ch) for ch in key))
+        return cls(tuple(LETTERS.index(ch) for ch in DEFAULT_ALPHABET.normalize(key)))
 
     def to_text(self) -> str:
         return _letters(self.residues)
@@ -145,77 +142,36 @@ def split_blocks(text: str, sizes: Sequence[int]) -> list[str]:
     return blocks
 
 
-def transposition_encrypt(blocks: Sequence[str], perms: Sequence[BlockPermutation]) -> str:
-    """Reorder each block by its permutation and concatenate."""
-    if len(blocks) != len(perms):
-        raise CipherError("one permutation per block required")
+def transposition_encrypt(text: str, perms: Sequence[BlockPermutation]) -> str:
+    """Cut ``text`` into one block per permutation, of its length, and
+    reorder each block by its permutation."""
+    blocks = split_blocks(text, [len(p) for p in perms])
     return "".join(p.apply(b) for b, p in zip(blocks, perms))
 
 
-def transposition_decrypt(blocks: Sequence[str], perms: Sequence[BlockPermutation]) -> str:
-    """Apply the inverse permutations blockwise."""
-    if len(blocks) != len(perms):
-        raise CipherError("one permutation per block required")
-    return "".join(p.inverse().apply(b) for b, p in zip(blocks, perms))
+def transposition_decrypt(text: str, perms: Sequence[BlockPermutation]) -> str:
+    """Encryption with the inverse permutations, each distinct one inverted
+    once."""
+    inverses = {p: p.inverse() for p in set(perms)}
+    return transposition_encrypt(text, [inverses[p] for p in perms])
 
 
 # ---------------------------------------------------------------------------
-# Route (grid) reading
+# Routes
 # ---------------------------------------------------------------------------
+# A route visits each cell of a rows x cols grid once, so it is the block
+# permutation whose entry k is r*cols + c + 1 for its k-th cell (r, c).
+# transposition_encrypt(text, [route]) reads a grid's row-major text along it;
+# transposition_decrypt writes text back along it.
 
-@dataclass(frozen=True)
-class RouteSpec:
-    """Ordered (row, col) cells visiting each grid cell exactly once."""
-
-    cells: tuple[tuple[int, int], ...]
-
-    def validate_for(self, rows: int, cols: int) -> None:
-        expected = {(r, c) for r in range(rows) for c in range(cols)}
-        actual = set(self.cells)
-        if len(self.cells) != len(actual):
-            raise CipherError("route visits a cell more than once")
-        if actual != expected:
-            missing = sorted(expected - actual)
-            extra = sorted(actual - expected)
-            detail = []
-            if missing:
-                detail.append(f"missing {missing[:4]}")
-            if extra:
-                detail.append(f"outside grid {extra[:4]}")
-            raise CipherError("route does not cover the grid: " + ", ".join(detail))
+def row_major(rows: int, cols: int) -> BlockPermutation:
+    return BlockPermutation(tuple(range(1, rows * cols + 1)))
 
 
-def route_read(grid: Sequence[str], route: RouteSpec) -> str:
-    """Concatenate grid cells in route order.  ``grid`` is a list of equal
-    length row strings."""
-    rows = len(grid)
-    if rows == 0:
-        raise CipherError("empty grid")
-    cols = len(grid[0])
-    if any(len(row) != cols for row in grid):
-        raise CipherError("ragged grid")
-    route.validate_for(rows, cols)
-    return "".join(grid[r][c] for r, c in route.cells)
-
-
-def row_major(rows: int, cols: int) -> RouteSpec:
-    return RouteSpec(tuple((r, c) for r in range(rows) for c in range(cols)))
-
-
-def column_boustrophedon(rows: int, cols: int) -> RouteSpec:
+def column_boustrophedon(rows: int, cols: int) -> BlockPermutation:
     """Down the first column, up the second, and so on."""
-    cells = []
-    for c in range(cols):
-        rng = range(rows) if c % 2 == 0 else range(rows - 1, -1, -1)
-        cells.extend((r, c) for r in rng)
-    return RouteSpec(tuple(cells))
-
-
-def grid_from_columns(text: str, rows: int) -> tuple[str, ...]:
-    """Write ``text`` into a grid column by column, top to bottom."""
-    if rows < 1 or len(text) % rows != 0:
-        raise CipherError(f"text of length {len(text)} does not fill {rows} rows")
-    cols = len(text) // rows
-    return tuple(
-        "".join(text[c * rows + r] for c in range(cols)) for r in range(rows)
-    )
+    return BlockPermutation(tuple(
+        r * cols + c + 1
+        for c in range(cols)
+        for r in (range(rows) if c % 2 == 0 else range(rows - 1, -1, -1))
+    ))

@@ -32,7 +32,6 @@ from .cipher import (
     CipherError,
     DEFAULT_ALPHABET,
     VigenereKey,
-    split_blocks,
     transposition_decrypt,
     transposition_encrypt,
     vigenere_decrypt,
@@ -115,13 +114,8 @@ def _cmd_crypt(args, encrypting: bool) -> int:
             raise CipherError(
                 f"text length {len(text)} is not a multiple of block size {size}"
             )
-        blocks = split_blocks(text, [size] * (len(text) // size))
-        perms = [perm] * len(blocks)
-        out = (
-            transposition_encrypt(blocks, perms)
-            if encrypting
-            else transposition_decrypt(blocks, perms)
-        )
+        crypt = transposition_encrypt if encrypting else transposition_decrypt
+        out = crypt(text, [perm] * (len(text) // size))
     print(out)
     return 0
 

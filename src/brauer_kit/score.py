@@ -60,13 +60,13 @@ _SUM_CAP = 10**4300
 
 # One note or rest class: accidental and pitch letter (or r), exponent, dot.
 CLASS_TOKEN = r"(?:[-+=]?([a-g])|r)(64|32|16|8|4|2|1)(\.?)"
-_CLASS = re.compile(CLASS_TOKEN + "$")
+_CLASS = re.compile(CLASS_TOKEN)
 
 
 def class_parts(token: str) -> tuple:
     """Pitch letter (None for a rest) and effective exponent of a class
     token; a dot scales the exponent by exactly 3/2."""
-    m = _CLASS.match(token)
+    m = _CLASS.fullmatch(token)
     if m is None:
         raise ScoreError(f"foreign vertex label {token!r}")
     pitch, exponent, dot = m.groups()
@@ -218,7 +218,10 @@ def parse_score(text: str, strict: bool = True) -> Score:
                 current_pos = (line, col)
             weight = weights.get(value)
             if weight is None:
-                weight = weights[value] = class_parts(value)[1]
+                try:
+                    weight = weights[value] = class_parts(value)[1]
+                except ScoreError as exc:  # a dotted sixty-fourth
+                    raise ScoreParseError(str(exc), line, col) from None
             current.append(value)
             current_sum += weight
         elif kind in ("obracket", "oparen", "obrace"):

@@ -5,13 +5,9 @@ from brauer_kit.cipher import (
     Alphabet,
     BlockPermutation,
     CipherError,
-    RouteSpec,
     VigenereKey,
     column_boustrophedon,
-    grid_from_columns,
-    route_read,
     row_major,
-    split_blocks,
     transposition_decrypt,
     transposition_encrypt,
     vigenere_decrypt,
@@ -20,8 +16,9 @@ from brauer_kit.cipher import (
 
 PI = BlockPermutation((3, 4, 1, 2))
 
-# Decrypted 4x3 grid: plaintext blocks written column by column.
-DECRYPTED_GRID = grid_from_columns("CRYPRGOTAPHY", rows=4)
+# Decrypted 4x3 grid in row-major text: rows CRA, RGP, YOH, PTY, so its
+# columns read CRYP, RGOT, APHY top to bottom.
+DECRYPTED_GRID = "CRARGPYOHPTY"
 
 
 # ---------------------------------------------------------------------------
@@ -84,28 +81,27 @@ def test_vigenere_round_trip(plain, residues):
 # ---------------------------------------------------------------------------
 
 def test_transposition_single_block():
-    assert transposition_encrypt(["CRYP"], [PI]) == "YPCR"
+    assert transposition_encrypt("CRYP", [PI]) == "YPCR"
 
 
 def test_transposition_second_block():
-    assert transposition_encrypt(["TOGR"], [PI]) == "GRTO"
+    assert transposition_encrypt("TOGR", [PI]) == "GRTO"
 
 
 def test_transposition_identity():
     ident = BlockPermutation((1, 2, 3))
-    assert transposition_encrypt(["ABC"], [ident]) == "ABC"
+    assert transposition_encrypt("ABC", [ident]) == "ABC"
 
 
 def test_transposition_full_plaintext():
-    blocks = split_blocks("CRYPTOGRAPHY", [4, 4, 4])
-    cipher = transposition_encrypt(blocks, [PI, PI, PI])
+    cipher = transposition_encrypt("CRYPTOGRAPHY", [PI, PI, PI])
     assert cipher == "YPCRGRTOHYAP"
-    assert transposition_decrypt(split_blocks(cipher, [4, 4, 4]), [PI, PI, PI]) == "CRYPTOGRAPHY"
+    assert transposition_decrypt(cipher, [PI, PI, PI]) == "CRYPTOGRAPHY"
 
 
 def test_transposition_length_mismatch():
-    with pytest.raises(CipherError):
-        transposition_encrypt(["CRY"], [PI])
+    with pytest.raises(CipherError, match="block sizes sum to 4 but text has length 3"):
+        transposition_encrypt("CRY", [PI])
 
 
 def test_block_permutation_rejects_non_bijection():
@@ -126,53 +122,70 @@ def test_transposition_round_trip(block, rng):
     order = list(range(1, len(block) + 1))
     rng.shuffle(order)
     perm = BlockPermutation(tuple(order))
-    assert transposition_decrypt([perm.apply(block)], [perm]) == block
+    assert transposition_decrypt(perm.apply(block), [perm]) == block
+
+
+def test_decrypt_inverts_each_distinct_permutation_once(monkeypatch):
+    calls = []
+    inverse = BlockPermutation.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(BlockPermutation, "inverse", counted)
+    ident = BlockPermutation((1, 2))
+    perms = [PI, ident, PI, BlockPermutation((3, 4, 1, 2)), ident]
+    assert transposition_decrypt("YPCRABGRTOHYAPCD", perms) == "CRYPABTOGRAPHYCD"
+    assert sorted(calls, key=len) == [ident, PI]
 
 
 # ---------------------------------------------------------------------------
-# Route reading
+# Routes
 # ---------------------------------------------------------------------------
-
-def test_grid_from_columns():
-    assert DECRYPTED_GRID == ("CRA", "RGP", "YOH", "PTY")
-
 
 def test_route_boustrophedon_reads_plaintext():
     route = column_boustrophedon(4, 3)
-    assert route_read(DECRYPTED_GRID, route) == "CRYPTOGRAPHY"
+    assert transposition_encrypt(DECRYPTED_GRID, [route]) == "CRYPTOGRAPHY"
 
 
 def test_route_second_column_bottom_up_continues_plaintext():
     # reading column 2 upward yields the second plaintext block
-    up_col2 = RouteSpec(tuple((r, 1) for r in range(3, -1, -1)))
-    column_only = "".join(DECRYPTED_GRID[r][1] for r in range(3, -1, -1))
+    up_col2 = tuple(r * 3 + 1 + 1 for r in range(3, -1, -1))
+    column_only = "".join(DECRYPTED_GRID[j - 1] for j in up_col2)
     assert column_only == "TOGR"
-    with pytest.raises(CipherError):
-        route_read(DECRYPTED_GRID, up_col2)  # partial routes are rejected
+    with pytest.raises(CipherError, match="is not a permutation"):
+        BlockPermutation(up_col2)  # partial routes are rejected
 
 
 def test_route_row_major():
-    assert route_read(DECRYPTED_GRID, row_major(4, 3)) == "CRARGPYOHPTY"
+    assert transposition_encrypt(DECRYPTED_GRID, [row_major(4, 3)]) == "CRARGPYOHPTY"
 
 
 def test_route_single_cell():
-    assert route_read(("X",), RouteSpec(((0, 0),))) == "X"
+    assert transposition_encrypt("X", [BlockPermutation((1,))]) == "X"
 
 
 def test_route_duplicate_cell_rejected():
-    bad = RouteSpec(((0, 0), (0, 0)))
-    with pytest.raises(CipherError):
-        route_read(("XY",), bad)
+    with pytest.raises(CipherError, match="is not a permutation"):
+        BlockPermutation((1, 1))
 
 
 def test_route_inverse_round_trip():
     route = column_boustrophedon(4, 3)
-    text = route_read(DECRYPTED_GRID, route)
+    text = transposition_encrypt(DECRYPTED_GRID, [route])
     # writing the text back along the route reproduces the grid
-    cells = {}
-    for ch, (r, c) in zip(text, route.cells):
-        cells[(r, c)] = ch
-    rebuilt = tuple(
-        "".join(cells[(r, c)] for c in range(3)) for r in range(4)
-    )
-    assert rebuilt == DECRYPTED_GRID
+    assert transposition_decrypt(text, [route]) == DECRYPTED_GRID
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_boustrophedon_matches_a_cell_walk(rows, cols, rng):
+    text = "".join(rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ") for _ in range(rows * cols))
+    grid = [text[r * cols:(r + 1) * cols] for r in range(rows)]
+    walk = []
+    for c in range(cols):
+        for r in range(rows) if c % 2 == 0 else reversed(range(rows)):
+            walk.append(grid[r][c])
+    route = column_boustrophedon(rows, cols)
+    assert transposition_encrypt(text, [route]) == "".join(walk)
+    assert transposition_decrypt("".join(walk), [route]) == text

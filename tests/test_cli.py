@@ -242,6 +242,17 @@ def test_score_check_strict_failure(capsys):
     assert "measure 18" in err
 
 
+def test_score_check_dotted_sixty_fourth_has_a_position(capsys, tmp_path):
+    path = tmp_path / "d.bsc"
+    path.write_text("time=4/4\n| c16 c16 c16 c8 a1. c4\n")
+    code, out, err = run(capsys, "score-check", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "brauer-kit: error[E_SCORE_PARSE]: line 2, column 18: "
+        "a sixty-fourth value cannot be dotted\n"
+    )
+
+
 def test_score_check_lax(capsys):
     code, out, _ = run(capsys, "score-check", str(FIXTURES / "canon_crab.bsc"), "--lax")
     assert code == 0

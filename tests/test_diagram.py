@@ -74,6 +74,11 @@ def test_classify_rejects_foreign_token_before_clef():
         diagram_for_score(hand_built, clef="tenor")
 
 
+def test_classify_rejects_token_with_trailing_newline():
+    with pytest.raises(ScoreError, match=r"foreign vertex label 'b8\\n'"):
+        classify_notes(Score(measures=(("b8\n", "c4"),)))
+
+
 # ---------------------------------------------------------------------------
 # Point assignment
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def measure_sum(tokens) -> int:
 # ---------------------------------------------------------------------------
 
 def test_event_foreign_label_rejected():
-    for label in ["h8", "g3", "g", "rr8", "-r8", "O", "", "b8 "]:
+    for label in ["h8", "g3", "g", "rr8", "-r8", "O", "", "b8 ", "b8\n"]:
         with pytest.raises(ScoreError, match="foreign vertex label"):
             class_parts(label)
 
@@ -54,8 +54,9 @@ def test_dotting_sixty_fourth_rejected():
     for label in ["a1.", "r1."]:
         with pytest.raises(ScoreError, match="a sixty-fourth value cannot be dotted"):
             class_parts(label)
-    with pytest.raises(ScoreError, match="a sixty-fourth value cannot be dotted"):
-        parse_score("| a1. b1")
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("time=4/4\n| c16 c16 c16 c8 a1. c4\n")
+    assert str(err.value) == "line 2, column 18: a sixty-fourth value cannot be dotted"
 
 
 def test_accidental_variants_are_distinct_classes():
@@ -409,6 +410,9 @@ def test_config_to_message_single_polygon():
 def test_config_to_message_rejects_foreign_labels():
     with pytest.raises(ScoreError):
         config_to_message(config_from_words([["O", "E"]]))
+    # a trailing newline is no part of a class token
+    with pytest.raises(ScoreError, match=r"foreign vertex label 'b8\\n'"):
+        config_to_message(config_from_words([["b8\n", "c4"]]))
 
 
 def test_round_trip_is_fixpoint_on_canonical_text():
