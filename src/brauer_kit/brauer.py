@@ -30,7 +30,7 @@ class UnknownVertexError(KeyError):
 
 
 class DisconnectedError(ValueError):
-    """Center dimension requested for a disconnected configuration.
+    """The center identity checked on a disconnected configuration.
 
     ``components`` holds the polygon indices of each connected component of
     the polygon-vertex incidence graph.
@@ -103,14 +103,6 @@ def config_from_words(words: Iterable[Sequence[str]]) -> BrauerConfiguration:
 
 
 @dataclass(frozen=True)
-class SuccessorSequence:
-    """All occurrences of one vertex, ordered by polygon then word position."""
-
-    vertex: str
-    entries: tuple[tuple[int, int], ...]  # (polygon index, position in word)
-
-
-@dataclass(frozen=True)
 class Arrow:
     source: int
     target: int
@@ -121,7 +113,6 @@ class Arrow:
 class Quiver:
     """One node per polygon; arrows from circular successor orders."""
 
-    nodes: tuple[int, ...]
     arrows: tuple[Arrow, ...]
 
     @property
@@ -144,7 +135,6 @@ class AlgebraInvariants:
     loops: int
     polygon_count: int
     vertex_count: int
-    mu_sum: int
     valency_histogram: Mapping[int, int]
     connected: bool = True
 
@@ -178,8 +168,9 @@ def valency(config: BrauerConfiguration, vertex: str) -> int:
     return val
 
 
-def successor_sequence(config: BrauerConfiguration, vertex: str) -> SuccessorSequence:
-    """Occurrences of ``vertex`` ordered by (polygon index, word position)."""
+def successor_sequence(config: BrauerConfiguration, vertex: str) -> tuple[tuple[int, int], ...]:
+    """Occurrences of ``vertex`` as (polygon index, word position) pairs,
+    in that order."""
     entries = [
         (poly.index, pos)
         for poly in config.polygons
@@ -188,7 +179,7 @@ def successor_sequence(config: BrauerConfiguration, vertex: str) -> SuccessorSeq
     ]
     if not entries:
         raise UnknownVertexError(vertex)
-    return SuccessorSequence(vertex, tuple(entries))
+    return tuple(entries)
 
 
 def build_quiver(config: BrauerConfiguration) -> Quiver:
@@ -202,14 +193,14 @@ def build_quiver(config: BrauerConfiguration) -> Quiver:
     """
     arrows: list[Arrow] = []
     for vertex in config.vertex_universe:
-        seq = successor_sequence(config, vertex).entries
+        seq = successor_sequence(config, vertex)
         if len(seq) == 1:
             arrows.append(Arrow(seq[0][0], seq[0][0], vertex))
             continue
         for i, (src, _) in enumerate(seq):
             tgt = seq[(i + 1) % len(seq)][0]
             arrows.append(Arrow(src, tgt, vertex))
-    return Quiver(tuple(range(len(config.polygons))), tuple(arrows))
+    return Quiver(tuple(arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +245,6 @@ def dim_lambda(config: BrauerConfiguration) -> int:
     return invariants(config).dim_lambda
 
 
-def dim_center(config: BrauerConfiguration) -> int:
-    """Dimension of the center of the induced algebra:
-    1 + #polygons - #vertices + sum(mu) + #loops - #(valency-1 vertices).
-
-    The formula is stated for connected configurations, so disconnected
-    input raises; ``invariants(config).dim_center`` carries the formula
-    value for any configuration.
-    """
-    inv = invariants(config)
-    if not inv.connected:
-        raise DisconnectedError(polygon_components(config))
-    return inv.dim_center
-
-
 def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
     """Full invariant bundle from one counting pass over the polygons;
     disconnected input is flagged rather than rejected, with the center
@@ -309,19 +286,18 @@ def invariants_from_histogram(
         raise ConfigError("histogram entries must map valency >= 1 to count >= 0")
     vertex_count = sum(histogram.values())
     val_one = histogram.get(1, 0)
-    mu_sum = vertex_count + val_one
+    sum_mu = vertex_count + val_one
     dim_l = 2 * polygon_count + sum(
         count * val * (val * (2 if val == 1 else 1) - 1)
         for val, count in histogram.items()
     )
-    dim_z = 1 + polygon_count - vertex_count + mu_sum + loops - val_one
+    dim_z = 1 + polygon_count - vertex_count + sum_mu + loops - val_one
     return AlgebraInvariants(
         dim_lambda=dim_l,
         dim_center=dim_z,
         loops=loops,
         polygon_count=polygon_count,
         vertex_count=vertex_count,
-        mu_sum=mu_sum,
         valency_histogram=dict(sorted(histogram.items())),
     )
 

@@ -1,9 +1,10 @@
 """Classical cryptosystems over the fixed alphabet A-Z.
 
-Vigenere shifts and block transpositions, of which reading a grid along a
-route is the one-block case.  ``LETTERS`` is the one alphabet of the package:
-a letter's index in it is its residue, and its length 26 is the modulus of
-every shift.  Anything outside it is rejected unless explicitly stripped.
+Vigenere shifts and block transpositions; a route through a grid is the
+one-block transposition key that lists its cells' row-major indices in order.
+``LETTERS`` is the one alphabet of the package: a letter's index in it is its
+residue, and 26 is the modulus of every shift.  Only the ASCII letters a-z
+fold into it; anything else is rejected unless explicitly stripped.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_FOLD = str.maketrans(LETTERS.lower(), LETTERS)
 
 
 class CipherError(ValueError):
@@ -22,12 +24,12 @@ class Alphabet:
     """Folding of free text into ``LETTERS``."""
 
     def normalize(self, text: str, strip: bool = False) -> str:
-        """Case-fold ``text`` into the alphabet.
+        """Fold ``text`` into the alphabet; only the ASCII letters a-z fold.
 
         With ``strip`` foreign characters are dropped; otherwise the first
-        foreign character raises, reporting its offset in the folded text.
+        that is not whitespace raises, as written, at its offset in ``text``.
         """
-        folded = text.upper()
+        folded = text.translate(_FOLD)
         out = []
         for i, ch in enumerate(folded):
             if ch in LETTERS:
@@ -155,23 +157,3 @@ def transposition_decrypt(text: str, perms: Sequence[BlockPermutation]) -> str:
     inverses = {p: p.inverse() for p in set(perms)}
     return transposition_encrypt(text, [inverses[p] for p in perms])
 
-
-# ---------------------------------------------------------------------------
-# Routes
-# ---------------------------------------------------------------------------
-# A route visits each cell of a rows x cols grid once, so it is the block
-# permutation whose entry k is r*cols + c + 1 for its k-th cell (r, c).
-# transposition_encrypt(text, [route]) reads a grid's row-major text along it;
-# transposition_decrypt writes text back along it.
-
-def row_major(rows: int, cols: int) -> BlockPermutation:
-    return BlockPermutation(tuple(range(1, rows * cols + 1)))
-
-
-def column_boustrophedon(rows: int, cols: int) -> BlockPermutation:
-    """Down the first column, up the second, and so on."""
-    return BlockPermutation(tuple(
-        r * cols + c + 1
-        for c in range(cols)
-        for r in (range(rows) if c % 2 == 0 else range(rows - 1, -1, -1))
-    ))

@@ -125,6 +125,8 @@ def _cmd_crypt(args, encrypting: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_attack(args) -> int:
+    if args.ciphertext is not None and args.infile is not None:
+        raise CipherError("attack reads --ciphertext or --in, not both")
     if args.keylen is not None and args.keylen < 1:
         raise CipherError("--keylen must be >= 1")
     if args.top < 1:

@@ -45,18 +45,6 @@ def index_of_coincidence(text: str) -> Fraction:
     return Fraction(num, n * (n - 1))
 
 
-def mutual_index_shift(t1: str, t2: str, shift: int) -> Fraction:
-    """Mutual index of ``t1`` against ``t2`` decrypted by ``shift``.
-
-    The maximizing shift estimates the key difference k1 - k2 when both
-    texts are shift encryptions of same-language plaintexts.
-    """
-    if not t1 or not t2:
-        raise CipherError("mutual index needs two non-empty texts")
-    num = _overlap(letter_counts(t1), letter_counts(t2), shift)
-    return Fraction(num, len(t1) * len(t2))
-
-
 def _overlap(f1: list[int], f2: list[int], shift: int) -> int:
     """Numerator of the shifted mutual index: sum_i f1[i] * f2[i - shift]."""
     n = len(f1)
@@ -68,13 +56,6 @@ def decimate(text: str, m: int) -> list[str]:
     if m < 1:
         raise CipherError("list count must be >= 1")
     return [text[i::m] for i in range(m)]
-
-
-def chi_squared(text: str) -> float:
-    """Chi-squared statistic of ``text`` against English letter frequencies."""
-    if not text:
-        raise CipherError("chi-squared needs a non-empty text")
-    return _chi_squared(letter_counts(text), len(text))
 
 
 def _chi_squared(counts: list[int], n: int) -> float:
@@ -140,7 +121,6 @@ class KeyCandidate:
 
 @dataclass(frozen=True)
 class KeyRecovery:
-    m: int
     differences: tuple[tuple[int, int, int], ...]  # (i, j, k_i - k_j mod n)
     residuals: tuple[tuple[int, int, int], ...]    # pairs inconsistent with the star solution
     candidates: tuple[KeyCandidate, ...]           # ranked by chi-squared, best first
@@ -185,4 +165,4 @@ def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
             KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, len(cipher)))
         )
     candidates.sort(key=lambda c: c.chi2)
-    return KeyRecovery(m, differences, residuals, tuple(candidates))
+    return KeyRecovery(differences, residuals, tuple(candidates))

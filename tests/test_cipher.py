@@ -1,13 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from brauer_kit.cipher import (
     Alphabet,
     BlockPermutation,
     CipherError,
     VigenereKey,
-    column_boustrophedon,
-    row_major,
     transposition_decrypt,
     transposition_encrypt,
     vigenere_decrypt,
@@ -19,6 +17,11 @@ PI = BlockPermutation((3, 4, 1, 2))
 # Decrypted 4x3 grid in row-major text: rows CRA, RGP, YOH, PTY, so its
 # columns read CRYP, RGOT, APHY top to bottom.
 DECRYPTED_GRID = "CRARGPYOHPTY"
+
+# The route down the first column, up the second and down the third, as the
+# transposition key of the 4x3 grid: entry k is the row-major index of the
+# k-th cell visited.
+ROUTE_4X3 = BlockPermutation.from_text("1 4 7 10 11 8 5 2 3 6 9 12")
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +40,24 @@ def test_normalize_rejects_foreign_character_with_offset():
 
 def test_normalize_strip_drops_foreign_characters():
     assert Alphabet().normalize("a b,3c!", strip=True) == "ABC"
+
+
+@pytest.mark.parametrize("text, foreign, offset", [
+    ("straße", "ß", 4), ("résumé", "é", 1), ("ıf", "ı", 0), ("ſt", "ſ", 0), ("ﬀ", "ﬀ", 0),
+], ids=["sharp-s", "e-acute", "dotless-i", "long-s", "ff-ligature"])
+def test_normalize_folds_only_ascii_letters(text, foreign, offset):
+    # a character that uppercases to ASCII letters is still foreign, and is
+    # reported as written at its offset in the input
+    with pytest.raises(CipherError) as err:
+        Alphabet().normalize(text)
+    assert str(err.value) == f"character {foreign!r} at offset {offset} is not in the alphabet"
+
+
+@given(st.text())
+@example("straße ıſﬀ")
+def test_normalize_strip_keeps_exactly_the_ascii_letters(text):
+    expected = "".join(ch.upper() for ch in text if ch.isascii() and ch.isalpha())
+    assert Alphabet().normalize(text, strip=True) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +166,7 @@ def test_decrypt_inverts_each_distinct_permutation_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_route_boustrophedon_reads_plaintext():
-    route = column_boustrophedon(4, 3)
-    assert transposition_encrypt(DECRYPTED_GRID, [route]) == "CRYPTOGRAPHY"
+    assert transposition_encrypt(DECRYPTED_GRID, [ROUTE_4X3]) == "CRYPTOGRAPHY"
 
 
 def test_route_second_column_bottom_up_continues_plaintext():
@@ -156,10 +176,6 @@ def test_route_second_column_bottom_up_continues_plaintext():
     assert column_only == "TOGR"
     with pytest.raises(CipherError, match="is not a permutation"):
         BlockPermutation(up_col2)  # partial routes are rejected
-
-
-def test_route_row_major():
-    assert transposition_encrypt(DECRYPTED_GRID, [row_major(4, 3)]) == "CRARGPYOHPTY"
 
 
 def test_route_single_cell():
@@ -172,10 +188,9 @@ def test_route_duplicate_cell_rejected():
 
 
 def test_route_inverse_round_trip():
-    route = column_boustrophedon(4, 3)
-    text = transposition_encrypt(DECRYPTED_GRID, [route])
+    text = transposition_encrypt(DECRYPTED_GRID, [ROUTE_4X3])
     # writing the text back along the route reproduces the grid
-    assert transposition_decrypt(text, [route]) == DECRYPTED_GRID
+    assert transposition_decrypt(text, [ROUTE_4X3]) == DECRYPTED_GRID
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.randoms(use_true_random=False))
@@ -186,6 +201,10 @@ def test_boustrophedon_matches_a_cell_walk(rows, cols, rng):
     for c in range(cols):
         for r in range(rows) if c % 2 == 0 else reversed(range(rows)):
             walk.append(grid[r][c])
-    route = column_boustrophedon(rows, cols)
+    route = BlockPermutation(tuple(
+        r * cols + c + 1
+        for c in range(cols)
+        for r in (range(rows) if c % 2 == 0 else range(rows - 1, -1, -1))
+    ))
     assert transposition_encrypt(text, [route]) == "".join(walk)
     assert transposition_decrypt("".join(walk), [route]) == text

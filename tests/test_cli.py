@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from brauer_kit import cipher
@@ -85,6 +86,23 @@ def test_analyze_rejects_keylen_below_one(capsys):
         assert "error[E_CIPHER]: --keylen must be >= 1" in err
 
 
+def test_analyze_ciphertext_strip(capsys):
+    _, expected, _ = run(capsys, "analyze", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--keylen", "4")
+    dirty = ("analyze", "--ciphertext", "oopa elri-xfgg/bwdo.ddepk", "--keylen", "4")
+    code, out, err = run(capsys, *dirty)
+    assert (code, out) == (2, "")
+    assert "error[E_CIPHER]: character '-' at offset 9" in err
+    assert run(capsys, *dirty, "--strip") == (0, expected, "")
+
+
+def test_analyze_score_lax_warns_on_stderr_only(capsys):
+    code, out, err = run(capsys, "analyze", "--score", str(FIXTURES / "canon_crab.bsc"), "--lax")
+    assert code == 0
+    assert out == (FIXTURES / "canon_crab.invariants.json").read_text()
+    assert err.startswith("brauer-kit: warning: measure 18")
+    assert all(line.startswith("brauer-kit: warning: ") for line in err.splitlines())
+
+
 def test_analyze_bad_ciphertext_character(capsys):
     code, _, err = run(capsys, "analyze", "--ciphertext", "AB3D", "--keylen", "2")
     assert code == 2
@@ -131,6 +149,28 @@ def test_encrypt_vigenere(capsys, tmp_path):
     assert out.strip() == "OOPAELRIXFGGBWDODDEPK"
 
 
+def test_encrypt_strip_drops_foreign_characters(capsys, monkeypatch):
+    argv = ("encrypt", "--system", "vigenere", "--key", "MDPI")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Classical cryptography, 2nd ed.!"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error[E_CIPHER]: character ',' at offset 22" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Classical cryptography, 2nd ed.!"))
+    code, out, _ = run(capsys, *argv, "--strip")
+    assert (code, out) == (0, "OOPAELRIXFGGBWDODDEPKQSMP\n")
+
+
+def test_non_ascii_letters_are_foreign(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("straße"))
+    code, out, err = run(capsys, "encrypt", "--system", "vigenere", "--key", "MDPI")
+    assert (code, out) == (2, "")
+    assert err == "brauer-kit: error[E_CIPHER]: character 'ß' at offset 4 is not in the alphabet\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ABC"))
+    code, out, err = run(capsys, "encrypt", "--system", "vigenere", "--key", "\ufb00")
+    assert (code, out) == (2, "")
+    assert "character 'ﬀ' at offset 0" in err
+
+
 def test_decrypt_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("OOPAELRIXFGGBWDODDEPK"))
     code, out, _ = run(capsys, "decrypt", "--system", "vigenere", "--key", "MDPI")
@@ -138,18 +178,28 @@ def test_decrypt_reads_stdin(capsys, monkeypatch):
     assert out.strip() == "CLASSICALCRYPTOGRAPHY"
 
 
-def test_encrypt_transposition(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("CRYPTOGRAPHY"))
-    code, out, _ = run(capsys, "encrypt", "--system", "transposition", "--key", "3 4 1 2")
-    assert code == 0
-    assert out.strip() == "YPCRGRTOHYAP"
+# (key, plain, cipher): three blocks of 4, and the route down, up and down
+# the columns of the 4x3 grid CRA/RGP/YOH/PTY as a one-block key
+TRANSPOSITIONS = [
+    pytest.param("3 4 1 2", "CRYPTOGRAPHY", "YPCRGRTOHYAP", id="blocks"),
+    pytest.param("1 4 7 10 11 8 5 2 3 6 9 12", "CRARGPYOHPTY", "CRYPTOGRAPHY", id="route-4x3"),
+]
 
 
-def test_transposition_round_trip_via_cli(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("YPCRGRTOHYAP"))
-    code, out, _ = run(capsys, "decrypt", "--system", "transposition", "--key", "3 4 1 2")
+@pytest.mark.parametrize("key, plain, cipher", TRANSPOSITIONS)
+def test_encrypt_transposition(capsys, monkeypatch, key, plain, cipher):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(plain))
+    code, out, _ = run(capsys, "encrypt", "--system", "transposition", "--key", key)
     assert code == 0
-    assert out.strip() == "CRYPTOGRAPHY"
+    assert out.strip() == cipher
+
+
+@pytest.mark.parametrize("key, plain, cipher", TRANSPOSITIONS)
+def test_transposition_round_trip_via_cli(capsys, monkeypatch, key, plain, cipher):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(cipher))
+    code, out, _ = run(capsys, "decrypt", "--system", "transposition", "--key", key)
+    assert code == 0
+    assert out.strip() == plain
 
 
 def test_transposition_partition_mismatch(capsys, monkeypatch):
@@ -179,6 +229,27 @@ def test_attack_report_schema(capsys, tmp_path):
     assert len(report["keylengthCandidates"][0]["perListIoC"]) == 3
     assert report["keyCandidates"][0]["key"] == "LEO"
     assert set(report["brauer"]) == {"dimLambda", "dimCenter", "loops"}
+
+
+def test_attack_strip_drops_foreign_characters(capsys):
+    clean = ("attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--max-keylen", "4")
+    dirty = ("attack", "--ciphertext", "OOPA-ELRI XFGG, BWDO DDEPK!", "--max-keylen", "4")
+    code, out, err = run(capsys, *dirty)
+    assert (code, out) == (2, "")
+    assert "error[E_CIPHER]: character '-' at offset 4" in err
+    _, expected, _ = run(capsys, *clean)
+    assert run(capsys, *dirty, "--strip") == (0, expected, "")
+
+
+def test_attack_takes_one_source(capsys, tmp_path):
+    # the pair is refused before either is read, so a missing file is no E_IO
+    (tmp_path / "c.txt").write_text("OOPAELRIXFGGBWDODDEPK")
+    for path in (tmp_path / "c.txt", tmp_path / "missing.txt"):
+        code, out, err = run(
+            capsys, "attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--in", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "brauer-kit: error[E_CIPHER]: attack reads --ciphertext or --in, not both\n"
 
 
 def test_attack_rejects_short_input(capsys):
@@ -290,6 +361,21 @@ def test_graph_stdout_and_orientation(capsys):
     data = json.loads(out)
     point = next(p for p in data["points"] if p["label"] == "a16")
     assert point["y"] == -4
+
+
+def test_graph_clef_overrides_the_header(capsys, tmp_path):
+    # canon_a6 declares clef=bass; --clef treble draws it as a treble score
+    text = (FIXTURES / "canon_a6.bsc").read_text()
+    assert text.count("clef=bass") == 1
+    treble = tmp_path / "treble.bsc"
+    treble.write_text(text.replace("clef=bass", "clef=treble"))
+    _, bass_out, _ = run(capsys, "graph", str(FIXTURES / "canon_a6.bsc"))
+    code, out, _ = run(capsys, "graph", str(FIXTURES / "canon_a6.bsc"), "--clef", "treble")
+    assert code == 0
+    assert out == run(capsys, "graph", str(treble))[1]
+    assert out != bass_out
+    point = next(p for p in json.loads(out)["points"] if p["label"] == "a16")
+    assert point["y"] == 3  # a above the treble reference e; 4 above bass d
 
 
 def test_graph_edges_sidecar(capsys, tmp_path):
@@ -549,6 +635,7 @@ def test_commands_never_exit_internal(data, key, keylen):
             for system in ("vigenere", "transposition")
         ] + [
             ["attack", "--in", str(path)],
+            ["attack", f"--ciphertext={text}", "--in", str(path)],
             ["analyze", "--config", str(path)],
             ["analyze", f"--ciphertext={text}", "--keylen", str(keylen)],
             ["graph", str(FIXTURES / "canon_a6.bsc"), "--edges", str(path)],
