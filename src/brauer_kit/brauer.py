@@ -29,19 +29,6 @@ class UnknownVertexError(KeyError):
     """An operation named a vertex that is not in the configuration."""
 
 
-class DisconnectedError(ValueError):
-    """The center identity checked on a disconnected configuration.
-
-    ``components`` holds the polygon indices of each connected component of
-    the polygon-vertex incidence graph.
-    """
-
-    def __init__(self, components: Sequence[Sequence[int]]):
-        self.components = tuple(tuple(c) for c in components)
-        listed = "; ".join("{%s}" % ", ".join(map(str, c)) for c in self.components)
-        super().__init__(f"configuration is disconnected: polygon components {listed}")
-
-
 # ---------------------------------------------------------------------------
 # Data types
 # ---------------------------------------------------------------------------
@@ -66,10 +53,6 @@ class Polygon:
             )
         if any(not isinstance(v, str) or not v for v in self.word):
             raise ConfigError(f"polygon {self.index}: empty vertex label")
-
-    def frequencies(self) -> Counter:
-        """Occurrence count of each vertex within this word."""
-        return Counter(self.word)
 
 
 @dataclass(frozen=True)
@@ -239,12 +222,6 @@ def polygon_components(config: BrauerConfiguration) -> list[list[int]]:
 # Dimensions
 # ---------------------------------------------------------------------------
 
-def dim_lambda(config: BrauerConfiguration) -> int:
-    """Dimension of the induced algebra:
-    2 * #polygons + sum over vertices of val * (val * mu - 1)."""
-    return invariants(config).dim_lambda
-
-
 def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
     """Full invariant bundle from one counting pass over the polygons;
     disconnected input is flagged rather than rejected, with the center
@@ -300,43 +277,6 @@ def invariants_from_histogram(
         vertex_count=vertex_count,
         valency_histogram=dict(sorted(histogram.items())),
     )
-
-
-# ---------------------------------------------------------------------------
-# Center identity for frequency-one configurations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CenterIdentityVerdict:
-    """Comparison of the center dimension against #polygons + #valency-1 + 1."""
-
-    polygon_count: int
-    val_one_count: int
-    claimed: int
-    actual: int
-
-    @property
-    def equal(self) -> bool:
-        return self.claimed == self.actual
-
-
-def check_center_identity(config: BrauerConfiguration) -> CenterIdentityVerdict:
-    """Verify dim Z = m + n + 1 where m counts polygons and n the valency-1
-    vertices.  Requires every within-polygon frequency to equal 1 and a
-    connected configuration."""
-    for poly in config.polygons:
-        for v, f in poly.frequencies().items():
-            if f > 1:
-                raise ConfigError(
-                    f"polygon {poly.index}: vertex {v!r} occurs {f} times; "
-                    "the identity requires within-polygon frequency 1"
-                )
-    inv = invariants(config)
-    if not inv.connected:
-        raise DisconnectedError(polygon_components(config))
-    m = inv.polygon_count
-    n = inv.valency_histogram.get(1, 0)
-    return CenterIdentityVerdict(m, n, m + n + 1, inv.dim_center)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from importlib import resources
-from pathlib import Path
 
 from .brauer import (
     ConfigError,
@@ -72,10 +71,14 @@ def _error(code: str, message: str) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    """``text`` to the file at ``out``, or to stdout for None.  Files are
+    opened with ``open``, not ``Path``, whose ``Path("")`` is ``.``: an
+    error names the path as given, the empty one too."""
+    if out is None:
         sys.stdout.write(text)
+    else:
+        with open(out, "w") as f:
+            f.write(text)
 
 
 def _read(path: str | None) -> str:
@@ -84,7 +87,8 @@ def _read(path: str | None) -> str:
     ``<stdin>``, whatever the locale."""
     try:
         if path is not None:
-            return Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as f:
+                return f.read()
         if hasattr(sys.stdin, "reconfigure"):  # a stream that decodes bytes
             sys.stdin.reconfigure(encoding="utf-8", errors="strict")
         return sys.stdin.read()
@@ -101,7 +105,7 @@ def _round(value) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_crypt(args, encrypting: bool) -> int:
-    text = DEFAULT_ALPHABET.normalize(_read(args.infile or None), strip=args.strip)
+    text = DEFAULT_ALPHABET.normalize(_read(args.infile), strip=args.strip)
     if args.system == "vigenere":
         key = VigenereKey.from_text(args.key)
         out = vigenere_encrypt(text, key) if encrypting else vigenere_decrypt(text, key)
@@ -131,7 +135,7 @@ def _cmd_attack(args) -> int:
         raise CipherError("--keylen must be >= 1")
     if args.top < 1:
         raise CipherError("--top must be >= 1")
-    text = args.ciphertext if args.ciphertext is not None else _read(args.infile or None)
+    text = args.ciphertext if args.ciphertext is not None else _read(args.infile)
     cipher = DEFAULT_ALPHABET.normalize(text, strip=args.strip)
     candidates = friedman_keylength(cipher, args.max_keylen)
     m = candidates[0].m if args.keylen is None else args.keylen
@@ -285,7 +289,7 @@ def _cmd_score_check(args) -> int:
 
 def _cmd_graph(args) -> int:
     score = parse_score(_read(args.score), strict=not args.lax)
-    extra = parse_edges(_read(args.edges)) if args.edges else ()
+    extra = parse_edges(_read(args.edges)) if args.edges is not None else ()
     diagram = diagram_for_score(
         score,
         clef=args.clef,
@@ -293,8 +297,8 @@ def _cmd_graph(args) -> int:
         connect_equal_y=args.connect_equal_y,
         extra_edges=extra,
     )
-    if args.svg:
-        Path(args.svg).write_text(emit_svg(diagram))
+    if args.svg is not None:
+        _emit(emit_svg(diagram), args.svg)
     _emit(emit_json(diagram), args.json_out)
     return 0
 

@@ -10,10 +10,11 @@ A class token is a pitch ``a``..``g`` after an optional ``-`` flat, ``+``
 sharp or ``=`` natural, or ``r`` for a rest; then the duration exponent
 (whole note 64 down to sixty-fourth 1); then an optional dot, which
 multiplies the effective exponent by 3/2.  ``|`` separates measures.
-``[ ]`` bracket groups and ``( )`` ties/slurs (parens may span measures) are
-checked for balance and then dropped; ``{ ... }xN`` repeats its contents N
-times inside one measure.  ``ref=`` and ``accidentals=`` header items are
-accepted annotations that are not stored.  ``#`` starts a comment.
+``[ ]`` bracket groups (closed inside their measure) and ``( )`` ties/slurs
+(which may span measures) are checked for balance and then dropped;
+``{ ... }xN`` repeats its contents N times inside one measure.  ``ref=`` and
+``accidentals=`` header items are accepted annotations that are not stored.
+``#`` starts a comment.
 
 Under a time signature n/2^m every measure's effective exponents must sum
 to n * 2^(6-m); strict parsing rejects violations, lax parsing records them
@@ -190,11 +191,12 @@ def parse_score(text: str, strict: bool = True) -> Score:
         """Close the open measure at a bar (its position) or at the end of
         the text (None)."""
         nonlocal measured, current, current_pos, current_sum
-        for g in open_groups:
-            if g.kind == "brace":
-                raise ScoreParseError(
-                    "repeat group must close inside its measure", g.line, g.col
-                )
+        for kind, name in (("brace", "repeat group"), ("bracket", "bracket group")):
+            for g in open_groups:
+                if g.kind == kind:
+                    raise ScoreParseError(
+                        f"{name} must close inside its measure", g.line, g.col
+                    )
         if current:
             measures.append((tuple(current), current_pos, current_sum))
             measured += len(current)

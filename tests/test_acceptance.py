@@ -12,20 +12,20 @@ from pathlib import Path
 
 from brauer_kit.brauer import (
     build_quiver,
-    check_center_identity,
     config_from_words,
-    dim_lambda,
     invariants,
     invariants_from_histogram,
     valency,
 )
-from brauer_kit.bridge import (
-    check_permutation_invariance,
-    check_dim_coincidence_identity,
-    check_center_frequency_identity,
-    vigenere_to_config,
+from brauer_kit.bridge import vigenere_to_config
+from brauer_kit.cipher import (
+    BlockPermutation,
+    VigenereKey,
+    split_blocks,
+    transposition_encrypt,
+    vigenere_decrypt,
+    vigenere_encrypt,
 )
-from brauer_kit.cipher import BlockPermutation, VigenereKey, vigenere_decrypt, vigenere_encrypt
 from brauer_kit.coincidence import IOC_TARGET, friedman_keylength, friedman_recover_key
 from brauer_kit.diagram import assign_points, classify_notes
 from brauer_kit.score import parse_score, score_to_config
@@ -162,7 +162,10 @@ def test_criterion_7_permutation_property_suite():
             order = list(range(1, size + 1))
             rng.shuffle(order)
             perms.append(BlockPermutation(tuple(order)))
-        assert check_permutation_invariance(plain, perms).equal
+        cipher = transposition_encrypt(plain, perms)
+        assert invariants(config_from_words(split_blocks(plain, sizes))) == invariants(
+            config_from_words(split_blocks(cipher, sizes))
+        )
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
     report(7, f"1000/1000 plaintext-ciphertext invariant matches in {elapsed:.2f} s")
@@ -184,14 +187,20 @@ def _text_with_min_count(rng, distinct, min_count, max_count=6):
 def test_criterion_8_dimension_identity_suites():
     rng = random.Random(8128)
 
+    # v1: dim = 2m + N(N-1)*IoC when no character is a singleton
     for _ in range(500):
         text = _text_with_min_count(rng, rng.randint(3, 8), 2)
         m = rng.randint(1, len(text) // 2)
         if any(len(text[i::m]) < 2 for i in range(m)):
             continue
-        verdict = check_dim_coincidence_identity(text, m)
-        assert verdict.precondition_ok and verdict.holds
+        counts = Counter(text)
+        assert min(counts.values()) >= 2
+        assert invariants(vigenere_to_config(text, m)).dim_lambda == (
+            2 * m + sum(f * (f - 1) for f in counts.values())
+        )
 
+    # v2: dim Z = 1 + m + sum(f_ij - 1) when every character occurs at
+    # least twice and in at least two lists
     checked = 0
     while checked < 500:
         text = _text_with_min_count(rng, rng.randint(3, 6), 3)
@@ -202,10 +211,14 @@ def test_criterion_8_dimension_identity_suites():
             spread.update(set(part))
         if any(len(part) < 2 for part in lists) or any(v < 2 for v in spread.values()):
             continue
-        verdict = check_center_frequency_identity(text, m)
-        assert verdict.precondition_ok and verdict.holds
+        assert min(Counter(text).values()) >= 2
+        assert invariants(vigenere_to_config(text, m)).dim_center == (
+            1 + m + sum(f - 1 for part in lists for f in Counter(part).values())
+        )
         checked += 1
 
+    # v3: dim Z = m + n + 1 on connected configurations whose polygons hold
+    # each vertex once, n counting the valency-1 vertices
     for _ in range(500):
         words = []
         for i in range(rng.randint(1, 5)):
@@ -216,9 +229,13 @@ def test_criterion_8_dimension_identity_suites():
                 if len(word) < 2:
                     word.append(next(c for c in "abcdefghij" if c not in word))
             words.append(word)
-        verdict = check_center_identity(config_from_words(words))
-        assert verdict.equal
+        assert all(len(set(word)) == len(word) for word in words)
+        inv = invariants(config_from_words(words))
+        assert inv.connected
+        n = sum(1 for f in Counter(v for word in words for v in word).values() if f == 1)
+        assert inv.dim_center == len(words) + n + 1
 
+    # the dim gap: without the v1 precondition each singleton adds 1
     for _ in range(500):
         length = rng.randint(4, 80)
         text = "".join(rng.choice("ABCDEFGHIJKL") for _ in range(length))
@@ -227,7 +244,7 @@ def test_criterion_8_dimension_identity_suites():
             continue
         counts = Counter(text)
         singletons = sum(1 for f in counts.values() if f == 1)
-        gap = dim_lambda(vigenere_to_config(text, m)) - (
+        gap = invariants(vigenere_to_config(text, m)).dim_lambda - (
             2 * m + sum(f * (f - 1) for f in counts.values())
         )
         assert gap == singletons
@@ -281,7 +298,7 @@ def test_criterion_9_friedman_attack():
 def _loop_closed_form(config):
     per_vertex = {}
     for poly in config.polygons:
-        for v, f in poly.frequencies().items():
+        for v, f in Counter(poly.word).items():
             per_vertex.setdefault(v, []).append(f)
     total = 0
     for counts in per_vertex.values():

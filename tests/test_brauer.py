@@ -6,13 +6,10 @@ from hypothesis import given, strategies as st
 
 from brauer_kit.brauer import (
     ConfigError,
-    DisconnectedError,
     Polygon,
     UnknownVertexError,
     build_quiver,
-    check_center_identity,
     config_from_words,
-    dim_lambda,
     invariants,
     invariants_from_histogram,
     parse_config,
@@ -55,7 +52,7 @@ def loop_count_oracle(config):
     polygon contributes its frequency there (1 if valency 1)."""
     per_vertex_polys = {}
     for poly in config.polygons:
-        for v, f in poly.frequencies().items():
+        for v, f in Counter(poly.word).items():
             per_vertex_polys.setdefault(v, []).append(f)
     loops = 0
     for counts in per_vertex_polys.values():
@@ -193,16 +190,16 @@ def test_loop_oracle_on_random_configs():
 # ---------------------------------------------------------------------------
 
 def test_dim_lambda_vigenere():
-    assert dim_lambda(vigenere_config()) == 35
+    assert invariants(vigenere_config()).dim_lambda == 35
 
 
 def test_dim_lambda_two_singleton_vertices():
     # one polygon "ab": 2*1 + 1*(2-1) + 1*(2-1) = 4
-    assert dim_lambda(config_from_words([["a", "b"]])) == 4
+    assert invariants(config_from_words([["a", "b"]])).dim_lambda == 4
 
 
 def test_dim_lambda_slym():
-    assert dim_lambda(slym_config()) == 176
+    assert invariants(slym_config()).dim_lambda == 176
 
 
 def test_dim_center_vigenere():
@@ -216,14 +213,6 @@ def test_dim_center_slym():
 def test_dim_center_single_polygon():
     # 1 + 1 - 2 + 4 + 2 - 2 = 4
     assert invariants(config_from_words([["a", "b"]])).dim_center == 4
-
-
-def test_dim_center_requires_connected():
-    # the center identity is stated for connected configurations only
-    cfg = config_from_words([["a", "b"], ["c", "d"]])
-    with pytest.raises(DisconnectedError) as err:
-        check_center_identity(cfg)
-    assert err.value.components == ((0,), (1,))
 
 
 def test_is_connected():
@@ -325,22 +314,26 @@ def test_invariants_from_histogram_matches_full_computation():
 # ---------------------------------------------------------------------------
 # Center identity for frequency-one configurations
 # ---------------------------------------------------------------------------
+# dim Z = m + n + 1 with m polygons and n valency-1 vertices, for connected
+# configurations whose polygons hold each vertex once.
+
+def center_identity_sides(words):
+    """(dim Z, m + n + 1) of a frequency-one connected configuration."""
+    assert all(len(set(word)) == len(word) for word in words)
+    inv = invariants(config_from_words(words))
+    assert inv.connected
+    n = sum(1 for f in Counter(v for word in words for v in word).values() if f == 1)
+    return inv.dim_center, len(words) + n + 1
+
 
 def test_center_identity_vigenere():
-    verdict = check_center_identity(vigenere_config())
-    assert (verdict.polygon_count, verdict.val_one_count) == (4, 9)
-    assert verdict.claimed == verdict.actual == 14
+    assert center_identity_sides(VIGENERE_WORDS) == (14, 4 + 9 + 1)
 
 
 def test_center_identity_single_polygon():
-    verdict = check_center_identity(config_from_words([["a", "b"]]))
-    assert verdict.claimed == verdict.actual == 4
-
-
-def test_center_identity_rejects_repeated_vertex():
-    with pytest.raises(ConfigError) as err:
-        check_center_identity(config_from_words([["a", "a", "b"]]))
-    assert "polygon 0" in str(err.value) and "'a'" in str(err.value)
+    assert center_identity_sides([["a", "b"]]) == (4, 4)
+    # a repeated vertex breaks it: dim Z 5 against m + n + 1 = 3
+    assert invariants(config_from_words([["a", "a", "b"]])).dim_center == 5
 
 
 def test_center_identity_random_distinct_words():
@@ -358,8 +351,8 @@ def test_center_identity_random_distinct_words():
                     if len(word) < 2:
                         word.append(next(c for c in alphabet if c not in word))
             words.append(word)
-        verdict = check_center_identity(config_from_words(words))
-        assert verdict.equal
+        dim_z, claimed = center_identity_sides(words)
+        assert dim_z == claimed
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +382,7 @@ def test_dim_invariant_under_word_shuffle(words, rng):
         rng.shuffle(w)
         shuffled.append(w)
     cfg2 = config_from_words(shuffled)
-    assert dim_lambda(cfg) == dim_lambda(cfg2)
+    assert invariants(cfg).dim_lambda == invariants(cfg2).dim_lambda
     assert build_quiver(cfg).loop_count == build_quiver(cfg2).loop_count
     if len(polygon_components(cfg)) == 1:
         assert invariants(cfg).dim_center == invariants(cfg2).dim_center
@@ -408,7 +401,7 @@ def test_deleting_polygon_never_increases_valency(words):
 @given(words_strategy)
 def test_dim_lambda_lower_bound(words):
     cfg = config_from_words(words)
-    assert dim_lambda(cfg) >= 2 * len(words)
+    assert invariants(cfg).dim_lambda >= 2 * len(words)
 
 
 @given(words_strategy)

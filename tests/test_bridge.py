@@ -3,17 +3,19 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from brauer_kit.bridge import (
-    brauer_ioc,
-    check_permutation_invariance,
-    check_dim_coincidence_identity,
-    check_center_frequency_identity,
-    transposition_to_config,
-    vigenere_to_config,
+from brauer_kit.bridge import brauer_ioc, vigenere_to_config
+from brauer_kit.brauer import ConfigError, config_from_words, invariants
+from brauer_kit.cipher import (
+    BlockPermutation,
+    CipherError,
+    VigenereKey,
+    split_blocks,
+    transposition_encrypt,
+    vigenere_encrypt,
 )
-from brauer_kit.brauer import dim_lambda, invariants
-from brauer_kit.cipher import BlockPermutation, CipherError, VigenereKey, vigenere_encrypt
+from brauer_kit.coincidence import index_of_coincidence
 from textgen import sample_english
 
 CIPHERTEXT = "OOPAELRIXFGGBWDODDEPK"
@@ -33,6 +35,32 @@ def text_with_min_count(rng, distinct=5, min_count=2, max_count=6):
         chars.extend(ch * rng.randint(min_count, max_count))
     rng.shuffle(chars)
     return "".join(chars)
+
+
+def block_invariants(text, sizes):
+    """Invariants of a block partition: one polygon per block."""
+    return invariants(config_from_words(split_blocks(text, sizes)))
+
+
+def singletons(text):
+    return sorted(ch for ch, f in Counter(text).items() if f == 1)
+
+
+def dim_coincidence_rhs(text, m):
+    """2m + N(N-1) * IoC, the dimension a split has without singletons."""
+    return 2 * m + sum(f * (f - 1) for f in Counter(text).values())
+
+
+def center_frequency_rhs(text, m):
+    """1 + m + sum over lists of (frequency - 1)."""
+    return 1 + m + sum(f - 1 for i in range(m) for f in Counter(text[i::m]).values())
+
+
+def spread_violations(text, m):
+    """Characters that occur once or in fewer than two lists: the center
+    frequency identity needs there to be none."""
+    spread = Counter(ch for i in range(m) for ch in set(text[i::m]))
+    return sorted(ch for ch, f in Counter(text).items() if f == 1 or spread[ch] < 2)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +86,7 @@ def test_vigenere_to_config_repeated_characters():
     config = vigenere_to_config("ABAB", 2)
     assert [p.word for p in config.polygons] == [("A", "A"), ("B", "B")]
     # 2*2 + 2*(2*1-1) + 2*(2*1-1)
-    assert dim_lambda(config) == 8
+    assert invariants(config).dim_lambda == 8
 
 
 def test_vigenere_to_config_rejects_short_lists():
@@ -70,8 +98,18 @@ def test_brauer_ioc_counts_singletons():
     ioc = brauer_ioc(invariants(vigenere_to_config(CIPHERTEXT, 4)))
     assert ioc == Fraction(27, 420)
     # 9 singleton characters, each adding 1/(N(N-1)) over the plain index
-    from brauer_kit.coincidence import index_of_coincidence
     assert ioc - index_of_coincidence(CIPHERTEXT) == Fraction(9, 420)
+
+
+@given(st.text(alphabet="ABCDE", min_size=2, max_size=40))
+def test_brauer_ioc_is_ioc_plus_singleton_share(text):
+    # the paper's identity dim = 2m + N(N-1)*IoC, read through the attack's
+    # own brauerIoc for every key length the text admits; each singleton
+    # adds 1/(N(N-1)) to it
+    n = len(text)
+    expected = index_of_coincidence(text) + Fraction(len(singletons(text)), n * (n - 1))
+    for m in range(1, n // 2 + 1):
+        assert brauer_ioc(invariants(vigenere_to_config(text, m))) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +117,7 @@ def test_brauer_ioc_counts_singletons():
 # ---------------------------------------------------------------------------
 
 def test_transposition_to_config_blocks():
-    config = transposition_to_config("CRYPTOGRAPHY", [4, 4, 4])
+    config = config_from_words(split_blocks("CRYPTOGRAPHY", [4, 4, 4]))
     assert [p.word for p in config.polygons] == [
         tuple("CRYP"), tuple("TOGR"), tuple("APHY"),
     ]
@@ -87,22 +125,21 @@ def test_transposition_to_config_blocks():
 
 def test_transposition_to_config_rejects_bad_partition():
     with pytest.raises(CipherError):
-        transposition_to_config("CRYPTO", [4, 4])
-    with pytest.raises(CipherError):
-        transposition_to_config("ABC", [1, 2])
+        split_blocks("CRYPTO", [4, 4])
+    with pytest.raises(ConfigError):
+        config_from_words(split_blocks("ABC", [1, 2]))
 
 
 def test_permutation_invariance_worked_example():
     pi = BlockPermutation((3, 4, 1, 2))
-    verdict = check_permutation_invariance("CRYPTOGRAPHY", [pi, pi, pi])
-    assert verdict.equal
-    assert verdict.plain_invariants.dim_lambda == verdict.cipher_invariants.dim_lambda
+    cipher = transposition_encrypt("CRYPTOGRAPHY", [pi, pi, pi])
+    assert cipher == "YPCRGRTOHYAP"
+    assert block_invariants(cipher, [4, 4, 4]) == block_invariants("CRYPTOGRAPHY", [4, 4, 4])
 
 
 def test_permutation_invariance_identity():
     ident = BlockPermutation((1, 2, 3, 4))
-    verdict = check_permutation_invariance("CRYPTOGRAPHY", [ident, ident, ident])
-    assert verdict.equal
+    assert transposition_encrypt("CRYPTOGRAPHY", [ident, ident, ident]) == "CRYPTOGRAPHY"
 
 
 def test_permutation_invariance_random_cases():
@@ -111,7 +148,8 @@ def test_permutation_invariance_random_cases():
         sizes = [rng.randint(2, 6) for _ in range(rng.randint(1, 4))]
         text = "".join(rng.choice("ABCDEFGH") for _ in range(sum(sizes)))
         perms = [random_permutation(rng, s) for s in sizes]
-        assert check_permutation_invariance(text, perms).equal
+        cipher = transposition_encrypt(text, perms)
+        assert block_invariants(cipher, sizes) == block_invariants(text, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -119,39 +157,30 @@ def test_permutation_invariance_random_cases():
 # ---------------------------------------------------------------------------
 
 def test_dim_coincidence_identity_holds_without_singletons():
-    verdict = check_dim_coincidence_identity("AABBCCDD", 2)
-    assert verdict.precondition_ok and verdict.holds
-    assert verdict.lhs == verdict.rhs == 12
+    assert singletons("AABBCCDD") == []
+    assert invariants(vigenere_to_config("AABBCCDD", 2)).dim_lambda == 12
+    assert dim_coincidence_rhs("AABBCCDD", 2) == 12
 
 
 def test_dim_coincidence_identity_diagnostic_on_worked_ciphertext():
-    verdict = check_dim_coincidence_identity(CIPHERTEXT, 4)
-    assert not verdict.precondition_ok
-    assert (verdict.lhs, verdict.rhs) == (35, 26)
-    assert verdict.gap == len(verdict.violations) == 9
-    assert verdict.violations == ("A", "B", "F", "I", "K", "L", "R", "W", "X")
-
-
-def test_dim_coincidence_identity_generated_inputs():
-    rng = random.Random(5)
-    for _ in range(100):
-        text = text_with_min_count(rng)
-        m = rng.randint(1, max(1, len(text) // 4))
-        verdict = check_dim_coincidence_identity(text, m)
-        assert verdict.precondition_ok and verdict.holds
+    # the worked ciphertext has singletons, and the identity misses by
+    # exactly their number
+    assert singletons(CIPHERTEXT) == ["A", "B", "F", "I", "K", "L", "R", "W", "X"]
+    assert invariants(vigenere_to_config(CIPHERTEXT, 4)).dim_lambda == 35
+    assert dim_coincidence_rhs(CIPHERTEXT, 4) == 26
 
 
 def test_center_frequency_identity_holds_when_characters_spread():
-    verdict = check_center_frequency_identity("AABBCCDD", 2)
-    assert verdict.precondition_ok and verdict.holds
-    assert verdict.lhs == verdict.rhs == 3
+    assert spread_violations("AABBCCDD", 2) == []
+    assert invariants(vigenere_to_config("AABBCCDD", 2)).dim_center == 3
+    assert center_frequency_rhs("AABBCCDD", 2) == 3
 
 
 def test_center_frequency_identity_diagnostic_on_worked_ciphertext():
-    verdict = check_center_frequency_identity(CIPHERTEXT, 4)
-    assert not verdict.precondition_ok
-    assert verdict.lhs == 14
-    assert "A" in verdict.violations
+    # without its precondition the identity does not hold
+    assert "A" in spread_violations(CIPHERTEXT, 4)
+    assert invariants(vigenere_to_config(CIPHERTEXT, 4)).dim_center == 14
+    assert center_frequency_rhs(CIPHERTEXT, 4) == 5
 
 
 def test_center_frequency_identity_generated_inputs():
@@ -160,14 +189,11 @@ def test_center_frequency_identity_generated_inputs():
     while checked < 100:
         text = text_with_min_count(rng, distinct=6, min_count=3)
         m = rng.randint(2, 4)
-        lists = [text[i::m] for i in range(m)]
-        spread = Counter()
-        for part in lists:
-            spread.update(set(part))
-        if any(v < 2 for v in spread.values()):
+        if spread_violations(text, m):
             continue
-        verdict = check_center_frequency_identity(text, m)
-        assert verdict.precondition_ok and verdict.holds
+        assert invariants(vigenere_to_config(text, m)).dim_center == (
+            center_frequency_rhs(text, m)
+        )
         checked += 1
 
 
@@ -179,10 +205,8 @@ def test_dim_gap_equals_singleton_count():
         m = rng.randint(1, length // 2)
         if any(len(text[i::m]) < 2 for i in range(m)):
             continue
-        counts = Counter(text)
-        singletons = sum(1 for f in counts.values() if f == 1)
-        expected = 2 * m + sum(f * (f - 1) for f in counts.values()) + singletons
-        assert dim_lambda(vigenere_to_config(text, m)) == expected
+        expected = dim_coincidence_rhs(text, m) + len(singletons(text))
+        assert invariants(vigenere_to_config(text, m)).dim_lambda == expected
 
 
 def test_invariants_stable_under_alphabet_substitution():

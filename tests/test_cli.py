@@ -435,6 +435,26 @@ def test_missing_file_is_io_error(capsys):
     assert "error[E_IO]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "--system", "vigenere", "--key", "B", "--in", ""],
+    ["attack", "--in", ""],
+    ["attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--out", ""],
+    ["analyze", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--keylen", "4", "--out", ""],
+    ["graph", str(FIXTURES / "slym.bsc"), "--edges", ""],
+    ["graph", str(FIXTURES / "slym.bsc"), "--svg", ""],
+    ["graph", str(FIXTURES / "slym.bsc"), "--json", ""],
+    ["analyze", "--config", ""],
+    ["score-check", ""],
+], ids=["encrypt-in", "attack-in", "attack-out", "analyze-out", "graph-edges",
+        "graph-svg", "graph-json", "analyze-config", "score-check"])
+def test_empty_path_is_io_error(capsys, monkeypatch, argv):
+    # an empty path is a path that cannot be opened, not a missing flag
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ABC"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "brauer-kit: error[E_IO]: [Errno 2] No such file or directory: ''\n"
+
+
 class _Terminal(io.StringIO):
     def isatty(self):
         return True

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from brauer_kit.brauer import config_from_words, dim_lambda, invariants, valency
+from brauer_kit.brauer import config_from_words, invariants, valency
 from brauer_kit.score import (
     MAX_EVENTS,
     Score,
@@ -166,6 +166,18 @@ def test_parse_brace_repeats_contents():
 def test_parse_brace_must_close_in_measure():
     with pytest.raises(ScoreParseError):
         parse_score("| { c16 d16 | c16 }x2")
+
+
+def test_parse_bracket_must_close_in_measure():
+    # a bracket group holds elements of one measure; a brace open at the
+    # same bar is reported first, with its own message
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("| c8 [ d8 | e8 ]")
+    assert str(err.value) == "line 1, column 6: bracket group must close inside its measure"
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("| [ c8 { d8\n| e8 }x2 ]")
+    assert str(err.value) == "line 1, column 8: repeat group must close inside its measure"
+    assert len(parse_score("| ( [ c8 ] | e8 )").measures) == 2
 
 
 def test_parse_header_after_content_rejected():
@@ -363,7 +375,7 @@ def test_slym_valencies_match_published_table():
 
 def test_single_measure_encoding():
     config = score_to_config(parse_score("clef=treble time=4/4 | c16 c16 c16 c16"))
-    assert dim_lambda(config) == 14  # 2 + 4*(4-1)
+    assert invariants(config).dim_lambda == 14  # 2 + 4*(4-1)
 
 
 def test_score_to_config_rejects_tiny_measure():
