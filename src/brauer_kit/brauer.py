@@ -35,24 +35,10 @@ class UnknownVertexError(KeyError):
 
 @dataclass(frozen=True)
 class Polygon:
-    """One word of a configuration.
+    """One word of a configuration: the ordered vertex occurrences
+    (repetitions allowed).  Its index is its position in the configuration."""
 
-    ``index`` is the 0-based position in the configuration, ``word`` the
-    ordered vertex occurrences (repetitions allowed).
-    """
-
-    index: int
     word: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ConfigError(f"polygon index {self.index} is negative")
-        if len(self.word) < 2:
-            raise ConfigError(
-                f"polygon {self.index}: word length {len(self.word)} < 2"
-            )
-        if any(not isinstance(v, str) or not v for v in self.word):
-            raise ConfigError(f"polygon {self.index}: empty vertex label")
 
 
 @dataclass(frozen=True)
@@ -65,10 +51,10 @@ class BrauerConfiguration:
         if not self.polygons:
             raise ConfigError("configuration has no polygons")
         for i, poly in enumerate(self.polygons):
-            if poly.index != i:
-                raise ConfigError(
-                    f"polygon at position {i} carries index {poly.index}"
-                )
+            if len(poly.word) < 2:
+                raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
+            if any(not isinstance(v, str) or not v for v in poly.word):
+                raise ConfigError(f"polygon {i}: empty vertex label")
 
     @property
     def vertex_universe(self) -> tuple[str, ...]:
@@ -82,7 +68,7 @@ class BrauerConfiguration:
 
 def config_from_words(words: Iterable[Sequence[str]]) -> BrauerConfiguration:
     """Build a configuration from an iterable of vertex-label sequences."""
-    return BrauerConfiguration(tuple(Polygon(i, tuple(w)) for i, w in enumerate(words)))
+    return BrauerConfiguration(tuple(Polygon(tuple(w)) for w in words))
 
 
 @dataclass(frozen=True)
@@ -155,8 +141,8 @@ def successor_sequence(config: BrauerConfiguration, vertex: str) -> tuple[tuple[
     """Occurrences of ``vertex`` as (polygon index, word position) pairs,
     in that order."""
     entries = [
-        (poly.index, pos)
-        for poly in config.polygons
+        (i, pos)
+        for i, poly in enumerate(config.polygons)
         for pos, v in enumerate(poly.word)
         if v == vertex
     ]
@@ -187,38 +173,6 @@ def build_quiver(config: BrauerConfiguration) -> Quiver:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity
-# ---------------------------------------------------------------------------
-
-def polygon_components(config: BrauerConfiguration) -> list[list[int]]:
-    """Connected components of the polygon-vertex incidence graph,
-    as groups of polygon indices."""
-    by_vertex: dict[str, list[int]] = {}
-    for poly in config.polygons:
-        for v in set(poly.word):
-            by_vertex.setdefault(v, []).append(poly.index)
-
-    n = len(config.polygons)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for members in by_vertex.values():
-        root = find(members[0])
-        for other in members[1:]:
-            parent[find(other)] = root
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
-
-
-# ---------------------------------------------------------------------------
 # Dimensions
 # ---------------------------------------------------------------------------
 
@@ -230,21 +184,37 @@ def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
     The loop census is the closed form of the circular successor orders:
     each polygon contributes (word length - #distinct vertices) loops, one
     per repeated occurrence, and a vertex confined to one polygon closes its
-    circular order there with one loop more.
+    circular order there with one loop more.  The same pass joins every
+    polygon holding a vertex to the first one that held it; the incidence
+    graph is connected when a single root remains.
     """
     valencies: Counter = Counter()
-    polygons_of: Counter = Counter()  # vertex -> distinct polygons holding it
+    first: dict[str, int] = {}  # vertex -> first polygon holding it
+    shared: set[str] = set()    # vertices held by more than one polygon
+    parent = list(range(len(config.polygons)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     loops = 0
-    for poly in config.polygons:
+    for i, poly in enumerate(config.polygons):
         distinct = set(poly.word)
         valencies.update(poly.word)
-        polygons_of.update(distinct)
         loops += len(poly.word) - len(distinct)
-    loops += sum(1 for k in polygons_of.values() if k == 1)
+        for v in distinct:
+            j = first.setdefault(v, i)
+            if j != i:
+                shared.add(v)
+                parent[find(i)] = find(j)
+    loops += len(first) - len(shared)
     inv = invariants_from_histogram(
         len(config.polygons), Counter(valencies.values()), loops
     )
-    return inv if len(polygon_components(config)) == 1 else replace(inv, connected=False)
+    roots = sum(1 for i, p in enumerate(parent) if i == p)
+    return inv if roots == 1 else replace(inv, connected=False)
 
 
 def invariants_from_histogram(

@@ -2,9 +2,10 @@
 
 A Vigenere ciphertext split into its decimated lists becomes a
 configuration whose polygons are the lists and whose vertices are the
-characters; ``brauer_ioc`` reads the text's coincidence index back from
-that configuration's invariants.  A block partition of a text is the
-configuration ``config_from_words(split_blocks(text, sizes))``.
+characters; ``decimate`` checks that a key length m meets 2m <= N, so that
+every list is a polygon.  ``brauer_ioc`` reads the text's coincidence index
+back from that configuration's invariants.  A block partition of a text is
+the configuration ``config_from_words(split_blocks(text, sizes))``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ def vigenere_to_config(cipher: str, m: int) -> BrauerConfiguration:
     """Configuration of a ciphertext under an assumed key length: one
     polygon per decimated list, in list order.  ``cipher`` is already
     normalized (``Alphabet.normalize``); every caller folds its text once."""
-    # every list holds 2 characters exactly when the text has 2m: check first
-    if len(cipher) < 2 * m:
-        raise CipherError(f"key length {m} leaves lists shorter than 2 characters")
     return config_from_words([tuple(part) for part in decimate(cipher, m)])
 
 

@@ -70,15 +70,29 @@ def _error(code: str, message: str) -> None:
     print(f"brauer-kit: {marker}[{code}]: {message}", file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """``text`` to the file at ``out``, or to stdout for None.  Files are
-    opened with ``open``, not ``Path``, whose ``Path("")`` is ``.``: an
-    error names the path as given, the empty one too."""
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as f:
-            f.write(text)
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Each ``(text, path)`` to the file at ``path``, or to stdout for None.
+    Every file is opened to append (no byte changes) before any is written,
+    and a failed open removes the files this call created.  ``open`` names a
+    path as given, the empty one too, where ``Path("")`` would be ``.``."""
+    created: list[str] = []
+    try:
+        for _, path in outputs:
+            if path is not None:
+                new = not os.path.lexists(path)
+                open(path, "a").close()
+                if new:
+                    created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    for text, path in outputs:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w") as f:
+                f.write(text)
 
 
 def _read(path: str | None) -> str:
@@ -168,7 +182,7 @@ def _cmd_attack(args) -> int:
             "loops": inv.loops,
         },
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit((json.dumps(report, indent=2) + "\n", args.out))
     return 0
 
 
@@ -207,7 +221,7 @@ def _cmd_analyze(args) -> int:
         for warning in score.warnings:
             print(f"brauer-kit: warning: {warning}", file=sys.stderr)
         config = score_to_config(score)
-    _emit(_invariants_payload(invariants(config)), args.out)
+    _emit((_invariants_payload(invariants(config)), args.out))
     return 0
 
 
@@ -297,9 +311,8 @@ def _cmd_graph(args) -> int:
         connect_equal_y=args.connect_equal_y,
         extra_edges=extra,
     )
-    if args.svg is not None:
-        _emit(emit_svg(diagram), args.svg)
-    _emit(emit_json(diagram), args.json_out)
+    svg = [(emit_svg(diagram), args.svg)] if args.svg is not None else []
+    _emit(*svg, (emit_json(diagram), args.json_out))
     return 0
 
 

@@ -52,9 +52,12 @@ def _overlap(f1: list[int], f2: list[int], shift: int) -> int:
 
 
 def decimate(text: str, m: int) -> list[str]:
-    """Split ``text`` into m lists; list i takes positions i, i+m, i+2m, ..."""
+    """Split ``text`` into m lists; list i takes positions i, i+m, i+2m, ...
+    Each list must hold 2 characters, so the text needs 2m: checked first."""
     if m < 1:
         raise CipherError("list count must be >= 1")
+    if len(text) < 2 * m:
+        raise CipherError(f"splitting into {m} lists leaves a list shorter than 2")
     return [text[i::m] for i in range(m)]
 
 
@@ -136,9 +139,6 @@ def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
     fit of their decryptions against English frequencies, taken from the
     per-list letter counts rotated by each key residue.
     """
-    # every list holds 2 characters exactly when the text has 2m: check first
-    if len(cipher) < 2 * m:
-        raise CipherError(f"splitting into {m} lists leaves a list shorter than 2")
     n = len(LETTERS)
     counts = [letter_counts(part) for part in decimate(cipher, m)]
     # max keeps the first of equal overlaps, so ties go to the smaller shift

@@ -55,9 +55,6 @@ EXPONENTS = (64, 32, 16, 8, 4, 2, 1)
 CLEFS = ("treble", "bass", "alto")
 
 MAX_EVENTS = 10**6  # events a score may hold once its repeat groups are expanded
-# A measure sum stops growing here: Python prints no int this long by default,
-# and only far more than MAX_EVENTS events can reach it.
-_SUM_CAP = 10**4300
 
 # One note or rest class: accidental and pitch letter (or r), exponent, dot.
 CLASS_TOKEN = r"(?:[-+=]?([a-g])|r)(64|32|16|8|4|2|1)(\.?)"
@@ -182,7 +179,6 @@ def parse_score(text: str, strict: bool = True) -> Score:
     current: list = []
     current_pos: tuple | None = None
     current_sum = 0
-    too_many: ScoreParseError | None = None  # the first repeat past MAX_EVENTS
     open_groups: list[_Group] = []
     seen_content = False
     weights: dict = {}  # token -> effective exponent, computed once per class
@@ -242,17 +238,14 @@ def parse_score(text: str, strict: bool = True) -> Score:
                 raise ScoreParseError("repeat count is too large", line, col) from None
             if repeats < 1:
                 raise ScoreParseError("repeat count must be >= 1", line, col)
-            current_sum = min(
-                current_sum + (current_sum - match.start_sum) * (repeats - 1), _SUM_CAP
-            )
-            # A repeat past the limit builds no copy; its error waits for the
-            # end, so an error at a later token or a strict sum comes first.
+            # fail before any copy is built; a measure sum stays <= 96 * MAX_EVENTS
             body = current[match.start:]
             if measured + len(current) + len(body) * (repeats - 1) > MAX_EVENTS:
-                too_many = too_many or ScoreParseError(
+                raise ScoreParseError(
                     f"repeat group expands the score past {MAX_EVENTS} events", line, col
                 )
-            elif body:
+            current_sum += (current_sum - match.start_sum) * (repeats - 1)
+            if body:  # an empty list times a count past sys.maxsize overflows
                 current.extend(body * (repeats - 1))
 
     if open_groups:
@@ -268,21 +261,13 @@ def parse_score(text: str, strict: bool = True) -> Score:
         target = measure_target(time)
         for i, (_, pos, total) in enumerate(measures):
             if total != target:
-                if total >= _SUM_CAP:  # a repeat past MAX_EVENTS has set too_many
-                    raise too_many
-                try:
-                    message = (
-                        f"measure {i + 1} sums to {total}, expected {target} "
-                        f"for {time[0]}/{time[1]}"
-                    )
-                except ValueError:
-                    # so has a sum past a digit limit set below the default
-                    raise too_many from None
+                message = (
+                    f"measure {i + 1} sums to {total}, expected {target} "
+                    f"for {time[0]}/{time[1]}"
+                )
                 if strict:
                     raise ScoreParseError(message, *pos)
                 warnings.append(message)
-    if too_many is not None:
-        raise too_many
 
     return Score(
         measures=tuple(tokens for tokens, _, _ in measures),

@@ -6,14 +6,12 @@ from hypothesis import given, strategies as st
 
 from brauer_kit.brauer import (
     ConfigError,
-    Polygon,
     UnknownVertexError,
     build_quiver,
     config_from_words,
     invariants,
     invariants_from_histogram,
     parse_config,
-    polygon_components,
     successor_sequence,
     valency,
 )
@@ -76,8 +74,10 @@ def random_config(rng, max_polygons=6, alphabet="abcdefgh"):
 # ---------------------------------------------------------------------------
 
 def test_polygon_rejects_short_word():
-    with pytest.raises(ConfigError):
-        Polygon(0, ("a",))
+    with pytest.raises(ConfigError, match=r"^polygon 1: word length 1 < 2$"):
+        config_from_words([["a", "b"], ["a"]])
+    with pytest.raises(ConfigError, match=r"^polygon 0: empty vertex label$"):
+        config_from_words([["a", ""]])
 
 
 def test_polygon_label_must_be_permutation():
@@ -215,15 +215,64 @@ def test_dim_center_single_polygon():
     assert invariants(config_from_words([["a", "b"]])).dim_center == 4
 
 
+def quiver_components(cfg) -> int:
+    """Components of the quiver's underlying graph, by a search over its
+    arrows.  Every polygon holding a vertex lies on that vertex's circular
+    order, so these are the components of the polygon-vertex incidence
+    graph."""
+    adjacent = {i: set() for i in range(len(cfg.polygons))}
+    for arrow in build_quiver(cfg).arrows:
+        adjacent[arrow.source].add(arrow.target)
+        adjacent[arrow.target].add(arrow.source)
+    unseen = set(adjacent)
+    count = 0
+    while unseen:
+        count += 1
+        stack = [unseen.pop()]
+        while stack:
+            reached = adjacent[stack.pop()] & unseen
+            unseen -= reached
+            stack.extend(reached)
+    return count
+
+
 def test_is_connected():
-    assert len(polygon_components(vigenere_config())) == 1
-    assert len(polygon_components(config_from_words([["a", "b"]]))) == 1
-    assert len(polygon_components(config_from_words([["a", "b"], ["c", "d"]]))) == 2
+    for words, components in (
+        (VIGENERE_WORDS, 1),
+        ([["a", "b"]], 1),
+        ([["a", "b"], ["c", "d"]], 2),
+        ([["a", "b"], ["c", "d"], ["b", "e"]], 2),
+    ):
+        cfg = config_from_words(words)
+        assert quiver_components(cfg) == components
+        assert invariants(cfg).connected == (components == 1)
 
 
-def test_polygon_components_grouping():
-    cfg = config_from_words([["a", "b"], ["c", "d"], ["b", "e"]])
-    assert polygon_components(cfg) == [[0, 2], [1]]
+def test_connected_through_a_later_polygon():
+    # [a b] and [c d] join only through [b c], after both have been counted
+    for words in (
+        [["a", "b"], ["c", "d"], ["b", "c"]],
+        [["a", "b"], ["c", "d"], ["e", "f"], ["d", "e"], ["f", "a"]],
+        [["a", "b"], ["c", "d"], ["e", "f"], ["b", "e"], ["c", "a"]],
+    ):
+        cfg = config_from_words(words)
+        assert quiver_components(cfg) == 1
+        assert invariants(cfg).connected
+    cfg = config_from_words([["a", "b"], ["c", "d"], ["e", "f"], ["b", "c"]])
+    assert quiver_components(cfg) == 2
+    assert not invariants(cfg).connected
+
+
+@given(st.lists(
+    st.lists(st.sampled_from("abcdefghijkl"), min_size=2, max_size=3),
+    min_size=1,
+    max_size=8,
+))
+def test_connected_matches_quiver_search(words):
+    # short words over a wide alphabet: often disconnected, often joined
+    # only through a later polygon
+    cfg = config_from_words(words)
+    assert invariants(cfg).connected == (quiver_components(cfg) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +305,7 @@ def test_invariants_match_dedicated_operations(words):
         1 + len(words) - len(val) + sum(mu.values()) + loops - singletons
     )
     assert inv.loops == loops
-    assert inv.connected == (len(polygon_components(cfg)) == 1)
+    assert inv.connected == (quiver_components(cfg) == 1)
     assert (inv.polygon_count, inv.vertex_count) == (len(words), len(val))
     assert inv.valency_histogram == Counter(val.values())
 
@@ -301,7 +350,7 @@ def test_invariants_from_histogram_matches_full_computation():
     rng = random.Random(7)
     for _ in range(50):
         cfg = random_config(rng)
-        if len(polygon_components(cfg)) != 1:
+        if quiver_components(cfg) != 1:
             continue
         inv = invariants(cfg)
         summary = invariants_from_histogram(
@@ -384,7 +433,7 @@ def test_dim_invariant_under_word_shuffle(words, rng):
     cfg2 = config_from_words(shuffled)
     assert invariants(cfg).dim_lambda == invariants(cfg2).dim_lambda
     assert build_quiver(cfg).loop_count == build_quiver(cfg2).loop_count
-    if len(polygon_components(cfg)) == 1:
+    if quiver_components(cfg) == 1:
         assert invariants(cfg).dim_center == invariants(cfg2).dim_center
 
 
@@ -409,7 +458,7 @@ def test_center_equals_one_plus_polygons_plus_loops(words):
     # Consequence of the fixed multiplicity rule: the mu-sum cancels the
     # vertex count against the valency-1 census.
     cfg = config_from_words(words)
-    if len(polygon_components(cfg)) != 1:
+    if quiver_components(cfg) != 1:
         return
     assert invariants(cfg).dim_center == 1 + len(cfg.polygons) + build_quiver(cfg).loop_count
 

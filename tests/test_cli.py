@@ -455,6 +455,30 @@ def test_empty_path_is_io_error(capsys, monkeypatch, argv):
     assert err == "brauer-kit: error[E_IO]: [Errno 2] No such file or directory: ''\n"
 
 
+def test_graph_failed_output_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # every output is opened before any is written, whichever one fails
+    monkeypatch.chdir(tmp_path)
+    slym = str(FIXTURES / "slym.bsc")
+    for svg, json_out in (("ok.svg", "nodir/x.json"), ("nodir/x.svg", "ok.json")):
+        code, out, err = run(capsys, "graph", slym, "--svg", svg, "--json", json_out)
+        assert (code, out) == (2, "")
+        assert err.startswith("brauer-kit: error[E_IO]: [Errno 2] No such file or directory: ")
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--ciphertext", "ABCDEFGHIJKLMNOPQRST", "--max-keylen", "2", "--keylen", "11"],
+    ["analyze", "--ciphertext", "ABCDEFGHIJKLMNOPQRST", "--keylen", "11"],
+])
+def test_keylen_past_half_the_text_has_one_message(capsys, argv):
+    # decimate is the one home of the 2m <= N rule
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "brauer-kit: error[E_CIPHER]: splitting into 11 lists leaves a list shorter than 2\n"
+    )
+
+
 class _Terminal(io.StringIO):
     def isatty(self):
         return True

@@ -113,6 +113,9 @@ def test_mutual_index_swap_symmetry(t1, t2, s):
 
 def test_decimate_round_robin():
     assert decimate("ABCDEFG", 3) == ["ADG", "BE", "CF"]
+    assert decimate("ABCD", 2) == ["AC", "BD"]
+    with pytest.raises(CipherError, match="splitting into 2 lists leaves a list shorter than 2"):
+        decimate("ABC", 2)
 
 
 def test_keylength_found_on_generated_ciphertext():

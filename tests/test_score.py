@@ -191,8 +191,8 @@ def test_parse_bad_time_signature():
 
 
 def test_parse_repeat_over_target_builds_no_copies():
-    # strict parsing under a time signature rejects the measure from the
-    # arithmetic sum; the three million copies are never built
+    # the repeat limit fails at its }xN token, before the measure sum is
+    # checked; the three million copies are never built
     tracemalloc.start()
     try:
         with pytest.raises(ScoreParseError) as err:
@@ -200,16 +200,24 @@ def test_parse_repeat_over_target_builds_no_copies():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value) == "line 1, column 13: measure 1 sums to 192000000, expected 64 for 4/4"
+    assert str(err.value) == (
+        f"line 1, column 16: repeat group expands the score past {MAX_EVENTS} events"
+    )
     assert peak < 1_000_000
 
 
 def test_parse_repeat_over_target_keeps_error_order():
-    # a later token error and an earlier measure's error still come first
-    with pytest.raises(ScoreParseError, match="unknown token 'h4'"):
+    # the limit error comes where it is met: after an earlier token error,
+    # before a later token error and before any measure-sum error
+    with pytest.raises(ScoreParseError, match="line 1, column 12: unknown token 'h4'"):
+        parse_score("time=4/4 | h4 | {c64}x3000000")
+    limit = f"line 1, column 16: repeat group expands the score past {MAX_EVENTS} events"
+    with pytest.raises(ScoreParseError) as err:
         parse_score("time=4/4 | {c64}x3000000 | h4")
-    with pytest.raises(ScoreParseError, match="measure 1 sums to 16"):
+    assert str(err.value) == limit
+    with pytest.raises(ScoreParseError) as err:
         parse_score("time=4/4 | c16 | {c64}x3000000")
+    assert str(err.value) == limit.replace("column 16", "column 22")
     # the sum of a repeat around an unexpanded repeat is still exact
     with pytest.raises(ScoreParseError, match="measure 1 sums to 432, "):
         parse_score("time=4/4 | {c16 {c64}x3}x2 c16")
@@ -236,13 +244,15 @@ def test_parse_repeat_limit():
     assert str(err.value) == (
         f"line 2, column 6: repeat group expands the score past {MAX_EVENTS} events"
     )
-    # a later token error and a strict measure sum still come first
-    with pytest.raises(ScoreParseError, match="unknown token 'h4'"):
+    # it comes before a later token error and a strict measure sum
+    with pytest.raises(ScoreParseError, match="line 1, column 6: repeat group expands"):
         parse_score("| {c4}x9999999 | h4")
-    with pytest.raises(ScoreParseError, match="measure 1 sums to 39999996, "):
+    with pytest.raises(ScoreParseError, match="line 1, column 15: repeat group expands"):
         parse_score("time=4/4 | {c4}x9999999")
-    # an empty body has nothing to copy, however large its count
+    # an empty body has nothing to copy, however large its count, also one
+    # past sys.maxsize, which no list can be multiplied by
     assert parse_score("| c4 { }x999999999 c4").measures == (("c4", "c4"),)
+    assert parse_score("| c4 { }x" + "9" * 40 + " c4").measures == (("c4", "c4"),)
 
 
 # ---------------------------------------------------------------------------
