@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 from .brauer import (
@@ -37,8 +38,8 @@ from .cipher import (
     vigenere_encrypt,
 )
 from .coincidence import friedman_keylength, friedman_recover_key, index_of_coincidence
-from .diagram import DiagramError, diagram_for_score, emit_json, emit_svg, parse_edges
-from .score import ScoreError, ScoreParseError, parse_score, score_to_config
+from .diagram import ORIENTATIONS, DiagramError, diagram_for_score, emit_json, emit_svg, parse_edges
+from .score import CLEFS, ScoreError, ScoreParseError, parse_score, score_to_config
 
 SCHEMA = "1"
 
@@ -70,29 +71,34 @@ def _error(code: str, message: str) -> None:
     print(f"brauer-kit: {marker}[{code}]: {message}", file=sys.stderr)
 
 
-def _emit(*outputs: tuple[str, str | None]) -> None:
-    """Each ``(text, path)`` to the file at ``path``, or to stdout for None.
-    Every file is opened to append (no byte changes) before any is written,
-    and a failed open removes the files this call created.  ``open`` names a
-    path as given, the empty one too, where ``Path("")`` would be ``.``."""
+@contextmanager
+def _outputs(*paths: str | None):
+    """Open each output path (None is stdout) to append, which changes no
+    byte, before the work in the ``with`` body; any error there, or a failed
+    open, removes the files this run created.  ``open`` names a path as
+    given, the empty one too, where ``Path("")`` would be ``.``."""
     created: list[str] = []
     try:
-        for _, path in outputs:
+        for path in paths:
             if path is not None:
                 new = not os.path.lexists(path)
                 open(path, "a").close()
                 if new:
                     created.append(path)
-    except OSError:
+        yield
+    except BaseException:
         for path in created:
             os.remove(path)
         raise
-    for text, path in outputs:
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w") as f:
-                f.write(text)
+
+
+def _write(text: str, path: str | None) -> None:
+    """``text`` to the file at ``path``, or to stdout for None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as f:
+            f.write(text)
 
 
 def _read(path: str | None) -> str:
@@ -108,6 +114,15 @@ def _read(path: str | None) -> str:
         return sys.stdin.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{'<stdin>' if path is None else path}: {exc}") from None
+
+
+def _read_score(path: str, lax: bool):
+    """The score in the file at ``path``; each lax-mode warning goes to
+    stderr."""
+    score = parse_score(_read(path), strict=not lax)
+    for warning in score.warnings:
+        print(f"brauer-kit: warning: {warning}", file=sys.stderr)
+    return score
 
 
 def _round(value) -> float:
@@ -151,38 +166,39 @@ def _cmd_attack(args) -> int:
         raise CipherError("--top must be >= 1")
     text = args.ciphertext if args.ciphertext is not None else _read(args.infile)
     cipher = DEFAULT_ALPHABET.normalize(text, strip=args.strip)
-    candidates = friedman_keylength(cipher, args.max_keylen)
-    m = candidates[0].m if args.keylen is None else args.keylen
-    recovery = friedman_recover_key(cipher, m)
-    inv = invariants(vigenere_to_config(cipher, m))
-    report = {
-        "schema": SCHEMA,
-        "length": len(cipher),
-        "ioc": _round(index_of_coincidence(cipher)),
-        "brauerIoc": _round(brauer_ioc(inv)),
-        "keylengthCandidates": [
-            {
-                "m": c.m,
-                "perListIoC": [_round(i) for i in c.per_list_ioc],
-                "score": _round(c.score),
-                "flagged": c.flagged,
-                "related": list(c.related),
-            }
-            for c in candidates
-        ],
-        "recoveredKeylen": m,
-        "keyCandidates": [
-            {"key": c.key, "chi2": _round(c.chi2)}
-            for c in recovery.candidates[: args.top]
-        ],
-        "residuals": [list(r) for r in recovery.residuals],
-        "brauer": {
-            "dimLambda": inv.dim_lambda,
-            "dimCenter": inv.dim_center,
-            "loops": inv.loops,
-        },
-    }
-    _emit((json.dumps(report, indent=2) + "\n", args.out))
+    with _outputs(args.out):
+        candidates = friedman_keylength(cipher, args.max_keylen)
+        m = candidates[0].m if args.keylen is None else args.keylen
+        recovery = friedman_recover_key(cipher, m)
+        inv = invariants(vigenere_to_config(cipher, m))
+        report = {
+            "schema": SCHEMA,
+            "length": len(cipher),
+            "ioc": _round(index_of_coincidence(cipher)),
+            "brauerIoc": _round(brauer_ioc(inv)),
+            "keylengthCandidates": [
+                {
+                    "m": c.m,
+                    "perListIoC": [_round(i) for i in c.per_list_ioc],
+                    "score": _round(c.score),
+                    "flagged": c.flagged,
+                    "related": list(c.related),
+                }
+                for c in candidates
+            ],
+            "recoveredKeylen": m,
+            "keyCandidates": [
+                {"key": c.key, "chi2": _round(c.chi2)}
+                for c in recovery.candidates[: args.top]
+            ],
+            "residuals": [list(r) for r in recovery.residuals],
+            "brauer": {
+                "dimLambda": inv.dim_lambda,
+                "dimCenter": inv.dim_center,
+                "loops": inv.loops,
+            },
+        }
+        _write(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
 
@@ -217,11 +233,9 @@ def _cmd_analyze(args) -> int:
     elif args.config is not None:
         config = parse_config(_read(args.config))
     else:
-        score = parse_score(_read(args.score), strict=not args.lax)
-        for warning in score.warnings:
-            print(f"brauer-kit: warning: {warning}", file=sys.stderr)
-        config = score_to_config(score)
-    _emit((_invariants_payload(invariants(config)), args.out))
+        config = score_to_config(_read_score(args.score, args.lax))
+    with _outputs(args.out):
+        _write(_invariants_payload(invariants(config)), args.out)
     return 0
 
 
@@ -302,17 +316,19 @@ def _cmd_score_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_graph(args) -> int:
-    score = parse_score(_read(args.score), strict=not args.lax)
+    score = _read_score(args.score, args.lax)
     extra = parse_edges(_read(args.edges)) if args.edges is not None else ()
-    diagram = diagram_for_score(
-        score,
-        clef=args.clef,
-        orientation=args.orientation,
-        connect_equal_y=args.connect_equal_y,
-        extra_edges=extra,
-    )
-    svg = [(emit_svg(diagram), args.svg)] if args.svg is not None else []
-    _emit(*svg, (emit_json(diagram), args.json_out))
+    with _outputs(args.svg, args.json_out):
+        diagram = diagram_for_score(
+            score,
+            clef=args.clef,
+            orientation=args.orientation,
+            connect_equal_y=args.connect_equal_y,
+            extra_edges=extra,
+        )
+        if args.svg is not None:
+            _write(emit_svg(diagram), args.svg)
+        _write(emit_json(diagram), args.json_out)
     return 0
 
 
@@ -368,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="note-point diagram (JSON, optionally SVG)")
     p.add_argument("score")
-    p.add_argument("--clef", choices=("treble", "bass", "alto"), default=None,
+    p.add_argument("--clef", choices=tuple(CLEFS), default=None,
                    help="override the score header clef")
-    p.add_argument("--orientation", choices=("standard", "reversed"), default="standard")
+    p.add_argument("--orientation", choices=ORIENTATIONS, default="standard")
     p.add_argument("--edges", help="sidecar file of extra edge pairs, one 'i j' per line")
     p.add_argument("--connect-equal-y", action="store_true")
     p.add_argument("--svg", help="write an SVG rendering here")

@@ -52,7 +52,8 @@ class ScoreParseError(ScoreError):
 PITCHES = "abcdefg"
 EXPONENTS = (64, 32, 16, 8, 4, 2, 1)
 
-CLEFS = ("treble", "bass", "alto")
+# Each clef and the letter its diagram offsets count from.
+CLEFS = {"treble": "e", "bass": "d", "alto": "a"}
 
 MAX_EVENTS = 10**6  # events a score may hold once its repeat groups are expanded
 

@@ -27,7 +27,7 @@ from brauer_kit.cipher import (
     vigenere_encrypt,
 )
 from brauer_kit.coincidence import IOC_TARGET, friedman_keylength, friedman_recover_key
-from brauer_kit.diagram import assign_points, classify_notes
+from brauer_kit.diagram import diagram_for_score
 from brauer_kit.score import parse_score, score_to_config
 
 from textgen import sample_english
@@ -103,7 +103,8 @@ def test_criterion_4_six_voice_canon():
         ("g32", 3), ("f16", 2), ("e32", 1), ("f32", 2),
         ("a16", 4), ("g16", 3),
     ]
-    diagram = assign_points(classify_notes(score), "bass")
+    assert score.clef == "bass"
+    diagram = diagram_for_score(score)
     pitched = [(p.label, p.y) for p in diagram.points if p.y is not None]
     assert pitched == published
     report(4, "dim 109, center 22, 12 loops, all 14 point pairs")

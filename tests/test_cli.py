@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from brauer_kit import cipher
+from brauer_kit import cipher, cli
 from brauer_kit.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = SRC / "brauer_kit" / "fixtures"
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def run(capsys, *argv):
@@ -464,6 +465,91 @@ def test_graph_failed_output_leaves_no_file(capsys, tmp_path, monkeypatch):
         assert (code, out) == (2, "")
         assert err.startswith("brauer-kit: error[E_IO]: [Errno 2] No such file or directory: ")
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, computation", [
+    (["attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--max-keylen", "4"],
+     "friedman_keylength"),
+    (["analyze", "--config", "k.cfg"], "invariants"),
+    (["graph", str(FIXTURES / "slym.bsc"), "--svg", "ok.svg"], "diagram_for_score"),
+], ids=["attack", "analyze", "graph"])
+def test_outputs_are_opened_before_the_computation(capsys, tmp_path, monkeypatch,
+                                                    argv, computation):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.cfg").write_text("a b\nb c\n")
+    calls = []
+    monkeypatch.setattr(cli, computation, lambda *args, **kwargs: calls.append(args))
+    out_flag = "--json" if argv[0] == "graph" else "--out"
+    code, out, err = run(capsys, *argv, out_flag, "nodir/x.json")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "brauer-kit: error[E_IO]: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.cfg"]
+
+
+def test_failed_computation_removes_the_output_it_created(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "attack", "--ciphertext", "ABC", "--max-keylen", "5", "--out", "new.json"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("brauer-kit: error[E_CIPHER]: ciphertext of length 3")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_keeps_an_existing_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.json").write_bytes(b"kept\n")
+    (tmp_path / "old.svg").write_bytes(b"kept too\n")
+    (tmp_path / "bad.txt").write_text("0 99\n")
+    code, _, err = run(
+        capsys, "attack", "--ciphertext", "ABC", "--max-keylen", "5", "--out", "old.json"
+    )
+    assert code == 2 and "E_CIPHER" in err
+    code, _, err = run(
+        capsys, "graph", str(FIXTURES / "canon_a6.bsc"), "--svg", "old.svg",
+        "--json", "new.json", "--edges", "bad.txt",
+    )
+    assert code == 2 and "E_DIAGRAM" in err
+    assert (tmp_path / "old.json").read_bytes() == b"kept\n"
+    assert (tmp_path / "old.svg").read_bytes() == b"kept too\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "old.json", "old.svg"]
+
+
+def test_output_error_comes_before_a_failing_computation(capsys):
+    code, out, err = run(
+        capsys, "attack", "--ciphertext", "ABC", "--max-keylen", "5", "--out", "nodir/x.json"
+    )
+    assert (code, out) == (2, "")
+    assert err == "brauer-kit: error[E_IO]: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+
+
+def test_graph_lax_warns_on_stderr(capsys):
+    code, out, err = run(capsys, "graph", str(FIXTURES / "canon_crab.bsc"), "--lax")
+    assert code == 0
+    assert out == (GOLDENS / "canon_crab.graph.json").read_text()
+    assert err.startswith("brauer-kit: warning: measure 18")
+    assert all(line.startswith("brauer-kit: warning: ") for line in err.splitlines())
+
+
+GRAPH_GOLDENS = [
+    ("slym", []),
+    ("canon_a6", []),
+    ("canon_crab", ["--lax"]),
+    ("canon_qi", ["--lax"]),
+    ("canon_a6.reversed", ["--orientation", "reversed", "--connect-equal-y",
+                           "--edges", str(GOLDENS / "canon_a6.edges")]),
+]
+
+
+@pytest.mark.parametrize("stem, flags", GRAPH_GOLDENS, ids=[s for s, _ in GRAPH_GOLDENS])
+def test_graph_output_matches_its_golden(capsys, tmp_path, stem, flags):
+    score = FIXTURES / f"{stem.split('.')[0]}.bsc"
+    svg, diagram = tmp_path / "d.svg", tmp_path / "d.json"
+    code, out, _ = run(capsys, "graph", str(score), *flags, "--svg", str(svg),
+                       "--json", str(diagram))
+    assert (code, out) == (0, "")
+    assert diagram.read_bytes() == (GOLDENS / f"{stem}.graph.json").read_bytes()
+    assert svg.read_bytes() == (GOLDENS / f"{stem}.svg").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

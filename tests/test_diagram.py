@@ -3,22 +3,18 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brauer_kit.diagram import (
-    CLEF_REFERENCE,
+    ORIENTATIONS,
     DiagramError,
-    PointDiagram,
-    ClassPoint,
-    assign_points,
-    build_polyline,
-    classify_notes,
     diagram_for_score,
     emit_json,
     emit_svg,
     letter_offset,
     parse_edges,
 )
-from brauer_kit.score import Score, ScoreError, parse_score
+from brauer_kit.score import CLEFS, Score, ScoreError, parse_score
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "brauer_kit" / "fixtures"
 
@@ -35,40 +31,44 @@ A6_PITCHED_POINTS = [
 ]
 
 
+def labels(diagram):
+    return [p.label for p in diagram.points]
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
 
 def test_classify_a6_pitched_classes():
-    classes = classify_notes(A6)
-    assert sum(1 for c in classes if not c.startswith("r")) == 14
-    assert len(classes) == 16  # plus the quarter and eighth rests
+    points = diagram_for_score(A6).points
+    assert sum(1 for p in points if p.y is not None) == 14
+    assert len(points) == 16  # plus the quarter and eighth rests
 
 
 def test_classify_single_note_score():
-    assert classify_notes(parse_score("| c16 c16")) == ["c16"]
+    assert labels(diagram_for_score(parse_score("| c16 c16"))) == ["c16"]
 
 
 def test_classify_crab_includes_rests():
-    classes = classify_notes(CRAB)
-    assert any(c.startswith("r") for c in classes)
-    assert len(classes) == 28
+    points = diagram_for_score(CRAB).points
+    assert any(p.label.startswith("r") for p in points)
+    assert len(points) == 28
 
 
 def test_classify_strips_groups():
-    classes = classify_notes(parse_score("| [ b8 f8 ] ( b8 e8 )"))
-    assert classes == ["b8", "f8", "e8"]
+    diagram = diagram_for_score(parse_score("| [ b8 f8 ] ( b8 e8 )"))
+    assert labels(diagram) == ["b8", "f8", "e8"]
 
 
 def test_classify_rejects_empty_score():
     hollow = Score(measures=((),))
-    with pytest.raises(DiagramError):
-        classify_notes(hollow)
+    with pytest.raises(DiagramError, match="score has no events"):
+        diagram_for_score(hollow, clef="tenor", orientation="sideways")
 
 
 def test_classify_rejects_foreign_token_before_clef():
-    # a hand-built score skips the parser; its foreign token fails in
-    # classification, before the unknown clef is seen
+    # a hand-built score skips the parser; its foreign token fails before
+    # the unknown clef is seen
     hand_built = Score(measures=(("c16", "h8"),))
     with pytest.raises(ScoreError, match="foreign vertex label 'h8'"):
         diagram_for_score(hand_built, clef="tenor")
@@ -76,7 +76,7 @@ def test_classify_rejects_foreign_token_before_clef():
 
 def test_classify_rejects_token_with_trailing_newline():
     with pytest.raises(ScoreError, match=r"foreign vertex label 'b8\\n'"):
-        classify_notes(Score(measures=(("b8\n", "c4"),)))
+        diagram_for_score(Score(measures=(("b8\n", "c4"),)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +89,24 @@ def test_letter_offsets_from_bass_reference():
 
 
 def test_a6_points_match_published_list():
-    diagram = assign_points(classify_notes(A6), "bass")
+    diagram = diagram_for_score(A6, clef="bass")
     pitched = [(p.label, p.y) for p in diagram.points if p.y is not None]
     assert pitched == A6_PITCHED_POINTS
 
 
 def test_x_is_first_occurrence_ordinal_without_gaps():
-    diagram = assign_points(classify_notes(A6), "bass")
-    assert [p.x for p in diagram.points] == list(range(16))
+    data = json.loads(emit_json(diagram_for_score(A6)))
+    assert [p["x"] for p in data["points"]] == list(range(16))
 
 
 def test_reference_note_gets_zero():
-    diagram = assign_points(classify_notes(parse_score("clef=treble | e16 e16")), "treble")
+    diagram = diagram_for_score(parse_score("clef=treble | e16 e16"))
     assert diagram.points[0].y == 0
 
 
 def test_reversed_orientation_negates():
-    classes = classify_notes(A6)
-    std = assign_points(classes, "bass", "standard")
-    rev = assign_points(classes, "bass", "reversed")
+    std = diagram_for_score(A6, orientation="standard")
+    rev = diagram_for_score(A6, orientation="reversed")
     for a, b in zip(std.points, rev.points):
         if a.y is None:
             assert b.y is None
@@ -116,9 +115,11 @@ def test_reversed_orientation_negates():
 
 
 def test_clef_references():
-    assert CLEF_REFERENCE == {"treble": "e", "bass": "d", "alto": "a"}
-    with pytest.raises(DiagramError):
-        assign_points(classify_notes(A6), "tenor")
+    assert CLEFS == {"treble": "e", "bass": "d", "alto": "a"}
+    with pytest.raises(DiagramError, match="unknown clef 'tenor'"):
+        diagram_for_score(A6, clef="tenor", orientation="sideways")
+    with pytest.raises(DiagramError, match="unknown orientation 'sideways'"):
+        diagram_for_score(A6, orientation="sideways", extra_edges=[(0, 99)])
 
 
 def test_offset_translation_is_congruent_mod_seven():
@@ -131,7 +132,7 @@ def test_offset_translation_is_congruent_mod_seven():
 
 
 def test_rests_carry_no_y():
-    diagram = assign_points(classify_notes(A6), "bass")
+    diagram = diagram_for_score(A6)
     rests = [p for p in diagram.points if p.label.startswith("r")]
     assert rests and all(p.y is None for p in rests)
 
@@ -141,14 +142,13 @@ def test_rests_carry_no_y():
 # ---------------------------------------------------------------------------
 
 def test_two_points_one_edge():
-    diagram = PointDiagram((ClassPoint("a16", 0, 0), ClassPoint("b16", 1, 1)))
-    assert build_polyline(diagram).edges == ((0, 1),)
+    assert diagram_for_score(parse_score("| a16 b16")).edges == ((0, 1),)
 
 
 def test_equal_y_pair_skipped_without_flag():
-    diagram = PointDiagram((ClassPoint("a16", 0, 2), ClassPoint("a8", 1, 2)))
-    assert build_polyline(diagram).edges == ()
-    assert build_polyline(diagram, connect_equal_y=True).edges == ((0, 1),)
+    score = parse_score("| a16 a8")
+    assert diagram_for_score(score).edges == ()
+    assert diagram_for_score(score, connect_equal_y=True).edges == ((0, 1),)
 
 
 def test_a6_polyline_skips_the_equal_y_pair():
@@ -162,21 +162,22 @@ def test_a6_polyline_skips_the_equal_y_pair():
 
 def test_edges_skip_rest_points():
     diagram = diagram_for_score(A6)
-    rest_indices = {p.x for p in diagram.points if p.y is None}
+    rest_indices = {x for x, p in enumerate(diagram.points) if p.y is None}
     assert all(a not in rest_indices and b not in rest_indices for a, b in diagram.edges)
 
 
 def test_extra_edges_appended():
-    diagram = PointDiagram((ClassPoint("a16", 0, 0), ClassPoint("b16", 1, 1)))
-    out = build_polyline(diagram, extra_edges=[(1, 0)])
+    out = diagram_for_score(parse_score("| a16 b16"), extra_edges=[(1, 0)])
     assert out.edges == ((0, 1),)
     assert out.closures == ((1, 0),)
 
 
 def test_extra_edge_unknown_point_rejected():
-    diagram = PointDiagram((ClassPoint("a16", 0, 0),))
-    with pytest.raises(DiagramError):
-        build_polyline(diagram, extra_edges=[(0, 5)])
+    score = parse_score("| a16 b16")
+    with pytest.raises(DiagramError, match=r"extra edge \(0, 5\) references an unknown point"):
+        diagram_for_score(score, extra_edges=[(0, 5)])
+    with pytest.raises(DiagramError, match=r"extra edge \(-1, 0\) references an unknown point"):
+        diagram_for_score(score, extra_edges=[(-1, 0)])
 
 
 def test_edge_count_bound():
@@ -217,6 +218,7 @@ def test_emit_svg_structure():
     assert 'version="1.1"' in svg
     viewbox = re.search(r'viewBox="0 0 (\d+) (\d+)"', svg)
     assert viewbox  # integer viewbox
+    assert int(viewbox.group(1)) == 2 * 60 + 40 * 15  # margins plus 15 units
     assert svg.count("<circle") == 14
     assert svg.count("<polyline") >= 1
     assert svg.count("<text") == 16  # every class labeled, rests included
@@ -246,13 +248,85 @@ def test_emit_svg_extra_edges_dashed():
 
 
 def test_reversed_twice_is_standard():
-    classes = classify_notes(A6)
-    once = assign_points(classes, "bass", "reversed")
-    flipped = PointDiagram(
-        tuple(
-            ClassPoint(p.label, p.x, None if p.y is None else -p.y)
-            for p in once.points
-        ),
-        orientation="standard",
+    once = diagram_for_score(A6, orientation="reversed")
+    flipped = [(p.label, None if p.y is None else -p.y) for p in once.points]
+    assert flipped == [(p.label, p.y) for p in diagram_for_score(A6).points]
+
+
+# ---------------------------------------------------------------------------
+# The diagram against README's rules
+# ---------------------------------------------------------------------------
+
+CLASS_TOKENS = st.builds(
+    lambda acc, letter, exponent, dot: f"{acc}{letter}{exponent}{dot}",
+    st.sampled_from(["", "-", "+", "="]),
+    st.sampled_from("abcdefgr"),
+    st.sampled_from(["64", "32", "16", "8", "4", "2", "1"]),
+    st.sampled_from(["", "."]),
+).filter(lambda t: not t.endswith("1.") and not (t[0] in "-+=" and t[1] == "r"))
+
+
+def expected_diagram(measures, clef, orientation, connect_equal_y, closures):
+    """README's rules, written out: classes in first-appearance order, x the
+    ordinal, y the letter distance from the clef's letter taken in -2..4
+    (negated when reversed), chain edges between consecutive pitched points
+    whose y differs unless equal joins are asked for, then the closures."""
+    order = []
+    for measure in measures:
+        for token in measure:
+            if token not in order:
+                order.append(token)
+    reference = {"treble": "e", "bass": "d", "alto": "a"}[clef]
+    sign = -1 if orientation == "reversed" else 1
+    points = []
+    for x, label in enumerate(order):
+        letter = label.lstrip("-+=")[0]
+        if letter == "r":
+            y = None
+        else:
+            d = ("abcdefg".index(letter) - "abcdefg".index(reference)) % 7
+            y = sign * (d - 7 if d > 4 else d)
+        points.append({"label": label, "x": x, "y": y})
+    pitched = [p for p in points if p["y"] is not None]
+    edges = [
+        [a["x"], b["x"]] for a, b in zip(pitched, pitched[1:])
+        if connect_equal_y or a["y"] != b["y"]
+    ]
+    return {"schema": "1", "orientation": orientation, "points": points,
+            "edges": edges + [list(pair) for pair in closures]}
+
+
+@st.composite
+def diagram_requests(draw):
+    measures = draw(st.lists(st.lists(CLASS_TOKENS, min_size=1, max_size=8),
+                             min_size=1, max_size=5))
+    score = parse_score("".join("| " + " ".join(m) + "\n" for m in measures))
+    pitched = [
+        x for x, label in enumerate(dict.fromkeys(t for m in measures for t in m))
+        if not label.startswith("r")
+    ]
+    closures = (
+        draw(st.lists(st.tuples(st.sampled_from(pitched), st.sampled_from(pitched)),
+                      max_size=3))
+        if pitched else []
     )
-    assert flipped.points == assign_points(classes, "bass", "standard").points
+    return (measures, score, draw(st.sampled_from(sorted(CLEFS))),
+            draw(st.sampled_from(ORIENTATIONS)), draw(st.booleans()), closures)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagram_requests())
+def test_diagram_follows_the_readme_rules(request):
+    measures, score, clef, orientation, connect_equal_y, closures = request
+    diagram = diagram_for_score(score, clef, orientation, connect_equal_y, closures)
+    expected = expected_diagram(measures, clef, orientation, connect_equal_y, closures)
+    assert json.loads(emit_json(diagram)) == expected
+
+    svg = emit_svg(diagram)
+    points = expected["points"]
+    assert svg.count("<circle") == sum(1 for p in points if p["y"] is not None)
+    assert svg.count('stroke-dasharray="2,6"') == sum(1 for p in points if p["y"] is None)
+    segments = sum(len(chain.split()) - 1
+                   for chain in re.findall(r'<polyline points="([^"]*)"', svg))
+    dashed = svg.count('stroke-dasharray="6,4"')
+    assert segments + dashed == len(expected["edges"])
