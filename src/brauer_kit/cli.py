@@ -37,7 +37,7 @@ from .cipher import (
     vigenere_decrypt,
     vigenere_encrypt,
 )
-from .coincidence import friedman_keylength, friedman_recover_key, index_of_coincidence
+from .coincidence import MAX_KEYLEN, friedman_keylength, friedman_recover_key, list_counts
 from .diagram import ORIENTATIONS, DiagramError, diagram_for_score, emit_json, emit_svg, parse_edges
 from .score import CLEFS, ScoreError, ScoreParseError, parse_score, score_to_config
 
@@ -162,19 +162,23 @@ def _cmd_attack(args) -> int:
         raise CipherError("attack reads --ciphertext or --in, not both")
     if args.keylen is not None and args.keylen < 1:
         raise CipherError("--keylen must be >= 1")
+    for flag, value in (("--max-keylen", args.max_keylen), ("--keylen", args.keylen)):
+        if value is not None and value > MAX_KEYLEN:
+            raise CipherError(f"{flag} must be <= {MAX_KEYLEN}")
     if args.top < 1:
         raise CipherError("--top must be >= 1")
     text = args.ciphertext if args.ciphertext is not None else _read(args.infile)
     cipher = DEFAULT_ALPHABET.normalize(text, strip=args.strip)
     with _outputs(args.out):
         candidates = friedman_keylength(cipher, args.max_keylen)
+        by_m = {c.m: c for c in candidates}
         m = candidates[0].m if args.keylen is None else args.keylen
-        recovery = friedman_recover_key(cipher, m)
+        recovery = friedman_recover_key(by_m[m].counts if m in by_m else list_counts(cipher, m))
         inv = invariants(vigenere_to_config(cipher, m))
         report = {
             "schema": SCHEMA,
             "length": len(cipher),
-            "ioc": _round(index_of_coincidence(cipher)),
+            "ioc": _round(by_m[1].per_list_ioc[0]),  # one list: the whole text
             "brauerIoc": _round(brauer_ioc(inv)),
             "keylengthCandidates": [
                 {

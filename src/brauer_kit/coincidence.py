@@ -5,13 +5,19 @@ rendering reports.  The attack splits a ciphertext into candidate decimated
 lists, scores key lengths by how close the per-list indices come to the
 English target 0.065, recovers shift differences from mutual indices, and
 ranks the anchored keys by a chi-squared fit of the decryption.
+
+Everything after the split reads the lists' letter counts.  Ranking key
+lengths up to M splits the text and counts its letters only for the
+lengths in (M/2, M]; every shorter length has a multiple there, and its
+lists' counts are sums of that multiple's.  Recovery takes one length's
+counts, so the attack counts each split once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .cipher import CipherError, LETTERS, VigenereKey
 
@@ -25,24 +31,42 @@ ENGLISH_FREQUENCIES = dict(zip(LETTERS, (
 IOC_TARGET = Fraction(65, 1000)
 IOC_WINDOW = Fraction(1, 100)
 
+# Ceiling of the attack's --keylen and --max-keylen.  Recovery at m compares
+# m(m-1)/2 list pairs and the ranking up to M reports M(M+1)/2 list indices,
+# so the work grows with the square of either flag; README's Limits gives
+# the cost at the ceiling.
+MAX_KEYLEN = 100
+
 
 def letter_counts(text: str) -> list[int]:
-    """Occurrences of each letter of A-Z in ``text``, in alphabet order."""
-    counts = Counter(text)
-    unknown = set(counts) - set(LETTERS)
-    if unknown:
-        raise CipherError(f"characters {sorted(unknown)} are not in the alphabet")
-    return [counts.get(ch, 0) for ch in LETTERS]
+    """Occurrences of each letter of A-Z in ``text``, in alphabet order.
+    Other characters are not counted; ``list_counts`` rejects them."""
+    return [text.count(ch) for ch in LETTERS]  # 26 scans in C beat one Counter
+
+
+def list_counts(cipher: str, m: int) -> list[list[int]]:
+    """``letter_counts`` of each of the m decimated lists of ``cipher``.
+    The counts of all lists add up to the text's length unless it holds a
+    character outside A-Z, which is an error naming every such character."""
+    counts = [letter_counts(part) for part in decimate(cipher, m)]
+    if sum(map(sum, counts)) != len(cipher):
+        unknown = sorted(set(cipher) - set(LETTERS))
+        raise CipherError(f"characters {unknown} are not in the alphabet")
+    return counts
+
+
+def _ioc(counts: list[int]) -> Fraction:
+    """sum f(f-1) / (N(N-1)) for letter counts summing to N >= 2."""
+    n = sum(counts)
+    return Fraction(sum(f * (f - 1) for f in counts), n * (n - 1))
 
 
 def index_of_coincidence(text: str) -> Fraction:
     """Probability that two random positions of ``text`` hold the same
     character: sum f(f-1) / (N(N-1))."""
-    n = len(text)
-    if n < 2:
+    if len(text) < 2:
         raise CipherError("index of coincidence needs a text of length >= 2")
-    num = sum(f * (f - 1) for f in letter_counts(text))
-    return Fraction(num, n * (n - 1))
+    return _ioc(list_counts(text, 1)[0])
 
 
 def _overlap(f1: list[int], f2: list[int], shift: int) -> int:
@@ -81,6 +105,7 @@ class KeyLengthCandidate:
     score: Fraction  # mean |ioc - target| over the m lists
     flagged: bool    # every list has |ioc - target| <= IOC_WINDOW
     related: tuple[int, ...]  # other flagged lengths in divisor relation
+    counts: tuple[tuple[int, ...], ...]  # letter counts of each list, A to Z
 
 
 def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
@@ -97,16 +122,23 @@ def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
         raise CipherError(
             f"ciphertext of length {len(cipher)} is too short for key lengths up to {max_len}"
         )
+    # every m <= max_len has a multiple in (max_len/2, max_len]: only those
+    # lengths split the text, and list i of a smaller m is the sum of the
+    # lists j = i (mod m) of its largest multiple
+    counts = {m: list_counts(cipher, m) for m in range(max_len, max_len // 2, -1)}
+    for m in range(1, max_len // 2 + 1):
+        lists = counts[max_len // m * m]
+        counts[m] = [[sum(column) for column in zip(*lists[i::m])] for i in range(m)]
     scored = []  # (m, per-list IoCs, score, flagged) for every m
     for m in range(1, max_len + 1):
-        iocs = tuple(index_of_coincidence(part) for part in decimate(cipher, m))
+        iocs = tuple(map(_ioc, counts[m]))
         deviations = [abs(i - IOC_TARGET) for i in iocs]
         scored.append((m, iocs, sum(deviations, Fraction(0)) / m, max(deviations) <= IOC_WINDOW))
     flagged = [m for m, _, _, flag in scored if flag]
     candidates = [
         KeyLengthCandidate(m, iocs, score, flag, tuple(
             other for other in flagged if other != m and (other % m == 0 or m % other == 0)
-        ) if flag else ())
+        ) if flag else (), tuple(map(tuple, counts[m])))
         for m, iocs, score, flag in scored
     ]
     return sorted(candidates, key=lambda c: (c.score, c.m))
@@ -129,8 +161,10 @@ class KeyRecovery:
     candidates: tuple[KeyCandidate, ...]           # ranked by chi-squared, best first
 
 
-def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
-    """Recover Vigenere key candidates of length ``m``.
+def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
+    """Recover Vigenere key candidates from the letter counts of a
+    ciphertext's m decimated lists (``list_counts``, or a ranked length's
+    ``counts``).
 
     For each list pair the shift maximizing the mutual index gives one
     difference k_i - k_j.  The star of pairs (0, j) fixes the key up to k_0;
@@ -139,8 +173,7 @@ def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
     fit of their decryptions against English frequencies, taken from the
     per-list letter counts rotated by each key residue.
     """
-    n = len(LETTERS)
-    counts = [letter_counts(part) for part in decimate(cipher, m)]
+    n, m = len(LETTERS), len(counts)
     # max keeps the first of equal overlaps, so ties go to the smaller shift
     differences = tuple(
         (i, j, max(range(n), key=lambda s: _overlap(counts[i], counts[j], s)))
@@ -154,6 +187,7 @@ def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
         for i, j, d in differences
         if (residual := (d - (base[i] - base[j])) % n)
     )
+    length = sum(map(sum, counts))  # the text's, split into the lists
     candidates = []
     for k0 in range(n):
         # the difference system is translation invariant, so every anchor
@@ -162,7 +196,7 @@ def friedman_recover_key(cipher: str, m: int) -> KeyRecovery:
         # list j decrypts cipher letter h + k_j to plaintext letter h
         plain = [sum(c[(h + k) % n] for c, k in zip(counts, key)) for h in range(n)]
         candidates.append(
-            KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, len(cipher)))
+            KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, length))
         )
     candidates.sort(key=lambda c: c.chi2)
     return KeyRecovery(differences, residuals, tuple(candidates))

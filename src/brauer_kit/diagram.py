@@ -65,7 +65,8 @@ def diagram_for_score(
     """One point per distinct class token, in first-appearance order, with
     the edges between consecutive pitched points (equal-offset neighbours
     only when ``connect_equal_y``) and ``extra_edges`` as closure pairs of
-    pitched point positions.  ``clef`` overrides the score's own."""
+    pitched point positions.  A closure may not join a point to itself or
+    repeat an edge, in either direction.  ``clef`` overrides the score's own."""
     labels = list(dict.fromkeys(token for measure in score.measures for token in measure))
     if not labels:
         raise DiagramError("score has no events")
@@ -85,12 +86,17 @@ def diagram_for_score(
         if last is not None and (connect_equal_y or points[last].y != y):
             edges.append((last, i))
         last = i
-    closures = []
+    closures, drawn = [], set(map(frozenset, edges))  # an edge either way round
     for i, j in extra_edges:
         if not (0 <= i < len(points) and 0 <= j < len(points)):
             raise DiagramError(f"extra edge ({i}, {j}) references an unknown point")
         if points[i].y is None or points[j].y is None:
             raise DiagramError(f"extra edge ({i}, {j}) touches a rest")
+        if i == j:
+            raise DiagramError(f"extra edge ({i}, {j}) joins a point to itself")
+        if frozenset((i, j)) in drawn:
+            raise DiagramError(f"extra edge ({i}, {j}) repeats an edge of the diagram")
+        drawn.add(frozenset((i, j)))
         closures.append((i, j))
     return PointDiagram(tuple(points), tuple(edges), orientation, tuple(closures))
 

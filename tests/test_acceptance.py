@@ -276,7 +276,7 @@ def test_criterion_9_friedman_attack():
             lists_total += 1
             if abs(ioc - IOC_TARGET) <= window:
                 lists_in_window += 1
-        recovery = friedman_recover_key(cipher, top)
+        recovery = friedman_recover_key(candidates[0].counts)
         if top == m_true and key.to_text() in [c.key for c in recovery.candidates[:3]]:
             key_top3 += 1
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from brauer_kit import cipher, cli
+from brauer_kit import cipher, cli, coincidence
 from brauer_kit.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -283,6 +283,51 @@ def test_huge_keylen_fails_fast_with_a_short_message(capsys):
         assert elapsed < 0.1, (argv, elapsed)
 
 
+@pytest.mark.parametrize("flag", ["--keylen", "--max-keylen"])
+def test_attack_keylen_ceiling(capsys, flag):
+    # the ceiling is checked before the text is read, so a missing file is
+    # not reached
+    code, out, err = run(capsys, "attack", "--in", "no-such-file.txt", flag, "101")
+    assert (code, out) == (2, "")
+    assert err == f"brauer-kit: error[E_CIPHER]: {flag} must be <= 100\n"
+    text = "OOPAELRIXFGGBWDODDEPK" * 10
+    code, out, _ = run(capsys, "attack", "--ciphertext", text, "--max-keylen", "100",
+                       "--keylen", "100")
+    assert code == 0 and json.loads(out)["recoveredKeylen"] == 100
+
+
+def test_huge_keylen_on_a_long_text_ends_at_once(tmp_path):
+    # a 100 000-letter text admits 50 000 lists by length alone
+    text = tmp_path / "c.txt"
+    text.write_text(("OOPAELRIXFGGBWDODDEPK" * 5000)[:100_000])
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauer_kit.cli", "attack", "--in", str(text),
+         "--keylen", "50000"],
+        capture_output=True, timeout=2, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"brauer-kit: error[E_CIPHER]: --keylen must be <= 100\n"
+
+
+def test_attack_counts_only_the_lists(capsys, monkeypatch):
+    # the report's ioc and the recovery reuse the ranking's list counts
+    text = "OOPAELRIXFGGBWDODDEPK" * 20
+    calls = []
+
+    def spy(original):
+        def counted(arg):
+            calls.append((original.__name__, arg == text))
+            return original(arg)
+        return counted
+
+    for name in ("letter_counts", "index_of_coincidence"):
+        monkeypatch.setattr(coincidence, name, spy(getattr(coincidence, name)))
+    for flags in ([], ["--keylen", "7"], ["--keylen", "12"]):
+        code, _, _ = run(capsys, "attack", "--ciphertext", text, "--max-keylen", "10", *flags)
+        assert code == 0
+    assert calls and not [name for name, whole in calls if whole]
+
+
 def test_attack_folds_its_text_once(capsys, monkeypatch):
     calls = []
     normalize = cipher.Alphabet.normalize
@@ -407,6 +452,24 @@ def test_graph_bad_edge_rejected(capsys, tmp_path):
     )
     assert code == 2
     assert "error[E_DIAGRAM]" in err
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ("1 1\n", "extra edge (1, 1) joins a point to itself"),
+    ("1 2\n", "extra edge (1, 2) repeats an edge of the diagram"),
+    ("2 1\n", "extra edge (2, 1) repeats an edge of the diagram"),
+    ("1 4\n4 1\n", "extra edge (4, 1) repeats an edge of the diagram"),
+], ids=["loop", "chain-edge", "chain-edge-reversed", "closure-reversed"])
+def test_graph_edge_loop_or_repeat_rejected(capsys, tmp_path, pairs, message):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(pairs)
+    code, out, err = run(
+        capsys, "graph", str(FIXTURES / "canon_a6.bsc"), "--edges", str(edges),
+        "--svg", str(tmp_path / "a6.svg"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"brauer-kit: error[E_DIAGRAM]: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt"]
 
 
 def test_graph_edge_touching_rest_rejected(capsys, tmp_path):

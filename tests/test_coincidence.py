@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from brauer_kit import coincidence
 from brauer_kit.cipher import LETTERS, CipherError, VigenereKey, vigenere_decrypt, vigenere_encrypt
 from brauer_kit.coincidence import (
     ENGLISH_FREQUENCIES,
@@ -15,6 +16,7 @@ from brauer_kit.coincidence import (
     friedman_keylength,
     friedman_recover_key,
     index_of_coincidence,
+    list_counts,
 )
 from textgen import SAMPLE_TEXT, sample_english, sample_uniform
 
@@ -198,13 +200,39 @@ ENCRYPTED_TEXTS = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(ENCRYPTED_TEXTS, st.integers(1, 12))
+@given(ENCRYPTED_TEXTS, st.integers(1, 40))
 @example("AAABBBCCCDEFGHIJ", 1)  # IoC 18/240 = 0.075, on the window's edge
+@example(SAMPLE_TEXT[:40], 20)  # two letters a list at the longest length
 def test_keylength_matches_plain_reference(cipher, max_len):
+    # lengths up to 40 take most counts from a multiple's, several levels
+    # down; a length past half the text is the ranking's error, tested apart
+    max_len = min(max_len, len(cipher) // 2)
     candidates = friedman_keylength(cipher, max_len)
     assert [
         (c.m, c.per_list_ioc, c.score, c.flagged, c.related) for c in candidates
     ] == keylength_reference(cipher, max_len)
+    for c in candidates:
+        assert c.counts == tuple(
+            tuple(cipher[i::c.m].count(ch) for ch in LETTERS) for i in range(c.m)
+        )
+
+
+def test_keylength_splits_only_the_top_half(monkeypatch):
+    # every shorter length's counts are sums of a multiple's
+    split = []
+
+    def spy(text, m):
+        split.append(m)
+        return decimate(text, m)
+
+    monkeypatch.setattr(coincidence, "decimate", spy)
+    friedman_keylength(vigenere_encrypt(SAMPLE_TEXT, VigenereKey.from_text("KEY")), 20)
+    assert sorted(split) == list(range(11, 21))
+
+
+def test_unknown_characters_are_named_once_for_the_whole_text():
+    with pytest.raises(CipherError, match=r"^characters \['1', 'a'\] are not in the alphabet$"):
+        friedman_keylength("AB1CDEFGHIJKLMNOPQRa", 10)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +240,7 @@ def test_keylength_matches_plain_reference(cipher, max_len):
 # ---------------------------------------------------------------------------
 
 def test_recover_key_reports_pairs_off_the_star():
-    recovery = friedman_recover_key(CIPHERTEXT, 4)
+    recovery = friedman_recover_key(list_counts(CIPHERTEXT, 4))
     assert recovery.differences == (
         (0, 1, 18), (0, 2, 23), (0, 3, 15), (1, 2, 25), (1, 3, 14), (2, 3, 15),
     )
@@ -224,7 +252,7 @@ def test_recover_key_reports_pairs_off_the_star():
 @given(st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=4, max_size=300), st.data())
 def test_residuals_are_the_pairs_off_the_star(cipher, data):
     m = data.draw(st.integers(1, min(len(cipher) // 2, 12)))
-    recovery = friedman_recover_key(cipher, m)
+    recovery = friedman_recover_key(list_counts(cipher, m))
     assert [(i, j) for i, j, _ in recovery.differences] == [
         (i, j) for i in range(m) for j in range(i + 1, m)
     ]
@@ -238,7 +266,7 @@ def test_residuals_are_the_pairs_off_the_star(cipher, data):
 
 
 def test_recover_key_caesar_identity():
-    recovery = friedman_recover_key(SAMPLE_TEXT, 1)
+    recovery = friedman_recover_key(list_counts(SAMPLE_TEXT, 1))
     assert recovery.candidates[0].key == "A"
 
 
@@ -246,14 +274,14 @@ def test_recover_key_end_to_end():
     rng = random.Random(99)
     plain = sample_english(rng, 800)
     cipher = vigenere_encrypt(plain, VigenereKey.from_text("MDPI"))
-    recovery = friedman_recover_key(cipher, 4)
+    recovery = friedman_recover_key(list_counts(cipher, 4))
     assert "MDPI" in [c.key for c in recovery.candidates[:3]]
     assert recovery.residuals == ()
 
 
 def test_recover_key_rejects_trivial_lists():
     with pytest.raises(CipherError):
-        friedman_recover_key("ABCD", 3)
+        friedman_recover_key(list_counts("ABCD", 3))
 
 
 def test_chi_squared_prefers_english():
@@ -264,7 +292,7 @@ def test_chi_squared_prefers_english():
 def test_recovered_differences_peak_mutual_index():
     cipher = vigenere_encrypt(SAMPLE_TEXT, VigenereKey.from_text("KEY"))
     lists = decimate(cipher, 3)
-    recovery = friedman_recover_key(cipher, 3)
+    recovery = friedman_recover_key(list_counts(cipher, 3))
     assert [(i, j) for i, j, _ in recovery.differences] == [(0, 1), (0, 2), (1, 2)]
     for i, j, d in recovery.differences:
         row = [mutual_index_shift(lists[i], lists[j], s) for s in range(26)]
@@ -278,7 +306,7 @@ def test_key_candidate_chi2_equals_chi2_of_decryption(m, length):
     rng = random.Random(m * length)
     key = VigenereKey(tuple(rng.randrange(26) for _ in range(m)))
     cipher = vigenere_encrypt(sample_english(rng, length), key)
-    candidates = friedman_recover_key(cipher, m).candidates
+    candidates = friedman_recover_key(list_counts(cipher, m)).candidates
     assert len(candidates) == 26
     for c in candidates:
         plain = vigenere_decrypt(cipher, VigenereKey.from_text(c.key))

@@ -167,9 +167,19 @@ def test_edges_skip_rest_points():
 
 
 def test_extra_edges_appended():
-    out = diagram_for_score(parse_score("| a16 b16"), extra_edges=[(1, 0)])
-    assert out.edges == ((0, 1),)
-    assert out.closures == ((1, 0),)
+    out = diagram_for_score(parse_score("| a16 b16 c16"), extra_edges=[(2, 0)])
+    assert out.edges == ((0, 1), (1, 2))
+    assert out.closures == ((2, 0),)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(1, 1)], r"extra edge \(1, 1\) joins a point to itself"),
+    ([(2, 1)], r"extra edge \(2, 1\) repeats an edge of the diagram"),
+    ([(0, 2), (2, 0)], r"extra edge \(2, 0\) repeats an edge of the diagram"),
+], ids=["loop", "chain-edge", "closure-reversed"])
+def test_extra_edge_loop_or_repeat_rejected(pairs, message):
+    with pytest.raises(DiagramError, match=message + "$"):
+        diagram_for_score(parse_score("| a16 b16 c16"), extra_edges=pairs)
 
 
 def test_extra_edge_unknown_point_rejected():
@@ -270,7 +280,9 @@ def expected_diagram(measures, clef, orientation, connect_equal_y, closures):
     """README's rules, written out: classes in first-appearance order, x the
     ordinal, y the letter distance from the clef's letter taken in -2..4
     (negated when reversed), chain edges between consecutive pitched points
-    whose y differs unless equal joins are asked for, then the closures."""
+    whose y differs unless equal joins are asked for, then the closures.
+    A closure that is a loop or repeats an edge, either way round, gives
+    the error message instead."""
     order = []
     for measure in measures:
         for token in measure:
@@ -292,6 +304,13 @@ def expected_diagram(measures, clef, orientation, connect_equal_y, closures):
         [a["x"], b["x"]] for a, b in zip(pitched, pitched[1:])
         if connect_equal_y or a["y"] != b["y"]
     ]
+    drawn = [set(edge) for edge in edges]
+    for i, j in closures:
+        if i == j:
+            return f"extra edge ({i}, {j}) joins a point to itself"
+        if {i, j} in drawn:
+            return f"extra edge ({i}, {j}) repeats an edge of the diagram"
+        drawn.append({i, j})
     return {"schema": "1", "orientation": orientation, "points": points,
             "edges": edges + [list(pair) for pair in closures]}
 
@@ -318,8 +337,12 @@ def diagram_requests(draw):
 @given(diagram_requests())
 def test_diagram_follows_the_readme_rules(request):
     measures, score, clef, orientation, connect_equal_y, closures = request
-    diagram = diagram_for_score(score, clef, orientation, connect_equal_y, closures)
     expected = expected_diagram(measures, clef, orientation, connect_equal_y, closures)
+    if isinstance(expected, str):
+        with pytest.raises(DiagramError, match=re.escape(expected) + "$"):
+            diagram_for_score(score, clef, orientation, connect_equal_y, closures)
+        return
+    diagram = diagram_for_score(score, clef, orientation, connect_equal_y, closures)
     assert json.loads(emit_json(diagram)) == expected
 
     svg = emit_svg(diagram)
