@@ -2,15 +2,20 @@
 
 A configuration is an ordered list of polygons; each polygon is a word
 (an ordered multiset) over opaque vertex labels.  The list order is the
-orientation used to build successor sequences.  Every vertex is kept
+orientation of the successor sequences.  Every vertex is kept
 non-truncated: valency-1 vertices carry multiplicity 2, all others
 multiplicity 1.
 
 The induced quiver has one node per polygon.  Each vertex contributes one
 arrow per covering in the circular order of its occurrences; a valency-1
-vertex contributes a single loop at its polygon.  From valencies, the
-multiplicity rule and the loop census, the dimension of the algebra and of
-its center follow in exact integer arithmetic.
+vertex contributes a single loop at its polygon.  The dimensions of the
+algebra and of its center need only the valencies, the multiplicity rule
+and the loop census, so no quiver is built: ``invariants`` counts them
+from a configuration's words, ``invariants_from_tallies`` reads
+them from a table of per-polygon vertex counts such as a Vigenere split's
+letter tallies, and ``invariants_from_histogram`` turns them into exact
+integers.  The definition-level quiver, which the counts are tested
+against, is in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -18,15 +23,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress, count
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 
 class ConfigError(ValueError):
     """Structurally invalid polygon, configuration or configuration file."""
-
-
-class UnknownVertexError(KeyError):
-    """An operation named a vertex that is not in the configuration."""
 
 
 # ---------------------------------------------------------------------------
@@ -56,37 +58,10 @@ class BrauerConfiguration:
             if any(not isinstance(v, str) or not v for v in poly.word):
                 raise ConfigError(f"polygon {i}: empty vertex label")
 
-    @property
-    def vertex_universe(self) -> tuple[str, ...]:
-        """All vertices, ordered by first occurrence."""
-        seen: dict[str, None] = {}
-        for poly in self.polygons:
-            for v in poly.word:
-                seen.setdefault(v, None)
-        return tuple(seen)
-
 
 def config_from_words(words: Iterable[Sequence[str]]) -> BrauerConfiguration:
     """Build a configuration from an iterable of vertex-label sequences."""
     return BrauerConfiguration(tuple(Polygon(tuple(w)) for w in words))
-
-
-@dataclass(frozen=True)
-class Arrow:
-    source: int
-    target: int
-    vertex: str
-
-
-@dataclass(frozen=True)
-class Quiver:
-    """One node per polygon; arrows from circular successor orders."""
-
-    arrows: tuple[Arrow, ...]
-
-    @property
-    def loop_count(self) -> int:
-        return sum(1 for a in self.arrows if a.source == a.target)
 
 
 @dataclass(frozen=True)
@@ -126,72 +101,21 @@ class AlgebraInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Valency, successor sequences, quiver
-# ---------------------------------------------------------------------------
-
-def valency(config: BrauerConfiguration, vertex: str) -> int:
-    """Total number of occurrences of ``vertex`` over all polygon words."""
-    val = sum(poly.word.count(vertex) for poly in config.polygons)
-    if val == 0:
-        raise UnknownVertexError(vertex)
-    return val
-
-
-def successor_sequence(config: BrauerConfiguration, vertex: str) -> tuple[tuple[int, int], ...]:
-    """Occurrences of ``vertex`` as (polygon index, word position) pairs,
-    in that order."""
-    entries = [
-        (i, pos)
-        for i, poly in enumerate(config.polygons)
-        for pos, v in enumerate(poly.word)
-        if v == vertex
-    ]
-    if not entries:
-        raise UnknownVertexError(vertex)
-    return tuple(entries)
-
-
-def build_quiver(config: BrauerConfiguration) -> Quiver:
-    """Construct the quiver induced by the configuration.
-
-    A vertex of valency v >= 2 yields v arrows, one per consecutive pair of
-    its successor sequence including the wrap-around closing the circular
-    order.  A valency-1 vertex yields a single loop at its polygon.  This is
-    the definition-level construction, the reference ``invariants`` is
-    checked against; it rescans the configuration once per vertex.
-    """
-    arrows: list[Arrow] = []
-    for vertex in config.vertex_universe:
-        seq = successor_sequence(config, vertex)
-        if len(seq) == 1:
-            arrows.append(Arrow(seq[0][0], seq[0][0], vertex))
-            continue
-        for i, (src, _) in enumerate(seq):
-            tgt = seq[(i + 1) % len(seq)][0]
-            arrows.append(Arrow(src, tgt, vertex))
-    return Quiver(tuple(arrows))
-
-
-# ---------------------------------------------------------------------------
 # Dimensions
 # ---------------------------------------------------------------------------
 
-def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
-    """Full invariant bundle from one counting pass over the polygons;
-    disconnected input is flagged rather than rejected, with the center
-    formula applied verbatim.
-
-    The loop census is the closed form of the circular successor orders:
-    each polygon contributes (word length - #distinct vertices) loops, one
-    per repeated occurrence, and a vertex confined to one polygon closes its
-    circular order there with one loop more.  The same pass joins every
-    polygon holding a vertex to the first one that held it; the incidence
-    graph is connected when a single root remains.
-    """
-    valencies: Counter = Counter()
-    first: dict[str, int] = {}  # vertex -> first polygon holding it
-    shared: set[str] = set()    # vertices held by more than one polygon
-    parent = list(range(len(config.polygons)))
+def _incidence(
+    polygon_count: int, holdings: Iterable[Collection[Hashable]]
+) -> tuple[int, int, bool]:
+    """The counts that need the polygon-vertex incidence, from the distinct
+    vertices of each polygon in turn: the number of (polygon, vertex)
+    incidences, the vertices held by one polygon only, and whether the
+    incidence graph is connected.  Every polygon holding a vertex is joined
+    to the first one that held it; the graph is connected when a single
+    root remains."""
+    first: dict = {}     # vertex -> first polygon holding it
+    shared: set = set()  # vertices held by more than one polygon
+    parent = list(range(polygon_count))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -199,22 +123,59 @@ def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
             x = parent[x]
         return x
 
-    loops = 0
-    for i, poly in enumerate(config.polygons):
-        distinct = set(poly.word)
-        valencies.update(poly.word)
-        loops += len(poly.word) - len(distinct)
-        for v in distinct:
+    incidences = 0
+    for i, held in enumerate(holdings):
+        incidences += len(held)
+        for v in held:
             j = first.setdefault(v, i)
             if j != i:
                 shared.add(v)
                 parent[find(i)] = find(j)
-    loops += len(first) - len(shared)
-    inv = invariants_from_histogram(
-        len(config.polygons), Counter(valencies.values()), loops
-    )
     roots = sum(1 for i, p in enumerate(parent) if i == p)
-    return inv if roots == 1 else replace(inv, connected=False)
+    return incidences, len(first) - len(shared), roots == 1
+
+
+def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
+    """Full invariant bundle counted from the polygons' words; disconnected
+    input is flagged rather than rejected, with the center formula applied
+    verbatim.
+
+    The loop census is the closed form of the circular successor orders:
+    each polygon contributes (word length - #distinct vertices) loops, one
+    per repeated occurrence, and a vertex confined to one polygon closes its
+    circular order there with one loop more.
+    """
+    words = [poly.word for poly in config.polygons]
+    valencies = Counter(chain.from_iterable(words))
+    incidences, confined, connected = _incidence(len(words), map(set, words))
+    loops = sum(map(len, words)) - incidences + confined
+    inv = invariants_from_histogram(len(words), Counter(valencies.values()), loops)
+    return inv if connected else replace(inv, connected=False)
+
+
+def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
+    """``invariants`` of the configuration whose polygon i holds
+    ``rows[i][c]`` occurrences of vertex c, read from that tally table
+    without listing an occurrence.  The rows have one length; a Vigenere
+    split is the table of its lists' letter counts
+    (``coincidence.list_counts``).
+
+    The vertices are the columns with a nonzero entry, each of valency its
+    column sum.  A row gives (row sum - #nonzero entries) loops, and a
+    column with one nonzero row one loop more.
+    """
+    sizes = list(map(sum, rows))
+    for i, size in enumerate(sizes):
+        if size < 2:
+            raise ConfigError(f"polygon {i}: word length {size} < 2")
+    histogram = Counter(map(sum, zip(*rows)))
+    del histogram[0]  # a column that no row holds is no vertex
+    incidences, confined, connected = _incidence(
+        len(rows), (list(compress(count(), row)) for row in rows)  # nonzero columns
+    )
+    loops = sum(sizes) - incidences + confined
+    inv = invariants_from_histogram(len(rows), histogram, loops)
+    return inv if connected else replace(inv, connected=False)
 
 
 def invariants_from_histogram(
@@ -225,7 +186,8 @@ def invariants_from_histogram(
     """Invariants from summary data alone: a valency histogram, the polygon
     count and a loop census.  Assumes the standard multiplicity rule and a
     connected configuration.  This is the one home of the dimension
-    formulas; ``invariants`` feeds it the counts of a configuration."""
+    formulas; ``invariants`` and ``invariants_from_tallies`` feed it the
+    counts of a configuration."""
     if polygon_count < 1:
         raise ConfigError("polygon count must be positive")
     histogram = {int(k): int(v) for k, v in valency_histogram.items()}

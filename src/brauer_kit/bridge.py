@@ -1,27 +1,20 @@
 """Bridges from ciphertexts to Brauer configurations.
 
-A Vigenere ciphertext split into its decimated lists becomes a
-configuration whose polygons are the lists and whose vertices are the
-characters; ``decimate`` checks that a key length m meets 2m <= N, so that
-every list is a polygon.  ``brauer_ioc`` reads the text's coincidence index
-back from that configuration's invariants.  A block partition of a text is
-the configuration ``config_from_words(split_blocks(text, sizes))``.
+A Vigenere ciphertext split into its decimated lists is a configuration
+whose polygons are the lists and whose vertices are the characters; its
+tally table, the lists' letter counts (``coincidence.list_counts``), fixes
+every invariant (``brauer.invariants_from_tallies``).  ``brauer_ioc``
+reads the text's coincidence index back from those invariants.  A block
+partition of a text is the configuration
+``config_from_words(split_blocks(text, sizes))``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .brauer import AlgebraInvariants, BrauerConfiguration, config_from_words
+from .brauer import AlgebraInvariants
 from .cipher import CipherError
-from .coincidence import decimate
-
-
-def vigenere_to_config(cipher: str, m: int) -> BrauerConfiguration:
-    """Configuration of a ciphertext under an assumed key length: one
-    polygon per decimated list, in list order.  ``cipher`` is already
-    normalized (``Alphabet.normalize``); every caller folds its text once."""
-    return config_from_words([tuple(part) for part in decimate(cipher, m)])
 
 
 def brauer_ioc(inv: AlgebraInvariants) -> Fraction:

@@ -28,8 +28,14 @@ class Alphabet:
 
         With ``strip`` foreign characters are dropped; otherwise the first
         that is not whitespace raises, as written, at its offset in ``text``.
+        Text that folds to letters and whitespace alone is handled by string
+        methods, without the loop; ``str.split`` drops exactly the characters
+        that ``str.isspace`` names.
         """
         folded = text.translate(_FOLD)
+        letters = "".join(folded.split())
+        if letters.isascii() and letters.isalpha() and letters.isupper():
+            return letters
         out = []
         for i, ch in enumerate(folded):
             if ch in LETTERS:

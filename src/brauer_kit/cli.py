@@ -24,9 +24,10 @@ from .brauer import (
     ConfigError,
     invariants,
     invariants_from_histogram,
+    invariants_from_tallies,
     parse_config,
 )
-from .bridge import brauer_ioc, vigenere_to_config
+from .bridge import brauer_ioc
 from .cipher import (
     BlockPermutation,
     CipherError,
@@ -173,8 +174,9 @@ def _cmd_attack(args) -> int:
         candidates = friedman_keylength(cipher, args.max_keylen)
         by_m = {c.m: c for c in candidates}
         m = candidates[0].m if args.keylen is None else args.keylen
-        recovery = friedman_recover_key(by_m[m].counts if m in by_m else list_counts(cipher, m))
-        inv = invariants(vigenere_to_config(cipher, m))
+        counts = by_m[m].counts if m in by_m else list_counts(cipher, m)
+        recovery = friedman_recover_key(counts)
+        inv = invariants_from_tallies(counts)
         report = {
             "schema": SCHEMA,
             "length": len(cipher),
@@ -233,13 +235,13 @@ def _cmd_analyze(args) -> int:
         if args.keylen < 1:
             raise CipherError("--keylen must be >= 1")
         cipher = DEFAULT_ALPHABET.normalize(args.ciphertext, strip=args.strip)
-        config = vigenere_to_config(cipher, args.keylen)
+        count, source = invariants_from_tallies, list_counts(cipher, args.keylen)
     elif args.config is not None:
-        config = parse_config(_read(args.config))
+        count, source = invariants, parse_config(_read(args.config))
     else:
-        config = score_to_config(_read_score(args.score, args.lax))
+        count, source = invariants, score_to_config(_read_score(args.score, args.lax))
     with _outputs(args.out):
-        _write(_invariants_payload(invariants(config)), args.out)
+        _write(_invariants_payload(count(source)), args.out)
     return 0
 
 
@@ -255,7 +257,7 @@ def _verify_checks():
     )
 
     def split_dims():
-        inv = invariants(vigenere_to_config(_REFERENCE_CIPHERTEXT, 4))
+        inv = invariants_from_tallies(list_counts(_REFERENCE_CIPHERTEXT, 4))
         return (inv.dim_lambda, inv.dim_center, inv.loops)
 
     yield ("vigenere-split-invariants", split_dims, (35, 14, 9))

@@ -1,0 +1,115 @@
+"""Definition-level constructions that the counting passes are tested
+against.
+
+The quiver of a configuration built as the definition reads: one arrow per
+covering in each vertex's circular order of occurrences, found by rescanning
+the configuration once per vertex.  The Vigenere split as a configuration,
+one polygon per decimated list.  The program computes neither: it counts
+``brauer.invariants`` in one pass over the words and reads the split's
+invariants from its letter tallies (``brauer.invariants_from_tallies``).
+The folding of text into the alphabet as one loop over its characters,
+which ``Alphabet.normalize`` runs only when string methods cannot settle
+the text.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from brauer_kit.brauer import BrauerConfiguration, config_from_words
+from brauer_kit.cipher import LETTERS, CipherError
+from brauer_kit.coincidence import decimate
+
+
+class UnknownVertexError(KeyError):
+    """An operation named a vertex that is not in the configuration."""
+
+
+@dataclass(frozen=True)
+class Arrow:
+    source: int
+    target: int
+    vertex: str
+
+
+@dataclass(frozen=True)
+class Quiver:
+    """One node per polygon; arrows from circular successor orders."""
+
+    arrows: tuple[Arrow, ...]
+
+    @property
+    def loop_count(self) -> int:
+        return sum(1 for a in self.arrows if a.source == a.target)
+
+
+def vertex_universe(config: BrauerConfiguration) -> tuple[str, ...]:
+    """All vertices, ordered by first occurrence."""
+    seen: dict[str, None] = {}
+    for poly in config.polygons:
+        for v in poly.word:
+            seen.setdefault(v, None)
+    return tuple(seen)
+
+
+def valency(config: BrauerConfiguration, vertex: str) -> int:
+    """Total number of occurrences of ``vertex`` over all polygon words."""
+    val = sum(poly.word.count(vertex) for poly in config.polygons)
+    if val == 0:
+        raise UnknownVertexError(vertex)
+    return val
+
+
+def successor_sequence(config: BrauerConfiguration, vertex: str) -> tuple[tuple[int, int], ...]:
+    """Occurrences of ``vertex`` as (polygon index, word position) pairs,
+    in that order."""
+    entries = [
+        (i, pos)
+        for i, poly in enumerate(config.polygons)
+        for pos, v in enumerate(poly.word)
+        if v == vertex
+    ]
+    if not entries:
+        raise UnknownVertexError(vertex)
+    return tuple(entries)
+
+
+def build_quiver(config: BrauerConfiguration) -> Quiver:
+    """Construct the quiver induced by the configuration.
+
+    A vertex of valency v >= 2 yields v arrows, one per consecutive pair of
+    its successor sequence including the wrap-around closing the circular
+    order.  A valency-1 vertex yields a single loop at its polygon.
+    """
+    arrows: list[Arrow] = []
+    for vertex in vertex_universe(config):
+        seq = successor_sequence(config, vertex)
+        if len(seq) == 1:
+            arrows.append(Arrow(seq[0][0], seq[0][0], vertex))
+            continue
+        for i, (src, _) in enumerate(seq):
+            tgt = seq[(i + 1) % len(seq)][0]
+            arrows.append(Arrow(src, tgt, vertex))
+    return Quiver(tuple(arrows))
+
+
+def vigenere_to_config(cipher: str, m: int) -> BrauerConfiguration:
+    """Configuration of a normalized ciphertext under an assumed key length:
+    one polygon per decimated list, in list order."""
+    return config_from_words([tuple(part) for part in decimate(cipher, m)])
+
+
+def normalize_by_loop(text: str, strip: bool = False) -> str:
+    """``Alphabet.normalize`` as one loop over the characters: only a-z
+    fold, whitespace is dropped, and any other character is dropped with
+    ``strip`` or raises at its offset."""
+    folded = text.translate(str.maketrans(LETTERS.lower(), LETTERS))
+    out = []
+    for i, ch in enumerate(folded):
+        if ch in LETTERS:
+            out.append(ch)
+        elif strip or ch.isspace():
+            continue
+        else:
+            raise CipherError(f"character {ch!r} at offset {i} is not in the alphabet")
+    return "".join(out)

@@ -6,14 +6,18 @@ from hypothesis import given, strategies as st
 
 from brauer_kit.brauer import (
     ConfigError,
-    UnknownVertexError,
-    build_quiver,
     config_from_words,
     invariants,
     invariants_from_histogram,
+    invariants_from_tallies,
     parse_config,
+)
+from reference import (
+    UnknownVertexError,
+    build_quiver,
     successor_sequence,
     valency,
+    vertex_universe,
 )
 
 # Keylength-4 split of the worked Vigenere ciphertext OOPAELRIXFGGBWDODDEPK.
@@ -92,7 +96,7 @@ def test_polygon_label_must_be_permutation():
 
 
 def test_vertex_universe_order_is_first_occurrence():
-    assert vigenere_config().vertex_universe == (
+    assert vertex_universe(vigenere_config()) == (
         "O", "E", "X", "B", "D", "K", "L", "F", "W", "P", "R", "G", "A", "I",
     )
 
@@ -295,7 +299,7 @@ def test_invariants_match_dedicated_operations(words):
     # operations; the alphabet is wide enough for disconnected input,
     # repeated vertices and valency-1 vertices alike
     cfg = config_from_words(words)
-    val = {v: len(successor_sequence(cfg, v)) for v in cfg.vertex_universe}
+    val = {v: len(successor_sequence(cfg, v)) for v in vertex_universe(cfg)}
     mu = {v: 2 if f == 1 else 1 for v, f in val.items()}
     loops = build_quiver(cfg).loop_count
     singletons = sum(1 for f in val.values() if f == 1)
@@ -360,6 +364,30 @@ def test_invariants_from_histogram_matches_full_computation():
         assert summary.dim_center == inv.dim_center
 
 
+def tally_words(rows):
+    """The words of a tally table: polygon i holds rows[i][c] copies of
+    vertex c."""
+    return [[f"v{c}" for c, n in enumerate(row) for _ in range(n)] for row in rows]
+
+
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 3), min_size=width, max_size=width).filter(lambda r: sum(r) >= 2),
+    min_size=1,
+    max_size=6,
+)))
+def test_invariants_from_tallies_match_the_listed_words(rows):
+    # zero columns are no vertex; a column with one nonzero row closes its
+    # circular order there with one loop more
+    assert invariants_from_tallies(rows) == invariants(config_from_words(tally_words(rows)))
+
+
+def test_invariants_from_tallies_reject_what_a_configuration_rejects():
+    with pytest.raises(ConfigError, match=r"^polygon 1: word length 1 < 2$"):
+        invariants_from_tallies([[1, 1], [0, 1]])
+    with pytest.raises(ConfigError):
+        invariants_from_tallies([])
+
+
 # ---------------------------------------------------------------------------
 # Center identity for frequency-one configurations
 # ---------------------------------------------------------------------------
@@ -418,7 +446,7 @@ words_strategy = st.lists(
 @given(words_strategy)
 def test_valency_sum_equals_total_word_length(words):
     cfg = config_from_words(words)
-    total = sum(valency(cfg, v) for v in cfg.vertex_universe)
+    total = sum(valency(cfg, v) for v in vertex_universe(cfg))
     assert total == sum(len(w) for w in words)
 
 
@@ -443,7 +471,7 @@ def test_deleting_polygon_never_increases_valency(words):
     if len(words) < 2:
         return
     smaller = config_from_words(words[:-1])
-    for v in smaller.vertex_universe:
+    for v in vertex_universe(smaller):
         assert valency(smaller, v) <= valency(cfg, v)
 
 

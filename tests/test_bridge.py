@@ -3,10 +3,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from brauer_kit.bridge import brauer_ioc, vigenere_to_config
-from brauer_kit.brauer import ConfigError, config_from_words, invariants
+from brauer_kit.bridge import brauer_ioc
+from brauer_kit.brauer import ConfigError, config_from_words, invariants, invariants_from_tallies
 from brauer_kit.cipher import (
     BlockPermutation,
     CipherError,
@@ -15,7 +15,8 @@ from brauer_kit.cipher import (
     transposition_encrypt,
     vigenere_encrypt,
 )
-from brauer_kit.coincidence import index_of_coincidence
+from brauer_kit.coincidence import decimate, index_of_coincidence, list_counts
+from reference import vigenere_to_config
 from textgen import sample_english
 
 CIPHERTEXT = "OOPAELRIXFGGBWDODDEPK"
@@ -92,6 +93,24 @@ def test_vigenere_to_config_repeated_characters():
 def test_vigenere_to_config_rejects_short_lists():
     with pytest.raises(CipherError):
         vigenere_to_config("ABC", 2)
+
+
+@given(st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda k: st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:k], min_size=2, max_size=40)
+    ),
+    st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=2, max_size=60),
+))
+@example("ABAB")        # m = 2: lists AA and BB share no letter
+@example("ABCDEFGHIJ")  # m = 5: len == 2m, every list a pair of singletons
+def test_split_invariants_from_tallies_match_the_configuration(text):
+    # the shipped path reads the split from its lists' letter counts; the
+    # oracle lists every occurrence.  Few letters give disconnected splits
+    # and letters confined to one list.
+    for m in range(1, len(text) // 2 + 1):
+        assert invariants_from_tallies(list_counts(text, m)) == invariants(
+            config_from_words(decimate(text, m))
+        )
 
 
 def test_brauer_ioc_counts_singletons():

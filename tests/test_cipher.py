@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -11,6 +13,7 @@ from brauer_kit.cipher import (
     vigenere_decrypt,
     vigenere_encrypt,
 )
+from reference import normalize_by_loop
 
 PI = BlockPermutation((3, 4, 1, 2))
 
@@ -58,6 +61,41 @@ def test_normalize_folds_only_ascii_letters(text, foreign, offset):
 def test_normalize_strip_keeps_exactly_the_ascii_letters(text):
     expected = "".join(ch.upper() for ch in text if ch.isascii() and ch.isalpha())
     assert Alphabet().normalize(text, strip=True) == expected
+
+
+def _outcome(normalize, text, strip):
+    try:
+        return "ok", normalize(text, strip=strip)
+    except CipherError as exc:
+        return "error", str(exc)
+
+
+# ASCII letters, whitespace that str.split and str.isspace both name (tab,
+# vertical tab, the information separator \x1c, NEL, the ideographic space),
+# and characters that look like letters or spaces but are foreign: the zero
+# width space, digits, letters that fold to ASCII letters only under
+# Unicode case rules, and a fullwidth A.
+WHITESPACE = " \n\t\x0b\x1c\x85\u3000"
+FOREIGN = "\u200b0123456789ßſﬀＡ"
+
+
+@given(
+    st.one_of(
+        st.text(alphabet=string.ascii_letters + WHITESPACE),
+        st.text(alphabet=string.ascii_letters + WHITESPACE + FOREIGN),
+    ),
+    st.booleans(),
+)
+@example("", False)
+@example("\u3000\x85", False)
+@example("ab\u200bc", False)
+@example("ab\u200bc", True)
+@example("aＡ\x1cß", False)
+def test_normalize_matches_the_loop(text, strip):
+    # the string-method path gives the loop's output, and text it cannot
+    # settle reaches the loop, so each error names the same character at
+    # the same offset
+    assert _outcome(Alphabet().normalize, text, strip) == _outcome(normalize_by_loop, text, strip)
 
 
 # ---------------------------------------------------------------------------
