@@ -105,17 +105,22 @@ class AlgebraInvariants:
 # ---------------------------------------------------------------------------
 
 def _incidence(
-    polygon_count: int, holdings: Iterable[Collection[Hashable]]
-) -> tuple[int, int, bool]:
-    """The counts that need the polygon-vertex incidence, from the distinct
-    vertices of each polygon in turn: the number of (polygon, vertex)
-    incidences, the vertices held by one polygon only, and whether the
-    incidence graph is connected.  Every polygon holding a vertex is joined
-    to the first one that held it; the graph is connected when a single
-    root remains."""
+    sizes: Sequence[int],
+    valency_histogram: Mapping[int, int],
+    holdings: Iterable[Collection[Hashable]],
+) -> AlgebraInvariants:
+    """Invariants of the configuration whose polygons have ``sizes``
+    occurrences and hold the distinct vertices ``holdings``, in turn.
+
+    The loop census needs the polygon-vertex incidence: each polygon gives
+    (size - #distinct vertices) loops, one per repeated occurrence, and a
+    vertex held by one polygon only closes its circular order there with
+    one loop more.  Every polygon holding a vertex is joined to the first
+    one that held it; the incidence graph is connected when a single root
+    remains."""
     first: dict = {}     # vertex -> first polygon holding it
     shared: set = set()  # vertices held by more than one polygon
-    parent = list(range(polygon_count))
+    parent = list(range(len(sizes)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -131,26 +136,19 @@ def _incidence(
             if j != i:
                 shared.add(v)
                 parent[find(i)] = find(j)
+    loops = sum(sizes) - incidences + len(first) - len(shared)
+    inv = invariants_from_histogram(len(sizes), valency_histogram, loops)
     roots = sum(1 for i, p in enumerate(parent) if i == p)
-    return incidences, len(first) - len(shared), roots == 1
+    return inv if roots == 1 else replace(inv, connected=False)
 
 
 def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
     """Full invariant bundle counted from the polygons' words; disconnected
     input is flagged rather than rejected, with the center formula applied
-    verbatim.
-
-    The loop census is the closed form of the circular successor orders:
-    each polygon contributes (word length - #distinct vertices) loops, one
-    per repeated occurrence, and a vertex confined to one polygon closes its
-    circular order there with one loop more.
-    """
+    verbatim."""
     words = [poly.word for poly in config.polygons]
     valencies = Counter(chain.from_iterable(words))
-    incidences, confined, connected = _incidence(len(words), map(set, words))
-    loops = sum(map(len, words)) - incidences + confined
-    inv = invariants_from_histogram(len(words), Counter(valencies.values()), loops)
-    return inv if connected else replace(inv, connected=False)
+    return _incidence(list(map(len, words)), Counter(valencies.values()), map(set, words))
 
 
 def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
@@ -161,8 +159,7 @@ def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
     (``coincidence.list_counts``).
 
     The vertices are the columns with a nonzero entry, each of valency its
-    column sum.  A row gives (row sum - #nonzero entries) loops, and a
-    column with one nonzero row one loop more.
+    column sum, and a polygon holds its row's nonzero columns.
     """
     sizes = list(map(sum, rows))
     for i, size in enumerate(sizes):
@@ -170,12 +167,7 @@ def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
             raise ConfigError(f"polygon {i}: word length {size} < 2")
     histogram = Counter(map(sum, zip(*rows)))
     del histogram[0]  # a column that no row holds is no vertex
-    incidences, confined, connected = _incidence(
-        len(rows), (list(compress(count(), row)) for row in rows)  # nonzero columns
-    )
-    loops = sum(sizes) - incidences + confined
-    inv = invariants_from_histogram(len(rows), histogram, loops)
-    return inv if connected else replace(inv, connected=False)
+    return _incidence(sizes, histogram, (list(compress(count(), row)) for row in rows))
 
 
 def invariants_from_histogram(

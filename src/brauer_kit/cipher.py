@@ -9,11 +9,14 @@ fold into it; anything else is rejected unless explicitly stripped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _FOLD = str.maketrans(LETTERS.lower(), LETTERS)
+_NOT_LETTERS = re.compile(r"[^A-Z]+")
+_FOREIGN = re.compile(r"[^A-Z\s]")  # neither a letter nor whitespace
 
 
 class CipherError(ValueError):
@@ -28,23 +31,17 @@ class Alphabet:
 
         With ``strip`` foreign characters are dropped; otherwise the first
         that is not whitespace raises, as written, at its offset in ``text``.
-        Text that folds to letters and whitespace alone is handled by string
-        methods, without the loop; ``str.split`` drops exactly the characters
-        that ``str.isspace`` names.
+        ``\\s``, ``str.split`` and ``str.isspace`` name the same characters.
         """
         folded = text.translate(_FOLD)
-        letters = "".join(folded.split())
-        if letters.isascii() and letters.isalpha() and letters.isupper():
-            return letters
-        out = []
-        for i, ch in enumerate(folded):
-            if ch in LETTERS:
-                out.append(ch)
-            elif strip or ch.isspace():
-                continue
-            else:
-                raise CipherError(f"character {ch!r} at offset {i} is not in the alphabet")
-        return "".join(out)
+        if strip:
+            return _NOT_LETTERS.sub("", folded)
+        foreign = _FOREIGN.search(folded)
+        if foreign:
+            raise CipherError(
+                f"character {foreign.group()!r} at offset {foreign.start()} is not in the alphabet"
+            )
+        return "".join(folded.split())
 
 
 def _letters(residues: Iterable[int]) -> str:

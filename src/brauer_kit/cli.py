@@ -161,9 +161,9 @@ def _cmd_crypt(args, encrypting: bool) -> int:
 def _cmd_attack(args) -> int:
     if args.ciphertext is not None and args.infile is not None:
         raise CipherError("attack reads --ciphertext or --in, not both")
-    if args.keylen is not None and args.keylen < 1:
-        raise CipherError("--keylen must be >= 1")
     for flag, value in (("--max-keylen", args.max_keylen), ("--keylen", args.keylen)):
+        if value is not None and value < 1:
+            raise CipherError(f"{flag} must be >= 1")
         if value is not None and value > MAX_KEYLEN:
             raise CipherError(f"{flag} must be <= {MAX_KEYLEN}")
     if args.top < 1:

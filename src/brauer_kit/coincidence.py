@@ -3,8 +3,9 @@
 Indices of coincidence are exact rationals; decimals appear only when
 rendering reports.  The attack splits a ciphertext into candidate decimated
 lists, scores key lengths by how close the per-list indices come to the
-English target 0.065, recovers shift differences from mutual indices, and
-ranks the anchored keys by a chi-squared fit of the decryption.
+English target 0.065, recovers shift differences from the overlaps of each
+list's tally with the 26 rotations of another's (a Vigenere shift rotates a
+tally), and ranks the anchored keys by a chi-squared fit of the decryption.
 
 Everything after the split reads the lists' letter counts.  Ranking key
 lengths up to M splits the text and counts its letters only for the
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .cipher import CipherError, LETTERS, VigenereKey
@@ -67,12 +70,6 @@ def index_of_coincidence(text: str) -> Fraction:
     if len(text) < 2:
         raise CipherError("index of coincidence needs a text of length >= 2")
     return _ioc(list_counts(text, 1)[0])
-
-
-def _overlap(f1: list[int], f2: list[int], shift: int) -> int:
-    """Numerator of the shifted mutual index: sum_i f1[i] * f2[i - shift]."""
-    n = len(f1)
-    return sum(f1[i] * f2[(i - shift) % n] for i in range(n))
 
 
 def decimate(text: str, m: int) -> list[str]:
@@ -166,20 +163,22 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     ciphertext's m decimated lists (``list_counts``, or a ranked length's
     ``counts``).
 
-    For each list pair the shift maximizing the mutual index gives one
-    difference k_i - k_j.  The star of pairs (0, j) fixes the key up to k_0;
-    every other pair is checked against it and, where it disagrees, reported
-    in ``residuals``.  The 26 choices of k_0 are ranked by the chi-squared
-    fit of their decryptions against English frequencies, taken from the
-    per-list letter counts rotated by each key residue.
+    A shift by s rotates a list's tally, so each list's 26 rotations are
+    built once.  For each list pair the rotation with the largest overlap
+    gives one difference k_i - k_j.  The star of pairs (0, j) fixes the key
+    up to k_0; every other pair is checked against it and, where it
+    disagrees, reported in ``residuals``.  The 26 choices of k_0 are ranked
+    by the chi-squared fit of their decryptions against English
+    frequencies; each decryption's tally is a rotation of the first.
     """
     n, m = len(LETTERS), len(counts)
-    # max keeps the first of equal overlaps, so ties go to the smaller shift
-    differences = tuple(
-        (i, j, max(range(n), key=lambda s: _overlap(counts[i], counts[j], s)))
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
+    # rotations[j][s][h] == counts[j][(h - s) % n]
+    rotations = [[c[-s:] + c[:-s] for s in range(n)] for c in counts]
+    differences = []
+    for i, j in combinations(range(m), 2):
+        overlaps = [sum(map(mul, counts[i], r)) for r in rotations[j]]
+        # index finds the first maximum, so ties go to the smaller shift
+        differences.append((i, j, overlaps.index(max(overlaps))))
     # the first m - 1 pairs are the star (0, j); with k_0 = 0 they fix the key
     base = (0,) + tuple(-d % n for _, _, d in differences[: m - 1])
     residuals = tuple(
@@ -187,16 +186,14 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
         for i, j, d in differences
         if (residual := (d - (base[i] - base[j])) % n)
     )
-    length = sum(map(sum, counts))  # the text's, split into the lists
-    candidates = []
-    for k0 in range(n):
-        # the difference system is translation invariant, so every anchor
-        # choice shifts the base solution uniformly
-        key = tuple((r + k0) % n for r in base)
-        # list j decrypts cipher letter h + k_j to plaintext letter h
-        plain = [sum(c[(h + k) % n] for c, k in zip(counts, key)) for h in range(n)]
-        candidates.append(
-            KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, length))
-        )
+    # list j decrypts cipher letter h + k_j to plaintext letter h
+    plain = list(map(sum, zip(*(rot[-k % n] for rot, k in zip(rotations, base)))))
+    length = sum(plain)  # the text's, split into the lists
+    # anchoring k_0 at a adds a to every k_j and rotates the decryption by a
+    candidates = [
+        KeyCandidate(VigenereKey(tuple((k + a) % n for k in base)).to_text(),
+                     _chi_squared(plain[a:] + plain[:a], length))
+        for a in range(n)
+    ]
     candidates.sort(key=lambda c: c.chi2)
-    return KeyRecovery(differences, residuals, tuple(candidates))
+    return KeyRecovery(tuple(differences), residuals, tuple(candidates))

@@ -7,9 +7,11 @@ the configuration once per vertex.  The Vigenere split as a configuration,
 one polygon per decimated list.  The program computes neither: it counts
 ``brauer.invariants`` in one pass over the words and reads the split's
 invariants from its letter tallies (``brauer.invariants_from_tallies``).
-The folding of text into the alphabet as one loop over its characters,
-which ``Alphabet.normalize`` runs only when string methods cannot settle
-the text.
+The folding of text into the alphabet as one loop over its characters;
+``Alphabet.normalize`` folds with string methods and regular expressions.
+Key recovery as one shifted overlap per list pair and shift, and one
+decryption tally per anchored key; ``coincidence.friedman_recover_key``
+reads both from each list's 26 rotations.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from brauer_kit.brauer import BrauerConfiguration, config_from_words
-from brauer_kit.cipher import LETTERS, CipherError
-from brauer_kit.coincidence import decimate
+from brauer_kit.cipher import LETTERS, CipherError, VigenereKey
+from brauer_kit.coincidence import KeyCandidate, KeyRecovery, _chi_squared, decimate
 
 
 class UnknownVertexError(KeyError):
@@ -113,3 +115,32 @@ def normalize_by_loop(text: str, strip: bool = False) -> str:
         else:
             raise CipherError(f"character {ch!r} at offset {i} is not in the alphabet")
     return "".join(out)
+
+
+def recover_key_by_overlaps(counts) -> KeyRecovery:
+    """``friedman_recover_key`` index by index: for each list pair the shift
+    s maximizing sum_h f_i[h] * f_j[h - s] (the first, on ties) gives
+    k_i - k_j; the star (0, j) fixes the key up to k_0, and each of the 26
+    anchors is scored on its own recount of the decryption's tally."""
+    n, m = len(LETTERS), len(counts)
+    differences = tuple(
+        (i, j, max(range(n), key=lambda s: sum(
+            counts[i][h] * counts[j][(h - s) % n] for h in range(n)
+        )))
+        for i in range(m)
+        for j in range(i + 1, m)
+    )
+    base = (0,) + tuple(-d % n for _, _, d in differences[: m - 1])
+    residuals = tuple(
+        (i, j, residual)
+        for i, j, d in differences
+        if (residual := (d - (base[i] - base[j])) % n)
+    )
+    length = sum(map(sum, counts))
+    candidates = []
+    for k0 in range(n):
+        key = tuple((r + k0) % n for r in base)
+        plain = [sum(c[(h + k) % n] for c, k in zip(counts, key)) for h in range(n)]
+        candidates.append(KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, length)))
+    candidates.sort(key=lambda c: c.chi2)
+    return KeyRecovery(differences, residuals, tuple(candidates))

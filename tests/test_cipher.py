@@ -1,4 +1,7 @@
+import re
 import string
+import sys
+from itertools import filterfalse
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -92,9 +95,8 @@ FOREIGN = "\u200b0123456789ßſﬀＡ"
 @example("ab\u200bc", True)
 @example("aＡ\x1cß", False)
 def test_normalize_matches_the_loop(text, strip):
-    # the string-method path gives the loop's output, and text it cannot
-    # settle reaches the loop, so each error names the same character at
-    # the same offset
+    # the string methods and regular expressions give the loop's output,
+    # and each error names the same character at the same offset
     assert _outcome(Alphabet().normalize, text, strip) == _outcome(normalize_by_loop, text, strip)
 
 
@@ -246,3 +248,12 @@ def test_boustrophedon_matches_a_cell_walk(rows, cols, rng):
     ))
     assert transposition_encrypt(text, [route]) == "".join(walk)
     assert transposition_decrypt("".join(walk), [route]) == text
+
+
+def test_whitespace_is_one_set_of_characters():
+    # normalize finds a foreign character with the regular expression \s and
+    # drops whitespace with str.split; both must name exactly the characters
+    # that str.isspace names, on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"\s", every)) == "".join(filter(str.isspace, every))
+    assert "".join(every.split()) == "".join(filterfalse(str.isspace, every))

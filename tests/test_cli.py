@@ -269,6 +269,14 @@ def test_attack_rejects_keylen_below_one(capsys):
     assert "error[E_CIPHER]" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_attack_rejects_max_keylen_below_one(capsys, value):
+    # the flag is named, and it is checked before the text is read
+    code, out, err = run(capsys, "attack", "--in", "no-such-file.txt", "--max-keylen", value)
+    assert (code, out) == (2, "")
+    assert err == "brauer-kit: error[E_CIPHER]: --max-keylen must be >= 1\n"
+
+
 def test_huge_keylen_fails_fast_with_a_short_message(capsys):
     # the text is checked against 2 * keylen before any list is built
     for argv in (

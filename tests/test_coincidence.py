@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from brauer_kit import coincidence
 from brauer_kit.cipher import LETTERS, CipherError, VigenereKey, vigenere_decrypt, vigenere_encrypt
@@ -18,6 +18,7 @@ from brauer_kit.coincidence import (
     index_of_coincidence,
     list_counts,
 )
+from reference import recover_key_by_overlaps
 from textgen import SAMPLE_TEXT, sample_english, sample_uniform
 
 CIPHERTEXT = "OOPAELRIXFGGBWDODDEPK"
@@ -297,6 +298,36 @@ def test_recovered_differences_peak_mutual_index():
     for i, j, d in recovery.differences:
         row = [mutual_index_shift(lists[i], lists[j], s) for s in range(26)]
         assert row[d] == max(row)
+
+
+# A tally row of zeros, small counts and counts of 10**30, or a constant row,
+# on which all 26 shifts tie.
+TALLY_ROWS = st.one_of(
+    st.lists(st.sampled_from((0, 0, 1, 2, 3, 7, 10**30)), min_size=26, max_size=26),
+    st.integers(0, 5).map(lambda v: [v] * 26),
+)
+
+
+@st.composite
+def tally_tables(draw):
+    m = draw(st.integers(1, 12))
+    rows = [draw(TALLY_ROWS)] * m if draw(st.booleans()) else draw(
+        st.lists(TALLY_ROWS, min_size=m, max_size=m)
+    )
+    assume(any(map(any, rows)))  # chi-squared needs a nonempty text
+    return tuple(map(tuple, rows)) if draw(st.booleans()) else rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(tally_tables())
+@example(list_counts(
+    vigenere_encrypt(sample_english(random.Random(30), 3_000), VigenereKey.from_text("BRAUER" * 5)),
+    30,
+))
+def test_recovery_reads_the_overlaps_and_decryptions_from_rotations(rows):
+    # the rotation table gives what one overlap per pair and shift and one
+    # recount per anchor give, ties and ranking included
+    assert friedman_recover_key(rows) == recover_key_by_overlaps(rows)
 
 
 @pytest.mark.parametrize("m, length", [(1, 200), (3, 301), (4, 803), (7, 1000)])
