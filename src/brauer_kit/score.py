@@ -101,8 +101,7 @@ def measure_target(time: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
+    r"""(?P<comment>\#)
       | (?P<header>(?:clef|time|ref|accidentals)=\S+)
       | (?P<bar>\|)
       | (?P<event>""" + CLASS_TOKEN + r""")
@@ -112,30 +111,56 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
+_WORD = re.compile(r"\S+")
+_CACHED_WORD_CHARS = 16  # longest word whose tokens one tokenizer call keeps
+_CACHED_WORDS = 1024  # distinct words whose tokens one tokenizer call keeps
 
 
 def _tokenize(text: str):
-    """Yield ``(kind, text, (line, col))`` for every token but whitespace and
-    comments; line and column are 1-based, the column counts characters.
-    Comments stop before a newline, so only whitespace tokens move the line:
-    each is scanned once, which keeps tokenizing linear in the text."""
-    pos = 0
-    line, line_start = 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            bad = text[pos:].split()[0][:12]
-            raise ScoreParseError(f"unknown token {bad!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        end = m.end()
-        if kind == "ws":
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", pos, end) + 1
-        elif kind != "comment":
-            yield kind, m.group(), (line, pos - line_start + 1)
-        pos = end
+    """Yield ``(kind, text, (line, col))`` for every token but comments; line
+    and column are 1-based, the column counts characters, and only ``\n``
+    starts a line.  A ``#`` where a token would start runs to the end of its
+    line.
+
+    No token but a comment holds whitespace, so the text is read one
+    whitespace-separated word at a time.  A score repeats a few dozen words:
+    the tokens of a word of at most ``_CACHED_WORD_CHARS`` characters, up to a
+    comment, are kept the first time this call scans it and replayed at
+    each later occurrence's column.  A longer word, or a new one once
+    ``_CACHED_WORDS`` are kept, is scanned where it stands, so the kept
+    tokens stay few."""
+    words: dict = {}  # short word -> its tokens as (kind, text, offset in the word)
+    for line, row in enumerate(text.split("\n"), 1):
+        for w in _WORD.finditer(row):
+            word, col = w[0], w.start() + 1
+            tokens = words.get(word)
+            if tokens is not None:
+                for kind, value, off in tokens:
+                    if kind == "comment":
+                        break
+                    yield kind, value, (line, col + off)
+                else:
+                    continue
+                break  # the rest of the line is a comment
+            keep = len(word) <= _CACHED_WORD_CHARS and len(words) < _CACHED_WORDS
+            if keep:
+                words[word] = tokens = []
+            off = 0
+            while off < len(word):
+                m = _TOKEN.match(word, off)
+                if m is None:
+                    bad = word[off:][:12]
+                    raise ScoreParseError(f"unknown token {bad!r}", line, col + off)
+                kind, value = m.lastgroup, m[0]
+                if keep:
+                    tokens.append((kind, value, off))
+                if kind == "comment":
+                    break
+                yield kind, value, (line, col + off)
+                off = m.end()
+            else:
+                continue
+            break  # the rest of the line is a comment
 
 
 # ---------------------------------------------------------------------------

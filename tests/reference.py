@@ -12,15 +12,20 @@ The folding of text into the alphabet as one loop over its characters;
 Key recovery as one shifted overlap per list pair and shift, and one
 decryption tally per anchored key; ``coincidence.friedman_recover_key``
 reads both from each list's 26 rotations.
+The score tokenizer as one regular-expression match per token and per run
+of whitespace; ``score._tokenize`` reads the text one whitespace-separated
+word at a time and scans each distinct short word once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from brauer_kit.brauer import BrauerConfiguration, config_from_words
 from brauer_kit.cipher import LETTERS, CipherError, VigenereKey
 from brauer_kit.coincidence import KeyCandidate, KeyRecovery, _chi_squared, decimate
+from brauer_kit.score import CLASS_TOKEN, ScoreParseError
 
 
 class UnknownVertexError(KeyError):
@@ -144,3 +149,41 @@ def recover_key_by_overlaps(counts) -> KeyRecovery:
         candidates.append(KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, length)))
     candidates.sort(key=lambda c: c.chi2)
     return KeyRecovery(differences, residuals, tuple(candidates))
+
+
+_TOKEN = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<header>(?:clef|time|ref|accidentals)=\S+)
+      | (?P<bar>\|)
+      | (?P<event>""" + CLASS_TOKEN + r""")
+      | (?P<obracket>\[) | (?P<cbracket>\])
+      | (?P<oparen>\() | (?P<cparen>\))
+      | (?P<obrace>\{) | (?P<cbrace>\}x\d+)
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize_by_regex(text: str):
+    """Yield ``(kind, text, (line, col))`` for every token but whitespace and
+    comments; line and column are 1-based, the column counts characters.
+    Comments stop before a newline, so only whitespace tokens move the line:
+    each is scanned once, which keeps tokenizing linear in the text."""
+    pos = 0
+    line, line_start = 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            bad = text[pos:].split()[0][:12]
+            raise ScoreParseError(f"unknown token {bad!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "ws":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, end) + 1
+        elif kind != "comment":
+            yield kind, m.group(), (line, pos - line_start + 1)
+        pos = end

@@ -1,14 +1,18 @@
 import random
+import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from brauer_kit import score as score_module
 from brauer_kit.brauer import config_from_words, invariants
 from brauer_kit.score import (
     MAX_EVENTS,
+    _CACHED_WORD_CHARS,
     Score,
     ScoreError,
     ScoreParseError,
@@ -17,10 +21,14 @@ from brauer_kit.score import (
     measure_target,
     parse_score,
     score_to_config,
+    _tokenize,
 )
 
 import textgen
-from reference import valency, vertex_universe
+from reference import tokenize_by_regex, valency, vertex_universe
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "brauer_kit" / "fixtures"
 
@@ -363,6 +371,101 @@ def test_measure_target_values():
     assert measure_target((4, 4)) == 64
     assert measure_target((3, 4)) == 48
     assert measure_target((6, 8)) == 48
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer
+# ---------------------------------------------------------------------------
+
+# Pieces of DSL text: tokens, near misses, comments and header items that
+# hold '#'.  They are joined with nothing, which glues them into longer
+# words, or with whitespace, ``\n`` included.
+DSL_PIECES = (
+    "|", "[", "]", "(", ")", "{", "}x2", "}x1", "}x0", "c4", "-d8", "+e16.",
+    "r4", "a64.", "h4", "$", "}x" + "9" * 25, "c3", "#", "# note | c4 (",
+    "a4#x", "clef=treble", "clef=treble#", "time=4/4", "time=3/8", "ref=x#y",
+    "accidentals=+f", "a4" * 10, "{a4}x1" * 4, "ref=" + "x" * 20,
+)
+SPACES = ("", " ", "\n", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x85", "\xa0", "\u3000",
+          " \n ")
+DSL_TEXT = st.lists(
+    st.tuples(st.sampled_from(DSL_PIECES), st.sampled_from(SPACES)), max_size=30,
+).map(lambda parts: "".join(piece + space for piece, space in parts))
+
+
+def token_stream(tokenize, text):
+    """Every token ``tokenize`` yields before it stops, and the text, line
+    and column of the ``ScoreParseError`` it stops with, if any."""
+    tokens = []
+    try:
+        tokens.extend(tokenize(text))
+    except ScoreParseError as exc:
+        return tokens, (str(exc), exc.line, exc.col)
+    return tokens, None
+
+
+def parse_outcome(text, strict):
+    try:
+        return parse_score(text, strict=strict)
+    except ScoreError as exc:
+        return type(exc), str(exc)
+
+
+@given(DSL_TEXT)
+@example(gen.score_input(3, 500)["text"])
+@example(gen.score_input(7, 500)["text"])
+@example("| a4#x b4\n| a4#x c4 a4")
+@example("ref=x#y clef=treble# | c4")
+def test_tokenizer_matches_reference(text):
+    assert token_stream(_tokenize, text) == token_stream(tokenize_by_regex, text)
+    new = (parse_outcome(text, True), parse_outcome(text, False))
+    with mock.patch.object(score_module, "_tokenize", tokenize_by_regex):
+        old = (parse_outcome(text, True), parse_outcome(text, False))
+    assert new == old
+
+
+def test_cached_word_reports_its_own_position():
+    # each later occurrence of a word reads the tokens kept at its first,
+    # at its own line and column
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("time=4/4\n| c16 c16 c16 c16\n  | c16 c16 c16\n")
+    assert str(err.value) == "line 3, column 5: measure 2 sums to 48, expected 64 for 4/4"
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("| ( c4 )\n| c4 )")
+    assert str(err.value) == "line 2, column 6: unmatched closing paren"
+    stream = _tokenize("| a4\n| a4$")
+    assert [next(stream) for _ in range(4)] == [
+        ("bar", "|", (1, 1)), ("event", "a4", (1, 3)),
+        ("bar", "|", (2, 1)), ("event", "a4", (2, 3)),
+    ]
+    with pytest.raises(ScoreParseError) as err:
+        next(stream)
+    assert str(err.value) == "line 2, column 5: unknown token '$'"
+    # a kept comment still ends its line
+    assert list(_tokenize("a4#x b4\n a4#x c4")) == [
+        ("event", "a4", (1, 1)), ("event", "a4", (2, 2)),
+    ]
+
+
+def parse_peak(text):
+    tracemalloc.start()
+    try:
+        parse_score(text, strict=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "text", ["| " + "a4" * 50_000, "|" + "{a4}x1" * 25_000], ids=["events", "repeats"]
+)
+def test_long_word_keeps_the_reference_peak(text):
+    # a word longer than _CACHED_WORD_CHARS is scanned where it stands, so its
+    # tokens are never held beside the ones the parser keeps
+    assert len(text.split()[-1]) > _CACHED_WORD_CHARS
+    with mock.patch.object(score_module, "_tokenize", tokenize_by_regex):
+        reference_peak = parse_peak(text)
+    assert parse_peak(text) <= 1.1 * reference_peak
 
 
 # ---------------------------------------------------------------------------
