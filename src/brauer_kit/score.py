@@ -12,7 +12,9 @@ sharp or ``=`` natural, or ``r`` for a rest; then the duration exponent
 multiplies the effective exponent by 3/2.  ``|`` separates measures.
 ``[ ]`` bracket groups (closed inside their measure) and ``( )`` ties/slurs
 (which may span measures) are checked for balance and then dropped;
-``{ ... }xN`` repeats its contents N times inside one measure.  ``ref=`` and
+``{ ... }xN`` repeats its contents N times inside one measure.  A closer
+ends the newest open group of its own kind, so kinds may cross
+(``( [ ) ]``), and parsing is linear in the text.  ``ref=`` and
 ``accidentals=`` header items are accepted annotations that are not stored.
 ``#`` starts a comment.
 
@@ -107,7 +109,7 @@ _TOKEN = re.compile(
       | (?P<event>""" + CLASS_TOKEN + r""")
       | (?P<obracket>\[) | (?P<cbracket>\])
       | (?P<oparen>\() | (?P<cparen>\))
-      | (?P<obrace>\{) | (?P<cbrace>\}x\d+)
+      | (?P<obrace>\{) | (?P<cbrace>\}x[0-9]+)
     """,
     re.VERBOSE,
 )
@@ -167,15 +169,6 @@ def _tokenize(text: str):
 # Parser
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Group:
-    kind: str
-    line: int
-    col: int
-    start: int      # token index in the open measure (braces only)
-    start_sum: int  # exponent sum of the open measure (braces only)
-
-
 def _parse_header_item(item: str, line: int, col: int, header: dict) -> None:
     key, _, value = item.partition("=")
     if key in header:
@@ -184,7 +177,7 @@ def _parse_header_item(item: str, line: int, col: int, header: dict) -> None:
     if key == "clef" and value not in CLEFS:
         raise ScoreParseError(f"unknown clef {value!r}", line, col)
     if key == "time":
-        m = re.fullmatch(r"(\d+)/(\d+)", value)
+        m = re.fullmatch(r"([0-9]+)/([0-9]+)", value)
         if not m:
             raise ScoreParseError(f"malformed time signature {value!r}", line, col)
         try:
@@ -205,7 +198,9 @@ def parse_score(text: str, strict: bool = True) -> Score:
     current: list = []
     current_pos: tuple | None = None
     current_sum = 0
-    open_groups: list[_Group] = []
+    # open groups of each kind, oldest first: (line, col, token count and
+    # exponent sum of the open measure when the group opened)
+    opened: dict = {"bracket": [], "paren": [], "brace": []}
     seen_content = False
     weights: dict = {}  # token -> effective exponent, computed once per class
 
@@ -214,11 +209,9 @@ def parse_score(text: str, strict: bool = True) -> Score:
         the text (None)."""
         nonlocal measured, current, current_pos, current_sum
         for kind, name in (("brace", "repeat group"), ("bracket", "bracket group")):
-            for g in open_groups:
-                if g.kind == kind:
-                    raise ScoreParseError(
-                        f"{name} must close inside its measure", g.line, g.col
-                    )
+            if opened[kind]:
+                line, col, _, _ = opened[kind][0]
+                raise ScoreParseError(f"{name} must close inside its measure", line, col)
         if current:
             measures.append((tuple(current), current_pos, current_sum))
             measured += len(current)
@@ -249,13 +242,12 @@ def parse_score(text: str, strict: bool = True) -> Score:
             current.append(value)
             current_sum += weight
         elif kind in ("obracket", "oparen", "obrace"):
-            open_groups.append(_Group(kind[1:], line, col, len(current), current_sum))
-        else:  # cbracket, cparen or cbrace
+            opened[kind[1:]].append((line, col, len(current), current_sum))
+        else:  # cbracket, cparen or cbrace: it ends the newest open group of its kind
             want = kind[1:]
-            match = next((g for g in reversed(open_groups) if g.kind == want), None)
-            if match is None:
+            if not opened[want]:
                 raise ScoreParseError(f"unmatched closing {want}", line, col)
-            open_groups.remove(match)
+            _, _, start, start_sum = opened[want].pop()
             if want != "brace":
                 continue
             try:
@@ -265,18 +257,21 @@ def parse_score(text: str, strict: bool = True) -> Score:
             if repeats < 1:
                 raise ScoreParseError("repeat count must be >= 1", line, col)
             # fail before any copy is built; a measure sum stays <= 96 * MAX_EVENTS
-            body = current[match.start:]
-            if measured + len(current) + len(body) * (repeats - 1) > MAX_EVENTS:
+            size = len(current) - start
+            if measured + len(current) + size * (repeats - 1) > MAX_EVENTS:
                 raise ScoreParseError(
                     f"repeat group expands the score past {MAX_EVENTS} events", line, col
                 )
-            current_sum += (current_sum - match.start_sum) * (repeats - 1)
-            if body:  # an empty list times a count past sys.maxsize overflows
-                current.extend(body * (repeats - 1))
+            current_sum += (current_sum - start_sum) * (repeats - 1)
+            # copy only a body that repeats; an empty list times a count past
+            # sys.maxsize overflows
+            if size and repeats > 1:
+                current.extend(current[start:] * (repeats - 1))
 
-    if open_groups:
-        g = open_groups[0]
-        raise ScoreParseError(f"unclosed group ({g.kind})", g.line, g.col)
+    oldest = [(g[0][:2], kind) for kind, g in opened.items() if g]  # of each kind
+    if oldest:
+        (line, col), kind = min(oldest)
+        raise ScoreParseError(f"unclosed group ({kind})", line, col)
     flush_measure(None)
     if not measures:
         raise ScoreParseError("score has no measures", 1, 1)

@@ -15,6 +15,9 @@ reads both from each list's 26 rotations.
 The score tokenizer as one regular-expression match per token and per run
 of whitespace; ``score._tokenize`` reads the text one whitespace-separated
 word at a time and scans each distinct short word once.
+The score parser with one list of open groups of every kind, searched from
+its end at each closer, removed from by equality and walked at each bar;
+``score.parse_score`` keeps one stack per group kind.
 """
 
 from __future__ import annotations
@@ -25,7 +28,17 @@ from dataclasses import dataclass
 from brauer_kit.brauer import BrauerConfiguration, config_from_words
 from brauer_kit.cipher import LETTERS, CipherError, VigenereKey
 from brauer_kit.coincidence import KeyCandidate, KeyRecovery, _chi_squared, decimate
-from brauer_kit.score import CLASS_TOKEN, ScoreParseError
+from brauer_kit.score import (
+    CLASS_TOKEN,
+    MAX_EVENTS,
+    Score,
+    ScoreError,
+    ScoreParseError,
+    _parse_header_item,
+    _tokenize,
+    class_parts,
+    measure_target,
+)
 
 
 class UnknownVertexError(KeyError):
@@ -187,3 +200,119 @@ def tokenize_by_regex(text: str):
         elif kind != "comment":
             yield kind, m.group(), (line, pos - line_start + 1)
         pos = end
+
+
+@dataclass
+class _Group:
+    kind: str
+    line: int
+    col: int
+    start: int      # token index in the open measure (braces only)
+    start_sum: int  # exponent sum of the open measure (braces only)
+
+
+def parse_score_by_group_list(text: str, strict: bool = True) -> Score:
+    """Parse DSL text.  Measure-sum violations raise in strict mode and are
+    collected as warnings otherwise."""
+    header: dict = {}
+    measures: list = []  # (tokens, position of the first token, exponent sum)
+    measured = 0  # tokens in ``measures``
+    current: list = []
+    current_pos: tuple | None = None
+    current_sum = 0
+    open_groups: list[_Group] = []
+    seen_content = False
+    weights: dict = {}  # token -> effective exponent, computed once per class
+
+    def flush_measure(bar: tuple | None) -> None:
+        """Close the open measure at a bar (its position) or at the end of
+        the text (None)."""
+        nonlocal measured, current, current_pos, current_sum
+        for kind, name in (("brace", "repeat group"), ("bracket", "bracket group")):
+            for g in open_groups:
+                if g.kind == kind:
+                    raise ScoreParseError(
+                        f"{name} must close inside its measure", g.line, g.col
+                    )
+        if current:
+            measures.append((tuple(current), current_pos, current_sum))
+            measured += len(current)
+        elif measures and bar is not None:
+            raise ScoreParseError("empty measure", *bar)
+        current = []
+        current_pos = None
+        current_sum = 0
+
+    for kind, value, (line, col) in _tokenize(text):
+        if kind == "header":
+            if seen_content:
+                raise ScoreParseError("header item after score content", line, col)
+            _parse_header_item(value, line, col, header)
+            continue
+        seen_content = True
+        if kind == "bar":
+            flush_measure((line, col))
+        elif kind == "event":
+            if current_pos is None:
+                current_pos = (line, col)
+            weight = weights.get(value)
+            if weight is None:
+                try:
+                    weight = weights[value] = class_parts(value)[1]
+                except ScoreError as exc:  # a dotted sixty-fourth
+                    raise ScoreParseError(str(exc), line, col) from None
+            current.append(value)
+            current_sum += weight
+        elif kind in ("obracket", "oparen", "obrace"):
+            open_groups.append(_Group(kind[1:], line, col, len(current), current_sum))
+        else:  # cbracket, cparen or cbrace
+            want = kind[1:]
+            match = next((g for g in reversed(open_groups) if g.kind == want), None)
+            if match is None:
+                raise ScoreParseError(f"unmatched closing {want}", line, col)
+            open_groups.remove(match)
+            if want != "brace":
+                continue
+            try:
+                repeats = int(value[2:])
+            except ValueError:  # more digits than int() converts
+                raise ScoreParseError("repeat count is too large", line, col) from None
+            if repeats < 1:
+                raise ScoreParseError("repeat count must be >= 1", line, col)
+            # fail before any copy is built; a measure sum stays <= 96 * MAX_EVENTS
+            body = current[match.start:]
+            if measured + len(current) + len(body) * (repeats - 1) > MAX_EVENTS:
+                raise ScoreParseError(
+                    f"repeat group expands the score past {MAX_EVENTS} events", line, col
+                )
+            current_sum += (current_sum - match.start_sum) * (repeats - 1)
+            if body:  # an empty list times a count past sys.maxsize overflows
+                current.extend(body * (repeats - 1))
+
+    if open_groups:
+        g = open_groups[0]
+        raise ScoreParseError(f"unclosed group ({g.kind})", g.line, g.col)
+    flush_measure(None)
+    if not measures:
+        raise ScoreParseError("score has no measures", 1, 1)
+
+    warnings: list[str] = []
+    time = header.get("time")
+    if time is not None:
+        target = measure_target(time)
+        for i, (_, pos, total) in enumerate(measures):
+            if total != target:
+                message = (
+                    f"measure {i + 1} sums to {total}, expected {target} "
+                    f"for {time[0]}/{time[1]}"
+                )
+                if strict:
+                    raise ScoreParseError(message, *pos)
+                warnings.append(message)
+
+    return Score(
+        measures=tuple(tokens for tokens, _, _ in measures),
+        clef=header.get("clef", "treble"),
+        time=time,
+        warnings=tuple(warnings),
+    )

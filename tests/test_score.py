@@ -25,7 +25,7 @@ from brauer_kit.score import (
 )
 
 import textgen
-from reference import tokenize_by_regex, valency, vertex_universe
+from reference import parse_score_by_group_list, tokenize_by_regex, valency, vertex_universe
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
@@ -140,14 +140,28 @@ def test_parse_unknown_token_position():
 
 
 def test_parse_unclosed_group():
-    with pytest.raises(ScoreParseError) as err:
-        parse_score("| [ b8 f8")
-    assert "unclosed" in str(err.value)
+    for text, message in [
+        ("| [ b8 f8", "line 1, column 3: unclosed group (bracket)"),
+        # the oldest open group of any kind is named, the oldest of its kind too
+        ("| ( c4 [ c4 ] { c4", "line 1, column 3: unclosed group (paren)"),
+        ("| { c4 ( c4", "line 1, column 3: unclosed group (brace)"),
+        ("| ( c4 ( c4", "line 1, column 3: unclosed group (paren)"),
+    ]:
+        with pytest.raises(ScoreParseError) as err:
+            parse_score(text)
+        assert str(err.value) == message
 
 
 def test_parse_unmatched_close():
-    with pytest.raises(ScoreParseError):
-        parse_score("| b8 ] f8")
+    for text, message in [
+        ("| b8 ] f8", "line 1, column 6: unmatched closing bracket"),
+        # a closer never ends a group of another kind
+        ("| ( c4 ]", "line 1, column 8: unmatched closing bracket"),
+        ("| [ c4 }x2 ]", "line 1, column 8: unmatched closing brace"),
+    ]:
+        with pytest.raises(ScoreParseError) as err:
+            parse_score(text)
+        assert str(err.value) == message
 
 
 def test_parse_empty_measure_rejected():
@@ -165,6 +179,8 @@ def test_parse_interleaved_group_kinds():
     # a slur opened in the previous measure may close inside a bracket
     score = parse_score("| ( b16 b16 | [ b8 ) f8 e8 =g8 ]")
     assert len(score.measures) == 2
+    # a closer ends the newest open group of its own kind, so kinds may cross
+    assert parse_score("| ( [ c4 ) ]").measures == (("c4",),)
 
 
 def test_parse_brace_repeats_contents():
@@ -197,6 +213,18 @@ def test_parse_header_after_content_rejected():
 def test_parse_bad_time_signature():
     with pytest.raises(ScoreParseError):
         parse_score("time=4/3 | c16 c16")
+
+
+def test_time_signature_takes_ascii_digits_only():
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("time=\u0664/\u0664 | c16 c16")  # Arabic-Indic 4/4
+    assert str(err.value) == "line 1, column 1: malformed time signature '\u0664/\u0664'"
+
+
+def test_repeat_count_takes_ascii_digits_only():
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("| { a4 }x\u0663")  # Arabic-Indic 3
+    assert str(err.value) == "line 1, column 8: unknown token '}x\u0663'"
 
 
 def test_parse_repeat_over_target_builds_no_copies():
@@ -351,12 +379,26 @@ def test_parse_error_position_matches_reference(case, data):
     )
 
 
-def test_parse_time_grows_linearly_with_measures():
-    # 8x the measures must cost well under 20x the time; counting newlines
-    # from the start of the text for every token grew about 35x at these
-    # sizes.  Alternating rounds let a slow spell of the host hit both sizes.
-    small = textgen.sample_score(random.Random(1), 500)
-    large = textgen.sample_score(random.Random(2), 4000)
+# n nested groups, n groups open across n measures, n nested repeats
+GROUP_TEXTS = {
+    "nested-parens": lambda n: "| " + "( " * n + "a4 " + ") " * n,
+    "spanning-parens": lambda n: "( " * n + "| a4 " * n + ") " * n,
+    "nested-repeats": lambda n: "| " + "{ " * n + "a4 " * n + "}x1 " * n,
+}
+
+
+@pytest.mark.parametrize("make", [
+    textgen.sample_score,
+    *(lambda _, n, text=text: text(n) for text in GROUP_TEXTS.values()),
+], ids=["measures", *GROUP_TEXTS])
+def test_parse_time_grows_linearly_with_measures(make):
+    # 8x the measures or groups must cost well under 20x the time; counting
+    # newlines from the start of the text for every token grew about 35x at
+    # these sizes, and one list of open groups of every kind, searched and
+    # walked at each closer and bar, about 60x.  Alternating rounds let a slow
+    # spell of the host hit both sizes.
+    small = make(random.Random(1), 500)
+    large = make(random.Random(2), 4000)
     best = {small: float("inf"), large: float("inf")}
     for _ in range(5):
         for text in best:
@@ -404,9 +446,9 @@ def token_stream(tokenize, text):
     return tokens, None
 
 
-def parse_outcome(text, strict):
+def parse_outcome(text, strict, parse=parse_score):
     try:
-        return parse_score(text, strict=strict)
+        return parse(text, strict=strict)
     except ScoreError as exc:
         return type(exc), str(exc)
 
@@ -422,6 +464,20 @@ def test_tokenizer_matches_reference(text):
     with mock.patch.object(score_module, "_tokenize", tokenize_by_regex):
         old = (parse_outcome(text, True), parse_outcome(text, False))
     assert new == old
+
+
+@given(DSL_TEXT)
+@example("| ( [ c4 ) ]")
+@example("| [ c8 { d8\n| e8 }x2 ]")
+@example("| { c8 [ d8 | e8 ] }x2")
+@example(GROUP_TEXTS["nested-parens"](50))
+@example(GROUP_TEXTS["spanning-parens"](50))
+@example(GROUP_TEXTS["nested-repeats"](50))
+def test_parser_matches_reference(text):
+    for strict in (True, False):
+        assert parse_outcome(text, strict) == parse_outcome(
+            text, strict, parse_score_by_group_list
+        )
 
 
 def test_cached_word_reports_its_own_position():
