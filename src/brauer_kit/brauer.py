@@ -213,6 +213,7 @@ def invariants_from_histogram(
 # checked and then dropped: no invariant depends on it.
 
 _LABEL_SUFFIX = re.compile(r"(?<!\S)label:")
+_NUMBER = re.compile("[0-9]+")
 
 
 def parse_config(text: str) -> BrauerConfiguration:
@@ -225,9 +226,12 @@ def parse_config(text: str) -> BrauerConfiguration:
         label: list[int] | None = None
         suffix = "label:" in line and _LABEL_SUFFIX.search(line)
         if suffix:
+            numbers = line[suffix.end():].split()
             try:
-                label = sorted(int(tok) for tok in line[suffix.end():].split())
-            except ValueError:
+                if not all(map(_NUMBER.fullmatch, numbers)):
+                    raise ValueError
+                label = sorted(map(int, numbers))
+            except ValueError:  # not ASCII digits, or more than int() converts
                 raise ConfigError(f"line {lineno}: malformed label permutation")
             line = line[:suffix.start()]
         tokens = tuple(line.split())

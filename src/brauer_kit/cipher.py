@@ -17,6 +17,7 @@ LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _FOLD = str.maketrans(LETTERS.lower(), LETTERS)
 _NOT_LETTERS = re.compile(r"[^A-Z]+")
 _FOREIGN = re.compile(r"[^A-Z\s]")  # neither a letter nor whitespace
+_NUMBER = re.compile("[0-9]+")
 
 
 class CipherError(ValueError):
@@ -128,9 +129,12 @@ class BlockPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "BlockPermutation":
+        numbers = text.replace(",", " ").split()
         try:
-            return cls(tuple(int(tok) for tok in text.replace(",", " ").split()))
-        except ValueError:
+            if not all(map(_NUMBER.fullmatch, numbers)):
+                raise ValueError
+            return cls(tuple(map(int, numbers)))
+        except ValueError:  # not ASCII digits, too long for int(), or no permutation
             raise CipherError(f"malformed permutation {text!r}") from None
 
 

@@ -272,15 +272,15 @@ def _verify_checks():
         yield (f"score-{stem}", score_payload, golden)
 
     for stem in ("canon_crab", "canon_qi"):
-        def hist_dims(stem=stem):
-            data = json.loads((fixture_dir / f"{stem}.hist.json").read_text())
+        data = json.loads((fixture_dir / f"{stem}.hist.json").read_text())
+
+        def hist_dims(data=data):
             inv = invariants_from_histogram(
                 data["polygons"], data["valencyHistogram"], data["loops"]
             )
             return {"dimLambda": inv.dim_lambda, "dimCenter": inv.dim_center}
 
-        expected = json.loads((fixture_dir / f"{stem}.hist.json").read_text())["expected"]
-        yield (f"histogram-{stem}", hist_dims, expected)
+        yield (f"histogram-{stem}", hist_dims, data["expected"])
 
 
 def _cmd_verify() -> int:

@@ -18,12 +18,14 @@ equal-offset joins and any extra closure edges are opt-in.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .score import CLEFS, PITCHES, Score, class_parts
 
 ORIENTATIONS = ("standard", "reversed")
+_NUMBER = re.compile("[0-9]+")
 
 
 class DiagramError(ValueError):
@@ -109,11 +111,11 @@ def parse_edges(text: str) -> tuple:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(map(_NUMBER.fullmatch, parts)):
             raise DiagramError(f"edge line {lineno}: expected two indices")
         try:
             pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise DiagramError(f"edge line {lineno}: expected two indices") from None
     return tuple(pairs)
 

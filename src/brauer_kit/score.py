@@ -114,8 +114,19 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _WORD = re.compile(r"\S+")
-_CACHED_WORD_CHARS = 16  # longest word whose tokens one tokenizer call keeps
-_CACHED_WORDS = 1024  # distinct words whose tokens one tokenizer call keeps
+# Every word that is one whole token other than a header item or a ``}xN``:
+# the class tokens and the bar and group symbols, each mapped to its kind and
+# one shared copy of itself.  ``_TOKEN`` names the kind, so the table cannot
+# disagree with it.
+_ONE_TOKEN = {
+    m[0]: (m.lastgroup, m[0])
+    for m in map(_TOKEN.fullmatch, ["|", "[", "]", "(", ")", "{"] + [
+        acc + pitch + str(exponent) + dot
+        for acc in ("", "-", "+", "=") for pitch in PITCHES + "r"
+        for exponent in EXPONENTS for dot in ("", ".")
+    ])
+    if m
+}
 
 
 def _tokenize(text: str):
@@ -125,40 +136,26 @@ def _tokenize(text: str):
     line.
 
     No token but a comment holds whitespace, so the text is read one
-    whitespace-separated word at a time.  A score repeats a few dozen words:
-    the tokens of a word of at most ``_CACHED_WORD_CHARS`` characters, up to a
-    comment, are kept the first time this call scans it and replayed at
-    each later occurrence's column.  A longer word, or a new one once
-    ``_CACHED_WORDS`` are kept, is scanned where it stands, so the kept
-    tokens stay few."""
-    words: dict = {}  # short word -> its tokens as (kind, text, offset in the word)
+    whitespace-separated word at a time.  A word in ``_ONE_TOKEN`` is that
+    one token, and the table's shared text is yielded.  Any other word
+    (a header item, ``}xN``, a comment or tokens written without spaces
+    between them) is scanned with ``_TOKEN`` where it stands."""
     for line, row in enumerate(text.split("\n"), 1):
         for w in _WORD.finditer(row):
             word, col = w[0], w.start() + 1
-            tokens = words.get(word)
-            if tokens is not None:
-                for kind, value, off in tokens:
-                    if kind == "comment":
-                        break
-                    yield kind, value, (line, col + off)
-                else:
-                    continue
-                break  # the rest of the line is a comment
-            keep = len(word) <= _CACHED_WORD_CHARS and len(words) < _CACHED_WORDS
-            if keep:
-                words[word] = tokens = []
+            token = _ONE_TOKEN.get(word)
+            if token is not None:
+                yield token[0], token[1], (line, col)
+                continue
             off = 0
             while off < len(word):
                 m = _TOKEN.match(word, off)
                 if m is None:
                     bad = word[off:][:12]
                     raise ScoreParseError(f"unknown token {bad!r}", line, col + off)
-                kind, value = m.lastgroup, m[0]
-                if keep:
-                    tokens.append((kind, value, off))
-                if kind == "comment":
+                if m.lastgroup == "comment":
                     break
-                yield kind, value, (line, col + off)
+                yield m.lastgroup, m[0], (line, col + off)
                 off = m.end()
             else:
                 continue

@@ -14,7 +14,7 @@ decryption tally per anchored key; ``coincidence.friedman_recover_key``
 reads both from each list's 26 rotations.
 The score tokenizer as one regular-expression match per token and per run
 of whitespace; ``score._tokenize`` reads the text one whitespace-separated
-word at a time and scans each distinct short word once.
+word at a time and looks each one-token word up in ``score._ONE_TOKEN``.
 The score parser with one list of open groups of every kind, searched from
 its end at each closer, removed from by equality and walked at each bar;
 ``score.parse_score`` keeps one stack per group kind.

@@ -517,6 +517,13 @@ def test_parse_config_label_suffix_starts_at_a_token():
         parse_config("a b label: 1 label: 2\n")
 
 
+@pytest.mark.parametrize("number", ["\u0663", "+1", "1_0", "-1"])
+def test_parse_config_label_takes_ascii_digits_only(number):
+    # int() would read each of these as a number
+    with pytest.raises(ConfigError, match="^line 1: malformed label permutation$"):
+        parse_config(f"a b c label: 2 3 {number}\n")
+
+
 def test_parse_config_breaks_lines_only_at_newline():
     # form feed, NEL and U+2028 separate vertices, not polygons
     for sep in ["\x0c", "\x85", "\u2028"]:

@@ -175,6 +175,15 @@ def test_block_permutation_inverse():
     assert BlockPermutation.from_text("3 4 1 2") == PI
 
 
+@pytest.mark.parametrize(
+    "text", ["1 \u0663 2", "2 +1", "1_0 " + " ".join(map(str, range(1, 10)))]
+)
+def test_block_permutation_text_takes_ascii_digits_only(text):
+    # int() would read each of these as a permutation
+    with pytest.raises(CipherError, match="^malformed permutation "):
+        BlockPermutation.from_text(text)
+
+
 @given(
     st.text(alphabet="ABCDEFGH", min_size=2, max_size=10).filter(lambda s: len(s) >= 2),
     st.randoms(use_true_random=False),

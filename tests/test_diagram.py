@@ -201,6 +201,14 @@ def test_parse_edges_sidecar():
         parse_edges("0 3 5\n")
 
 
+@pytest.mark.parametrize("number", ["\u0663", "+1", "1_0", "-1"])
+def test_parse_edges_takes_ascii_digits_only(number):
+    # int() would read each of these as a number
+    for line in (f"{number} 2", f"2 {number}"):
+        with pytest.raises(DiagramError, match="^edge line 2: expected two indices$"):
+            parse_edges(f"0 1\n{line}\n")
+
+
 def test_parse_edges_breaks_lines_only_at_newline():
     # form feed, NEL and U+2028 are whitespace inside a line, not line ends
     for sep in ["\x0c", "\x85", "\u2028"]:

@@ -12,7 +12,7 @@ from brauer_kit import score as score_module
 from brauer_kit.brauer import config_from_words, invariants
 from brauer_kit.score import (
     MAX_EVENTS,
-    _CACHED_WORD_CHARS,
+    _ONE_TOKEN,
     Score,
     ScoreError,
     ScoreParseError,
@@ -503,6 +503,25 @@ def test_cached_word_reports_its_own_position():
     ]
 
 
+def test_one_token_table_is_the_class_tokens_and_symbols():
+    kinds = [kind for kind, _ in _ONE_TOKEN.values()]
+    assert kinds.count("event") == 406
+    assert {word for word, (kind, _) in _ONE_TOKEN.items() if kind != "event"} == {
+        "|", "[", "]", "(", ")", "{"
+    }
+    for word, token in _ONE_TOKEN.items():
+        assert token[1] == word
+        assert list(tokenize_by_regex(word)) == [(*token, (1, 1))]
+
+
+def test_parsed_tokens_share_one_string_per_class():
+    # every occurrence of a class is the table's own string, so a long score
+    # holds a few dozen token strings and not one per event
+    s = parse_score(gen.score_input(7, 500)["text"], strict=False)
+    tokens = [t for m in s.measures for t in m]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+
+
 def parse_peak(text):
     tracemalloc.start()
     try:
@@ -513,12 +532,13 @@ def parse_peak(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["| " + "a4" * 50_000, "|" + "{a4}x1" * 25_000], ids=["events", "repeats"]
+    "text",
+    ["| " + "a4" * 50_000, "|" + "{a4}x1" * 25_000, "| " + "a4b4 " * 5_000],
+    ids=["events", "repeats", "glued"],
 )
 def test_long_word_keeps_the_reference_peak(text):
-    # a word longer than _CACHED_WORD_CHARS is scanned where it stands, so its
-    # tokens are never held beside the ones the parser keeps
-    assert len(text.split()[-1]) > _CACHED_WORD_CHARS
+    # a word of several tokens is scanned where it stands, so its tokens are
+    # never held beside the ones the parser keeps
     with mock.patch.object(score_module, "_tokenize", tokenize_by_regex):
         reference_peak = parse_peak(text)
     assert parse_peak(text) <= 1.1 * reference_peak
