@@ -216,6 +216,15 @@ _LABEL_SUFFIX = re.compile(r"(?<!\S)label:")
 _NUMBER = re.compile("[0-9]+")
 
 
+def ascii_ints(words: Sequence[str]) -> list[int]:
+    """The integers that ``words`` write as runs of ASCII digits; a sign, an
+    ``_``, another script's digit or more digits than ``int()`` converts
+    raise ValueError."""
+    if not all(map(_NUMBER.fullmatch, words)):
+        raise ValueError("not a run of ASCII digits")
+    return list(map(int, words))
+
+
 def parse_config(text: str) -> BrauerConfiguration:
     words: list[tuple[str, ...]] = []
     bad_label: str | None = None  # reported only once every line has parsed
@@ -226,12 +235,9 @@ def parse_config(text: str) -> BrauerConfiguration:
         label: list[int] | None = None
         suffix = "label:" in line and _LABEL_SUFFIX.search(line)
         if suffix:
-            numbers = line[suffix.end():].split()
             try:
-                if not all(map(_NUMBER.fullmatch, numbers)):
-                    raise ValueError
-                label = sorted(map(int, numbers))
-            except ValueError:  # not ASCII digits, or more than int() converts
+                label = sorted(ascii_ints(line[suffix.end():].split()))
+            except ValueError:
                 raise ConfigError(f"line {lineno}: malformed label permutation")
             line = line[:suffix.start()]
         tokens = tuple(line.split())

@@ -13,11 +13,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .brauer import ascii_ints
+
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _FOLD = str.maketrans(LETTERS.lower(), LETTERS)
 _NOT_LETTERS = re.compile(r"[^A-Z]+")
 _FOREIGN = re.compile(r"[^A-Z\s]")  # neither a letter nor whitespace
-_NUMBER = re.compile("[0-9]+")
 
 
 class CipherError(ValueError):
@@ -129,11 +130,8 @@ class BlockPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "BlockPermutation":
-        numbers = text.replace(",", " ").split()
         try:
-            if not all(map(_NUMBER.fullmatch, numbers)):
-                raise ValueError
-            return cls(tuple(map(int, numbers)))
+            return cls(tuple(ascii_ints(text.replace(",", " ").split())))
         except ValueError:  # not ASCII digits, too long for int(), or no permutation
             raise CipherError(f"malformed permutation {text!r}") from None
 

@@ -103,16 +103,18 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _read(path: str | None) -> str:
-    """The UTF-8 text of the file at ``path``, or of stdin for None.  Input
-    that is not valid UTF-8 is an ``E_IO`` error naming the file or
-    ``<stdin>``, whatever the locale."""
+    """The UTF-8 text of the file at ``path``, or of stdin for None, without
+    a leading byte-order mark (dropped after strict decoding: ``utf-8-sig``
+    decodes a truncated mark such as a lone ``\\xef`` to "").  Input that
+    is not valid UTF-8 is an ``E_IO`` error naming the file or ``<stdin>``,
+    whatever the locale."""
     try:
         if path is not None:
             with open(path, encoding="utf-8") as f:
-                return f.read()
+                return f.read().removeprefix("\ufeff")
         if hasattr(sys.stdin, "reconfigure"):  # a stream that decodes bytes
             sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(f"{'<stdin>' if path is None else path}: {exc}") from None
 

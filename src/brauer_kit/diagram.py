@@ -18,14 +18,13 @@ equal-offset joins and any extra closure edges are opt-in.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
+from .brauer import ascii_ints
 from .score import CLEFS, PITCHES, Score, class_parts
 
 ORIENTATIONS = ("standard", "reversed")
-_NUMBER = re.compile("[0-9]+")
 
 
 class DiagramError(ValueError):
@@ -110,13 +109,11 @@ def parse_edges(text: str) -> tuple:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2 or not all(map(_NUMBER.fullmatch, parts)):
-            raise DiagramError(f"edge line {lineno}: expected two indices")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:  # more digits than int() converts
+            i, j = ascii_ints(line.split())
+        except ValueError:  # not two runs of ASCII digits
             raise DiagramError(f"edge line {lineno}: expected two indices") from None
+        pairs.append((i, j))
     return tuple(pairs)
 
 

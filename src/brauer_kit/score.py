@@ -28,7 +28,7 @@ canonical text of its (duration + dot, accidental, pitch-or-rest) class, so
 the measures are already the words of the score's configuration: one
 polygon per measure, one vertex per class.  Octaves and grouping never
 enter vertex identity.  ``class_parts`` reads a token's pitch letter and
-effective exponent.
+effective exponent from the class table.
 """
 
 from __future__ import annotations
@@ -61,19 +61,29 @@ MAX_EVENTS = 10**6  # events a score may hold once its repeat groups are expande
 
 # One note or rest class: accidental and pitch letter (or r), exponent, dot.
 CLASS_TOKEN = r"(?:[-+=]?([a-g])|r)(64|32|16|8|4|2|1)(\.?)"
-_CLASS = re.compile(CLASS_TOKEN)
+# Every token ``CLASS_TOKEN`` accepts -> (pitch letter or None for a rest,
+# effective exponent).  A dot scales the exponent by exactly 3/2; a dotted
+# sixty-fourth, which the grammar accepts but no score may hold, has None.
+_CLASSES = {
+    m[0]: (m[1], None if m[3] and m[2] == "1" else int(m[2]) * (3 if m[3] else 2) // 2)
+    for m in map(re.compile(CLASS_TOKEN).fullmatch, [
+        acc + pitch + str(exponent) + dot
+        for acc in ("", "-", "+", "=") for pitch in PITCHES + "r"
+        for exponent in EXPONENTS for dot in ("", ".")
+    ])
+    if m
+}
 
 
 def class_parts(token: str) -> tuple:
     """Pitch letter (None for a rest) and effective exponent of a class
-    token; a dot scales the exponent by exactly 3/2."""
-    m = _CLASS.fullmatch(token)
-    if m is None:
+    token, read from the class table."""
+    parts = _CLASSES.get(token)
+    if parts is None:
         raise ScoreError(f"foreign vertex label {token!r}")
-    pitch, exponent, dot = m.groups()
-    if dot and exponent == "1":
+    if parts[1] is None:
         raise ScoreError("a sixty-fourth value cannot be dotted")
-    return pitch, int(exponent) * 3 // 2 if dot else int(exponent)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -120,12 +130,7 @@ _WORD = re.compile(r"\S+")
 # disagree with it.
 _ONE_TOKEN = {
     m[0]: (m.lastgroup, m[0])
-    for m in map(_TOKEN.fullmatch, ["|", "[", "]", "(", ")", "{"] + [
-        acc + pitch + str(exponent) + dot
-        for acc in ("", "-", "+", "=") for pitch in PITCHES + "r"
-        for exponent in EXPONENTS for dot in ("", ".")
-    ])
-    if m
+    for m in map(_TOKEN.fullmatch, ["|", "[", "]", "(", ")", "{", *_CLASSES])
 }
 
 
@@ -187,36 +192,18 @@ def _parse_header_item(item: str, line: int, col: int, header: dict) -> None:
 
 
 def parse_score(text: str, strict: bool = True) -> Score:
-    """Parse DSL text.  Measure-sum violations raise in strict mode and are
-    collected as warnings otherwise."""
+    """Parse DSL text into tokens and positions; under a time signature each
+    measure's sum is then read from the class table.  Measure-sum violations
+    raise in strict mode and are collected as warnings otherwise."""
     header: dict = {}
-    measures: list = []  # (tokens, position of the first token, exponent sum)
+    measures: list = []  # (tokens, position of the first token)
     measured = 0  # tokens in ``measures``
     current: list = []
     current_pos: tuple | None = None
-    current_sum = 0
-    # open groups of each kind, oldest first: (line, col, token count and
-    # exponent sum of the open measure when the group opened)
+    # open groups of each kind, oldest first: (line, col, token count of the
+    # open measure when the group opened)
     opened: dict = {"bracket": [], "paren": [], "brace": []}
     seen_content = False
-    weights: dict = {}  # token -> effective exponent, computed once per class
-
-    def flush_measure(bar: tuple | None) -> None:
-        """Close the open measure at a bar (its position) or at the end of
-        the text (None)."""
-        nonlocal measured, current, current_pos, current_sum
-        for kind, name in (("brace", "repeat group"), ("bracket", "bracket group")):
-            if opened[kind]:
-                line, col, _, _ = opened[kind][0]
-                raise ScoreParseError(f"{name} must close inside its measure", line, col)
-        if current:
-            measures.append((tuple(current), current_pos, current_sum))
-            measured += len(current)
-        elif measures and bar is not None:
-            raise ScoreParseError("empty measure", *bar)
-        current = []
-        current_pos = None
-        current_sum = 0
 
     for kind, value, (line, col) in _tokenize(text):
         if kind == "header":
@@ -226,25 +213,30 @@ def parse_score(text: str, strict: bool = True) -> Score:
             continue
         seen_content = True
         if kind == "bar":
-            flush_measure((line, col))
+            for group, name in (("brace", "repeat group"), ("bracket", "bracket group")):
+                if opened[group]:
+                    raise ScoreParseError(
+                        f"{name} must close inside its measure", *opened[group][0][:2]
+                    )
+            if current:
+                measures.append((tuple(current), current_pos))
+                measured += len(current)
+                current = []
+            elif measures:
+                raise ScoreParseError("empty measure", line, col)
         elif kind == "event":
-            if current_pos is None:
+            if _CLASSES[value][1] is None:
+                raise ScoreParseError("a sixty-fourth value cannot be dotted", line, col)
+            if not current:
                 current_pos = (line, col)
-            weight = weights.get(value)
-            if weight is None:
-                try:
-                    weight = weights[value] = class_parts(value)[1]
-                except ScoreError as exc:  # a dotted sixty-fourth
-                    raise ScoreParseError(str(exc), line, col) from None
             current.append(value)
-            current_sum += weight
         elif kind in ("obracket", "oparen", "obrace"):
-            opened[kind[1:]].append((line, col, len(current), current_sum))
+            opened[kind[1:]].append((line, col, len(current)))
         else:  # cbracket, cparen or cbrace: it ends the newest open group of its kind
             want = kind[1:]
             if not opened[want]:
                 raise ScoreParseError(f"unmatched closing {want}", line, col)
-            _, _, start, start_sum = opened[want].pop()
+            start = opened[want].pop()[2]
             if want != "brace":
                 continue
             try:
@@ -259,7 +251,6 @@ def parse_score(text: str, strict: bool = True) -> Score:
                 raise ScoreParseError(
                     f"repeat group expands the score past {MAX_EVENTS} events", line, col
                 )
-            current_sum += (current_sum - start_sum) * (repeats - 1)
             # copy only a body that repeats; an empty list times a count past
             # sys.maxsize overflows
             if size and repeats > 1:
@@ -269,7 +260,8 @@ def parse_score(text: str, strict: bool = True) -> Score:
     if oldest:
         (line, col), kind = min(oldest)
         raise ScoreParseError(f"unclosed group ({kind})", line, col)
-    flush_measure(None)
+    if current:
+        measures.append((tuple(current), current_pos))
     if not measures:
         raise ScoreParseError("score has no measures", 1, 1)
 
@@ -277,7 +269,9 @@ def parse_score(text: str, strict: bool = True) -> Score:
     time = header.get("time")
     if time is not None:
         target = measure_target(time)
-        for i, (_, pos, total) in enumerate(measures):
+        weight = {token: exponent for token, (_, exponent) in _CLASSES.items()}
+        for i, (tokens, pos) in enumerate(measures):
+            total = sum(map(weight.__getitem__, tokens))
             if total != target:
                 message = (
                     f"measure {i + 1} sums to {total}, expected {target} "
@@ -288,7 +282,7 @@ def parse_score(text: str, strict: bool = True) -> Score:
                 warnings.append(message)
 
     return Score(
-        measures=tuple(tokens for tokens, _, _ in measures),
+        measures=tuple(tokens for tokens, _ in measures),
         clef=header.get("clef", "treble"),
         time=time,
         warnings=tuple(warnings),

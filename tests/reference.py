@@ -16,8 +16,11 @@ The score tokenizer as one regular-expression match per token and per run
 of whitespace; ``score._tokenize`` reads the text one whitespace-separated
 word at a time and looks each one-token word up in ``score._ONE_TOKEN``.
 The score parser with one list of open groups of every kind, searched from
-its end at each closer, removed from by equality and walked at each bar;
-``score.parse_score`` keeps one stack per group kind.
+its end at each closer, removed from by equality and walked at each bar, and
+a running exponent sum per measure; ``score.parse_score`` keeps one stack
+per group kind and reads each measure's sum from the class table at the
+time check.  A class token's parts as one match of ``CLASS_TOKEN``;
+``score.class_parts`` looks the token up in the class table.
 """
 
 from __future__ import annotations
@@ -176,6 +179,18 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+def class_parts_by_regex(token: str) -> tuple:
+    """Pitch letter (None for a rest) and effective exponent of a class
+    token; a dot scales the exponent by exactly 3/2."""
+    m = re.fullmatch(CLASS_TOKEN, token)
+    if m is None:
+        raise ScoreError(f"foreign vertex label {token!r}")
+    pitch, exponent, dot = m.groups()
+    if dot and exponent == "1":
+        raise ScoreError("a sixty-fourth value cannot be dotted")
+    return pitch, int(exponent) * 3 // 2 if dot else int(exponent)
 
 
 def tokenize_by_regex(text: str):

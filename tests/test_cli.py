@@ -657,25 +657,27 @@ def test_markers_are_colored_by_the_stream_they_go_to(monkeypatch):
 
 def test_undecodable_input_is_io_error(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"\xff\n")
     edges = tmp_path / "e.txt"
     edges.write_text("1 3\n")
-    for argv in (
-        ["attack", "--in", str(bad)],
-        ["encrypt", "--system", "vigenere", "--key", "MDPI", "--in", str(bad)],
-        ["graph", str(FIXTURES / "canon_a6.bsc"), "--edges", str(bad)],
-        ["graph", str(bad), "--edges", str(edges)],
-        ["score-check", str(bad)],
-        ["analyze", "--score", str(bad)],
-        ["analyze", "--config", str(bad)],
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert f"error[E_IO]: {bad}: 'utf-8' codec can't decode" in err, argv
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), "utf-8"))
-    code, _, err = run(capsys, "decrypt", "--system", "vigenere", "--key", "MDPI")
-    assert code == 2
-    assert "error[E_IO]: <stdin>: 'utf-8' codec can't decode" in err
+    # the last two are a byte-order mark cut short, which is no mark and no UTF-8
+    for data in (b"\xff\n", b"\xef", b"\xef\xbb"):
+        bad.write_bytes(data)
+        for argv in (
+            ["attack", "--in", str(bad)],
+            ["encrypt", "--system", "vigenere", "--key", "MDPI", "--in", str(bad)],
+            ["graph", str(FIXTURES / "canon_a6.bsc"), "--edges", str(bad)],
+            ["graph", str(bad), "--edges", str(edges)],
+            ["score-check", str(bad)],
+            ["analyze", "--score", str(bad)],
+            ["analyze", "--config", str(bad)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (data, argv)
+            assert f"error[E_IO]: {bad}: 'utf-8' codec can't decode" in err, (data, argv)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+        code, _, err = run(capsys, "decrypt", "--system", "vigenere", "--key", "MDPI")
+        assert code == 2, data
+        assert "error[E_IO]: <stdin>: 'utf-8' codec can't decode" in err, data
 
 
 def test_stdin_is_utf8_whatever_the_locale():
@@ -690,6 +692,35 @@ def test_stdin_is_utf8_whatever_the_locale():
         )
         assert (proc.returncode, proc.stdout) == (2, b""), env
         assert b"error[E_IO]: <stdin>: 'utf-8' codec can't decode" in proc.stderr, env
+
+
+@pytest.mark.parametrize("reader", ["config", "score", "edges", "ciphertext"])
+def test_a_byte_order_mark_changes_no_file_answer(capsys, tmp_path, reader):
+    # each file reader gives the same stdout and stderr with and without a
+    # leading byte-order mark
+    text, argv = {
+        "config": ("a b\nb a\n", ["analyze", "--config", "{}"]),
+        "score": ((FIXTURES / "canon_a6.bsc").read_text(), ["score-check", "{}"]),
+        "edges": ("1 3\n", ["graph", str(FIXTURES / "canon_a6.bsc"), "--edges", "{}"]),
+        "ciphertext": ("OOPAELRIXFGGBWDODDEPK\n", ["attack", "--max-keylen", "4", "--in", "{}"]),
+    }[reader]
+    outputs = []
+    for name, content in (("plain", text), ("bom", "\ufeff" + text)):
+        path = tmp_path / name
+        path.write_text(content, encoding="utf-8")
+        outputs.append(run(capsys, *(str(path) if a == "{}" else a for a in argv)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+def test_a_byte_order_mark_changes_no_stdin_answer(capsys, monkeypatch):
+    # a stream opened as latin-1, so the mark is decoded only if stdin is
+    # switched to UTF-8
+    outputs = []
+    for data in (b"OOPAELRIXFGGBWDODDEPK", b"\xef\xbb\xbfOOPAELRIXFGGBWDODDEPK"):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "latin-1"))
+        outputs.append(run(capsys, "decrypt", "--system", "vigenere", "--key", "MDPI"))
+    assert outputs[1] == outputs[0] == (0, "CLASSICALCRYPTOGRAPHY\n", "")
 
 
 # Numbers past Python's 4 300-digit int/str limit: a measure sum, a time

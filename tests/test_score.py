@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import time
@@ -25,7 +26,13 @@ from brauer_kit.score import (
 )
 
 import textgen
-from reference import parse_score_by_group_list, tokenize_by_regex, valency, vertex_universe
+from reference import (
+    class_parts_by_regex,
+    parse_score_by_group_list,
+    tokenize_by_regex,
+    valency,
+    vertex_universe,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
@@ -94,6 +101,25 @@ def test_parser_and_class_parts_share_one_grammar(s):
         digits = int(s.lstrip("-+=abcdefgr").rstrip("."))
         assert parts == (None if letter == "r" else letter,
                          digits * 3 / 2 if s.endswith(".") else digits)
+
+
+def parts_outcome(parts, word):
+    try:
+        return parts(word)
+    except ScoreError as exc:
+        return type(exc), str(exc)
+
+
+def test_class_table_matches_reference():
+    # every class token and dotted sixty-fourth, near misses in each of the
+    # four slots, and every word of up to three pieces
+    slots = itertools.product(
+        ("", "-", "+", "=", "#"), "abcdefghr",
+        ("64", "32", "16", "8", "4", "2", "1", "3", "0", "128", ""), ("", ".", ".."),
+    )
+    pieces = (p for n in range(4) for p in itertools.product(PIECES, repeat=n))
+    for word in map("".join, itertools.chain(slots, pieces)):
+        assert parts_outcome(class_parts, word) == parts_outcome(class_parts_by_regex, word)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +452,8 @@ DSL_PIECES = (
     "|", "[", "]", "(", ")", "{", "}x2", "}x1", "}x0", "c4", "-d8", "+e16.",
     "r4", "a64.", "h4", "$", "}x" + "9" * 25, "c3", "#", "# note | c4 (",
     "a4#x", "clef=treble", "clef=treble#", "time=4/4", "time=3/8", "ref=x#y",
-    "accidentals=+f", "a4" * 10, "{a4}x1" * 4, "ref=" + "x" * 20,
+    "accidentals=+f", "a4" * 10, "{a4}x1" * 4, "ref=" + "x" * 20, "c1.", "r1.",
+    "c1.d4",
 )
 SPACES = ("", " ", "\n", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x85", "\xa0", "\u3000",
           " \n ")
@@ -480,9 +507,9 @@ def test_parser_matches_reference(text):
         )
 
 
-def test_cached_word_reports_its_own_position():
-    # each later occurrence of a word reads the tokens kept at its first,
-    # at its own line and column
+def test_repeated_word_reports_its_own_position():
+    # every occurrence of a word is read from the one-token table, and each
+    # is reported at its own line and column
     with pytest.raises(ScoreParseError) as err:
         parse_score("time=4/4\n| c16 c16 c16 c16\n  | c16 c16 c16\n")
     assert str(err.value) == "line 3, column 5: measure 2 sums to 48, expected 64 for 4/4"
