@@ -185,6 +185,8 @@ def invariants_from_histogram(
     histogram = {int(k): int(v) for k, v in valency_histogram.items()}
     if any(k < 1 or v < 0 for k, v in histogram.items()):
         raise ConfigError("histogram entries must map valency >= 1 to count >= 0")
+    if loops < 0:
+        raise ConfigError("loop count must be >= 0")
     vertex_count = sum(histogram.values())
     val_one = histogram.get(1, 0)
     sum_mu = vertex_count + val_one

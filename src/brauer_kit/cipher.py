@@ -58,41 +58,26 @@ DEFAULT_ALPHABET = Alphabet()
 # Vigenere
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VigenereKey:
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.residues:
-            raise CipherError("empty key")
-        if any(r < 0 for r in self.residues):
-            raise CipherError("key residues must be non-negative")
-
-    @classmethod
-    def from_text(cls, key: str) -> "VigenereKey":
-        return cls(tuple(LETTERS.index(ch) for ch in DEFAULT_ALPHABET.normalize(key)))
-
-    def to_text(self) -> str:
-        return _letters(self.residues)
-
-    def __len__(self) -> int:
-        return len(self.residues)
-
-
-def _shift(text: str, key: VigenereKey, sign: int) -> str:
-    m = len(key)
+def _shift(text: str, key: str, sign: int) -> str:
+    """Shift letter i of ``text`` by ``sign`` times the residue of key letter
+    i mod len(key).  The key is folded like the text, and before it, so an
+    empty or foreign key is reported before a foreign text."""
+    shifts = [LETTERS.index(ch) for ch in DEFAULT_ALPHABET.normalize(key)]
+    if not shifts:
+        raise CipherError("empty key")
+    m = len(shifts)
     return _letters(
-        LETTERS.index(ch) + sign * key.residues[i % m]
+        LETTERS.index(ch) + sign * shifts[i % m]
         for i, ch in enumerate(DEFAULT_ALPHABET.normalize(text))
     )
 
 
-def vigenere_encrypt(plain: str, key: VigenereKey) -> str:
+def vigenere_encrypt(plain: str, key: str) -> str:
     """Shift position i by key[i mod len(key)]."""
     return _shift(plain, key, +1)
 
 
-def vigenere_decrypt(cipher: str, key: VigenereKey) -> str:
+def vigenere_decrypt(cipher: str, key: str) -> str:
     return _shift(cipher, key, -1)
 
 
@@ -138,6 +123,8 @@ class BlockPermutation:
 
 def split_blocks(text: str, sizes: Sequence[int]) -> list[str]:
     """Partition ``text`` into consecutive blocks of the given sizes."""
+    if any(size < 0 for size in sizes):
+        raise CipherError(f"negative block size {min(sizes)}")
     if sum(sizes) != len(text):
         raise CipherError(
             f"block sizes sum to {sum(sizes)} but text has length {len(text)}"

@@ -32,7 +32,6 @@ from .cipher import (
     BlockPermutation,
     CipherError,
     DEFAULT_ALPHABET,
-    VigenereKey,
     transposition_decrypt,
     transposition_encrypt,
     vigenere_decrypt,
@@ -139,8 +138,8 @@ def _round(value) -> float:
 def _cmd_crypt(args, encrypting: bool) -> int:
     text = DEFAULT_ALPHABET.normalize(_read(args.infile), strip=args.strip)
     if args.system == "vigenere":
-        key = VigenereKey.from_text(args.key)
-        out = vigenere_encrypt(text, key) if encrypting else vigenere_decrypt(text, key)
+        crypt = vigenere_encrypt if encrypting else vigenere_decrypt
+        out = crypt(text, args.key)
     else:
         perm = BlockPermutation.from_text(args.key)
         size = len(perm)
@@ -254,7 +253,7 @@ def _cmd_analyze(args) -> int:
 def _verify_checks():
     yield (
         "vigenere-encrypt",
-        lambda: vigenere_encrypt(_REFERENCE_PLAINTEXT, VigenereKey.from_text(_REFERENCE_KEY)),
+        lambda: vigenere_encrypt(_REFERENCE_PLAINTEXT, _REFERENCE_KEY),
         _REFERENCE_CIPHERTEXT,
     )
 

@@ -22,7 +22,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .cipher import CipherError, LETTERS, VigenereKey
+from .cipher import CipherError, LETTERS
 
 # Relative letter frequencies of English text, in percent, A to Z.
 ENGLISH_FREQUENCIES = dict(zip(LETTERS, (
@@ -191,7 +191,7 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     length = sum(plain)  # the text's, split into the lists
     # anchoring k_0 at a adds a to every k_j and rotates the decryption by a
     candidates = [
-        KeyCandidate(VigenereKey(tuple((k + a) % n for k in base)).to_text(),
+        KeyCandidate("".join(LETTERS[(k + a) % n] for k in base),
                      _chi_squared(plain[a:] + plain[:a], length))
         for a in range(n)
     ]

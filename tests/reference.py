@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 
 from brauer_kit.brauer import BrauerConfiguration, config_from_words
-from brauer_kit.cipher import LETTERS, CipherError, VigenereKey
+from brauer_kit.cipher import LETTERS, CipherError
 from brauer_kit.coincidence import KeyCandidate, KeyRecovery, _chi_squared, decimate
 from brauer_kit.score import (
     CLASS_TOKEN,
@@ -162,7 +162,7 @@ def recover_key_by_overlaps(counts) -> KeyRecovery:
     for k0 in range(n):
         key = tuple((r + k0) % n for r in base)
         plain = [sum(c[(h + k) % n] for c, k in zip(counts, key)) for h in range(n)]
-        candidates.append(KeyCandidate(VigenereKey(key).to_text(), _chi_squared(plain, length)))
+        candidates.append(KeyCandidate("".join(LETTERS[k] for k in key), _chi_squared(plain, length)))
     candidates.sort(key=lambda c: c.chi2)
     return KeyRecovery(differences, residuals, tuple(candidates))
 

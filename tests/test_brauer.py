@@ -350,6 +350,11 @@ def test_invariants_from_histogram_crab():
     assert (inv.dim_lambda, inv.dim_center) == (582, 46)
 
 
+def test_invariants_from_histogram_rejects_negative_loops():
+    with pytest.raises(ConfigError, match="^loop count must be >= 0$"):
+        invariants_from_histogram(1, {2: 1}, -5)
+
+
 def test_invariants_from_histogram_matches_full_computation():
     rng = random.Random(7)
     for _ in range(50):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from brauer_kit.cipher import (
+    LETTERS,
     Alphabet,
     BlockPermutation,
     CipherError,
-    VigenereKey,
+    split_blocks,
     transposition_decrypt,
     transposition_encrypt,
     vigenere_decrypt,
@@ -105,27 +106,40 @@ def test_normalize_matches_the_loop(text, strip):
 # ---------------------------------------------------------------------------
 
 def test_vigenere_worked_example():
-    key = VigenereKey.from_text("MDPI")
+    key = "MDPI"
     cipher = vigenere_encrypt("classicalcryptography", key)
     assert cipher == "OOPAELRIXFGGBWDODDEPK"
     assert vigenere_decrypt(cipher, key) == "CLASSICALCRYPTOGRAPHY"
 
 
 def test_vigenere_zero_key_is_identity():
-    key = VigenereKey((0, 0, 0))
+    key = "AAA"
     assert vigenere_encrypt("HELLO", key) == "HELLO"
 
 
 def test_vigenere_empty_key_rejected():
-    with pytest.raises(CipherError):
-        VigenereKey(())
-    with pytest.raises(CipherError):
-        VigenereKey.from_text("")
+    with pytest.raises(CipherError, match="^empty key$"):
+        vigenere_encrypt("AB", "")
+    with pytest.raises(CipherError, match="^empty key$"):
+        vigenere_decrypt("AB", " \n")
+    # the key is checked before the text
+    with pytest.raises(CipherError, match="^empty key$"):
+        vigenere_encrypt("HI5", "")
 
 
 def test_vigenere_rejects_foreign_plaintext():
     with pytest.raises(CipherError):
-        vigenere_encrypt("HI5", VigenereKey.from_text("A"))
+        vigenere_encrypt("HI5", "A")
+
+
+def test_vigenere_key_is_folded_like_the_text():
+    plain = "classicalcryptography"
+    assert vigenere_encrypt(plain, "m dp\ti") == vigenere_encrypt(plain, "MDPI")
+
+
+def test_vigenere_rejects_foreign_key():
+    with pytest.raises(CipherError, match="^character '1' at offset 1 is not in the alphabet$"):
+        vigenere_encrypt("AB", "M1")
 
 
 @given(
@@ -133,7 +147,7 @@ def test_vigenere_rejects_foreign_plaintext():
     st.lists(st.integers(0, 25), min_size=1, max_size=8),
 )
 def test_vigenere_round_trip(plain, residues):
-    key = VigenereKey(tuple(residues))
+    key = "".join(LETTERS[r] for r in residues)
     assert vigenere_decrypt(vigenere_encrypt(plain, key), key) == plain
 
 
@@ -163,6 +177,12 @@ def test_transposition_full_plaintext():
 def test_transposition_length_mismatch():
     with pytest.raises(CipherError, match="block sizes sum to 4 but text has length 3"):
         transposition_encrypt("CRY", [PI])
+
+
+def test_split_blocks_rejects_negative_size():
+    # the sizes sum to the text's length, but C would fall in two blocks
+    with pytest.raises(CipherError, match="^negative block size -1$"):
+        split_blocks("ABCD", [3, -1, 2])
 
 
 def test_block_permutation_rejects_non_bijection():

@@ -214,10 +214,10 @@ def test_attack_report_schema(capsys, tmp_path):
     import random
     sys.path.insert(0, str(Path(__file__).parent))
     from textgen import sample_english
-    from brauer_kit.cipher import VigenereKey, vigenere_encrypt
+    from brauer_kit.cipher import vigenere_encrypt
 
     rng = random.Random(123)
-    cipher = vigenere_encrypt(sample_english(rng, 600), VigenereKey.from_text("LEO"))
+    cipher = vigenere_encrypt(sample_english(rng, 600), "LEO")
     out_path = tmp_path / "report.json"
     code, _, _ = run(
         capsys, "attack", "--ciphertext", cipher, "--max-keylen", "6",

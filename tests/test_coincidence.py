@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brauer_kit import coincidence
-from brauer_kit.cipher import LETTERS, CipherError, VigenereKey, vigenere_decrypt, vigenere_encrypt
+from brauer_kit.cipher import LETTERS, CipherError, vigenere_decrypt, vigenere_encrypt
 from brauer_kit.coincidence import (
     ENGLISH_FREQUENCIES,
     IOC_TARGET,
@@ -98,7 +98,7 @@ def test_mutual_index_disjoint_alphabets():
 
 
 def test_mutual_index_shift_peaks_at_key_difference():
-    shifted = vigenere_encrypt(SAMPLE_TEXT, VigenereKey.from_text("F"))  # shift 5
+    shifted = vigenere_encrypt(SAMPLE_TEXT, "F")  # shift 5
     scores = [mutual_index_shift(SAMPLE_TEXT, shifted, s) for s in range(26)]
     assert scores.index(max(scores)) == (0 - 5) % 26
 
@@ -124,7 +124,7 @@ def test_decimate_round_robin():
 def test_keylength_found_on_generated_ciphertext():
     rng = random.Random(42)
     plain = sample_english(rng, 700)
-    cipher = vigenere_encrypt(plain, VigenereKey.from_text("MDPI"))
+    cipher = vigenere_encrypt(plain, "MDPI")
     candidates = friedman_keylength(cipher, 8)
     assert candidates[0].m == 4
     top = candidates[0]
@@ -134,7 +134,7 @@ def test_keylength_found_on_generated_ciphertext():
 def test_keylength_monoalphabetic_ioc_near_target():
     rng = random.Random(7)
     plain = sample_english(rng, 600)
-    cipher = vigenere_encrypt(plain, VigenereKey.from_text("Q"))
+    cipher = vigenere_encrypt(plain, "Q")
     [ioc] = friedman_keylength(cipher, 1)[0].per_list_ioc
     assert abs(ioc - IOC_TARGET) <= Fraction(1, 100)
 
@@ -152,7 +152,7 @@ def test_keylength_uniform_text_not_flagged():
 def test_keylength_reports_divisor_ambiguity():
     rng = random.Random(11)
     plain = sample_english(rng, 800)
-    cipher = vigenere_encrypt(plain, VigenereKey.from_text("KEY"))
+    cipher = vigenere_encrypt(plain, "KEY")
     candidates = friedman_keylength(cipher, 6)
     by_m = {c.m: c for c in candidates}
     if by_m[3].flagged and by_m[6].flagged:
@@ -192,7 +192,7 @@ def keylength_reference(cipher, max_len):
 # letters flag nothing
 ENCRYPTED_TEXTS = st.builds(
     lambda seed, length, key: vigenere_encrypt(
-        sample_english(random.Random(seed), length), VigenereKey(tuple(key))
+        sample_english(random.Random(seed), length), "".join(LETTERS[k] for k in key)
     ),
     st.integers(0, 2**32),
     st.integers(24, 600),
@@ -227,7 +227,7 @@ def test_keylength_splits_only_the_top_half(monkeypatch):
         return decimate(text, m)
 
     monkeypatch.setattr(coincidence, "decimate", spy)
-    friedman_keylength(vigenere_encrypt(SAMPLE_TEXT, VigenereKey.from_text("KEY")), 20)
+    friedman_keylength(vigenere_encrypt(SAMPLE_TEXT, "KEY"), 20)
     assert sorted(split) == list(range(11, 21))
 
 
@@ -258,7 +258,7 @@ def test_residuals_are_the_pairs_off_the_star(cipher, data):
         (i, j) for i in range(m) for j in range(i + 1, m)
     ]
     for candidate in recovery.candidates:
-        k = VigenereKey.from_text(candidate.key).residues
+        k = [LETTERS.index(ch) for ch in candidate.key]
         off = {(i, j): (d - (k[i] - k[j])) % 26 for i, j, d in recovery.differences}
         assert all(off[0, j] == 0 for j in range(1, m))
         assert recovery.residuals == tuple(
@@ -274,7 +274,7 @@ def test_recover_key_caesar_identity():
 def test_recover_key_end_to_end():
     rng = random.Random(99)
     plain = sample_english(rng, 800)
-    cipher = vigenere_encrypt(plain, VigenereKey.from_text("MDPI"))
+    cipher = vigenere_encrypt(plain, "MDPI")
     recovery = friedman_recover_key(list_counts(cipher, 4))
     assert "MDPI" in [c.key for c in recovery.candidates[:3]]
     assert recovery.residuals == ()
@@ -286,12 +286,12 @@ def test_recover_key_rejects_trivial_lists():
 
 
 def test_chi_squared_prefers_english():
-    shifted = vigenere_encrypt(SAMPLE_TEXT, VigenereKey.from_text("G"))
+    shifted = vigenere_encrypt(SAMPLE_TEXT, "G")
     assert chi_squared(SAMPLE_TEXT) < chi_squared(shifted)
 
 
 def test_recovered_differences_peak_mutual_index():
-    cipher = vigenere_encrypt(SAMPLE_TEXT, VigenereKey.from_text("KEY"))
+    cipher = vigenere_encrypt(SAMPLE_TEXT, "KEY")
     lists = decimate(cipher, 3)
     recovery = friedman_recover_key(list_counts(cipher, 3))
     assert [(i, j) for i, j, _ in recovery.differences] == [(0, 1), (0, 2), (1, 2)]
@@ -321,7 +321,7 @@ def tally_tables(draw):
 @settings(max_examples=150, deadline=None)
 @given(tally_tables())
 @example(list_counts(
-    vigenere_encrypt(sample_english(random.Random(30), 3_000), VigenereKey.from_text("BRAUER" * 5)),
+    vigenere_encrypt(sample_english(random.Random(30), 3_000), "BRAUER" * 5),
     30,
 ))
 def test_recovery_reads_the_overlaps_and_decryptions_from_rotations(rows):
@@ -335,10 +335,10 @@ def test_key_candidate_chi2_equals_chi2_of_decryption(m, length):
     # candidates are scored from rotated per-list counts; the decryption
     # they stand for must give exactly the same float
     rng = random.Random(m * length)
-    key = VigenereKey(tuple(rng.randrange(26) for _ in range(m)))
+    key = "".join(LETTERS[rng.randrange(26)] for _ in range(m))
     cipher = vigenere_encrypt(sample_english(rng, length), key)
     candidates = friedman_recover_key(list_counts(cipher, m)).candidates
     assert len(candidates) == 26
     for c in candidates:
-        plain = vigenere_decrypt(cipher, VigenereKey.from_text(c.key))
+        plain = vigenere_decrypt(cipher, c.key)
         assert c.chi2 == chi_squared(plain)
