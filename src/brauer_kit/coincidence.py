@@ -172,6 +172,15 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     frequencies; each decryption's tally is a rotation of the first.
     """
     n, m = len(LETTERS), len(counts)
+    if not m:
+        raise CipherError("key recovery needs at least one list")
+    for j, c in enumerate(counts):
+        if len(c) != n:
+            raise CipherError(f"list {j} has {len(c)} letter counts, expected {n}")
+        if min(c) < 0:
+            raise CipherError(f"list {j} has a negative letter count {min(c)}")
+    if not any(map(any, counts)):  # no decryption to score
+        raise CipherError("key recovery needs at least one letter")
     # rotations[j][s][h] == counts[j][(h - s) % n]
     rotations = [[c[-s:] + c[:-s] for s in range(n)] for c in counts]
     differences = []

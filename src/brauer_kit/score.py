@@ -14,9 +14,9 @@ multiplies the effective exponent by 3/2.  ``|`` separates measures.
 (which may span measures) are checked for balance and then dropped;
 ``{ ... }xN`` repeats its contents N times inside one measure.  A closer
 ends the newest open group of its own kind, so kinds may cross
-(``( [ ) ]``), and parsing is linear in the text.  ``ref=`` and
-``accidentals=`` header items are accepted annotations that are not stored.
-``#`` starts a comment.
+(``( [ ) ]``).  The text is read a line at a time, and parsing is linear
+in the text.  ``ref=`` and ``accidentals=`` header items are accepted
+annotations that are not stored.  ``#`` starts a comment.
 
 Under a time signature n/2^m every measure's effective exponents must sum
 to n * 2^(6-m); strict parsing rejects violations, lax parsing records them
@@ -132,39 +132,59 @@ _ONE_TOKEN = {
     m[0]: (m.lastgroup, m[0])
     for m in map(_TOKEN.fullmatch, ["|", "[", "]", "(", ")", "{", *_CLASSES])
 }
+# The class tokens a score may hold (not the dotted sixty-fourths), each
+# mapped to the class table's own string.
+_PLAIN = {token: token for token, (_, exponent) in _CLASSES.items() if exponent is not None}
+
+
+def _plain_line(row: str, line: int) -> list | None:
+    """The tokens of a line of ``_PLAIN`` words and bars: each bar, and each
+    run of class tokens between two bars as one ``("run", tokens, pos)``.
+    None for any other line; it is split only up to its first bar segment
+    that holds another word, and not at all if it opens a comment or group."""
+    if "#" in row or "(" in row or "[" in row or "{" in row:
+        return None
+    items, col = [], 0
+    for segment in row.split("|"):
+        if col:
+            items.append(("bar", "|", (line, col)))
+        run = list(map(_PLAIN.get, segment.split()))
+        if not all(run):  # a word that is not in ``_PLAIN``
+            return None
+        if run:
+            items.append(("run", run, (line, col + 1)))
+        col += len(segment) + 1
+    return items
+
+
+def _tokenize_line(row: str, line: int):
+    """Yield ``(kind, text, (line, col))`` for every token of one line but
+    comments; the column is 1-based and counts characters.  No token but a
+    comment holds whitespace, so a word in ``_ONE_TOKEN`` is that token (the
+    table's shared text is yielded), and any other word is scanned with
+    ``_TOKEN`` where it stands.  A ``#`` runs to the end of the line."""
+    for w in _WORD.finditer(row):
+        word, col = w[0], w.start() + 1
+        token = _ONE_TOKEN.get(word)
+        if token is not None:
+            yield token[0], token[1], (line, col)
+            continue
+        off = 0
+        while off < len(word):
+            m = _TOKEN.match(word, off)
+            if m is None:
+                bad = word[off:][:12]
+                raise ScoreParseError(f"unknown token {bad!r}", line, col + off)
+            if m.lastgroup == "comment":
+                return  # the rest of the line is a comment
+            yield m.lastgroup, m[0], (line, col + off)
+            off = m.end()
 
 
 def _tokenize(text: str):
-    """Yield ``(kind, text, (line, col))`` for every token but comments; line
-    and column are 1-based, the column counts characters, and only ``\n``
-    starts a line.  A ``#`` where a token would start runs to the end of its
-    line.
-
-    No token but a comment holds whitespace, so the text is read one
-    whitespace-separated word at a time.  A word in ``_ONE_TOKEN`` is that
-    one token, and the table's shared text is yielded.  Any other word
-    (a header item, ``}xN``, a comment or tokens written without spaces
-    between them) is scanned with ``_TOKEN`` where it stands."""
+    """``_tokenize_line`` over each line of the text; only ``\n`` starts one."""
     for line, row in enumerate(text.split("\n"), 1):
-        for w in _WORD.finditer(row):
-            word, col = w[0], w.start() + 1
-            token = _ONE_TOKEN.get(word)
-            if token is not None:
-                yield token[0], token[1], (line, col)
-                continue
-            off = 0
-            while off < len(word):
-                m = _TOKEN.match(word, off)
-                if m is None:
-                    bad = word[off:][:12]
-                    raise ScoreParseError(f"unknown token {bad!r}", line, col + off)
-                if m.lastgroup == "comment":
-                    break
-                yield m.lastgroup, m[0], (line, col + off)
-                off = m.end()
-            else:
-                continue
-            break  # the rest of the line is a comment
+        yield from _tokenize_line(row, line)
 
 
 # ---------------------------------------------------------------------------
@@ -191,77 +211,91 @@ def _parse_header_item(item: str, line: int, col: int, header: dict) -> None:
             raise ScoreParseError("time signature is too large", line, col) from None
 
 
+def _measure_start(text: str, i: int) -> tuple:
+    """Position of the first event of measure ``i`` (0-based) of a text that parses."""
+    in_measure = False
+    for kind, _, pos in _tokenize(text):
+        if kind == "event" and not in_measure:
+            if i == 0:
+                return pos
+            i -= 1
+        if kind in ("bar", "event"):
+            in_measure = kind == "event"
+
+
 def parse_score(text: str, strict: bool = True) -> Score:
-    """Parse DSL text into tokens and positions; under a time signature each
-    measure's sum is then read from the class table.  Measure-sum violations
-    raise in strict mode and are collected as warnings otherwise."""
+    """Parse DSL text one line at a time: ``_plain_line`` reads a line of
+    bars and class tokens, any other line is tokenized, and a bar from either
+    is read by one rule.  Under a time signature each measure's sum is then
+    read from the class table; a violation raises in strict mode, at a
+    position found by tokenizing the text again, or becomes a warning."""
     header: dict = {}
-    measures: list = []  # (tokens, position of the first token)
+    measures: list = []  # one tuple of tokens per measure
     measured = 0  # tokens in ``measures``
     current: list = []
-    current_pos: tuple | None = None
     # open groups of each kind, oldest first: (line, col, token count of the
     # open measure when the group opened)
     opened: dict = {"bracket": [], "paren": [], "brace": []}
     seen_content = False
 
-    for kind, value, (line, col) in _tokenize(text):
-        if kind == "header":
-            if seen_content:
-                raise ScoreParseError("header item after score content", line, col)
-            _parse_header_item(value, line, col, header)
-            continue
-        seen_content = True
-        if kind == "bar":
-            for group, name in (("brace", "repeat group"), ("bracket", "bracket group")):
-                if opened[group]:
-                    raise ScoreParseError(
-                        f"{name} must close inside its measure", *opened[group][0][:2]
-                    )
-            if current:
-                measures.append((tuple(current), current_pos))
-                measured += len(current)
-                current = []
-            elif measures:
-                raise ScoreParseError("empty measure", line, col)
-        elif kind == "event":
-            if _CLASSES[value][1] is None:
-                raise ScoreParseError("a sixty-fourth value cannot be dotted", line, col)
-            if not current:
-                current_pos = (line, col)
-            current.append(value)
-        elif kind in ("obracket", "oparen", "obrace"):
-            opened[kind[1:]].append((line, col, len(current)))
-        else:  # cbracket, cparen or cbrace: it ends the newest open group of its kind
-            want = kind[1:]
-            if not opened[want]:
-                raise ScoreParseError(f"unmatched closing {want}", line, col)
-            start = opened[want].pop()[2]
-            if want != "brace":
+    for line, row in enumerate(text.split("\n"), 1):
+        for kind, value, (_, col) in _plain_line(row, line) or _tokenize_line(row, line):
+            if kind == "header":
+                if seen_content:
+                    raise ScoreParseError("header item after score content", line, col)
+                _parse_header_item(value, line, col, header)
                 continue
-            try:
-                repeats = int(value[2:])
-            except ValueError:  # more digits than int() converts
-                raise ScoreParseError("repeat count is too large", line, col) from None
-            if repeats < 1:
-                raise ScoreParseError("repeat count must be >= 1", line, col)
-            # fail before any copy is built; a measure sum stays <= 96 * MAX_EVENTS
-            size = len(current) - start
-            if measured + len(current) + size * (repeats - 1) > MAX_EVENTS:
-                raise ScoreParseError(
-                    f"repeat group expands the score past {MAX_EVENTS} events", line, col
-                )
-            # copy only a body that repeats; an empty list times a count past
-            # sys.maxsize overflows
-            if size and repeats > 1:
-                current.extend(current[start:] * (repeats - 1))
+            seen_content = True
+            if kind == "bar":
+                for group, name in (("brace", "repeat group"), ("bracket", "bracket group")):
+                    if opened[group]:
+                        raise ScoreParseError(
+                            f"{name} must close inside its measure", *opened[group][0][:2]
+                        )
+                if current:
+                    measures.append(tuple(current))
+                    measured += len(current)
+                    current = []
+                elif measures:
+                    raise ScoreParseError("empty measure", line, col)
+            elif kind == "event":
+                if value not in _PLAIN:
+                    raise ScoreParseError("a sixty-fourth value cannot be dotted", line, col)
+                current.append(value)
+            elif kind == "run":
+                current.extend(value)
+            elif kind in ("obracket", "oparen", "obrace"):
+                opened[kind[1:]].append((line, col, len(current)))
+            else:  # cbracket, cparen or cbrace: it ends the newest open group of its kind
+                want = kind[1:]
+                if not opened[want]:
+                    raise ScoreParseError(f"unmatched closing {want}", line, col)
+                start = opened[want].pop()[2]
+                if want != "brace":
+                    continue
+                try:
+                    repeats = int(value[2:])
+                except ValueError:  # more digits than int() converts
+                    raise ScoreParseError("repeat count is too large", line, col) from None
+                if repeats < 1:
+                    raise ScoreParseError("repeat count must be >= 1", line, col)
+                # fail before any copy is built; a measure sum stays <= 96 * MAX_EVENTS
+                size = len(current) - start
+                if measured + len(current) + size * (repeats - 1) > MAX_EVENTS:
+                    raise ScoreParseError(
+                        f"repeat group expands the score past {MAX_EVENTS} events", line, col
+                    )
+                # copy only a body that repeats; an empty list times a count past
+                # sys.maxsize overflows
+                if size and repeats > 1:
+                    current.extend(current[start:] * (repeats - 1))
 
     oldest = [(g[0][:2], kind) for kind, g in opened.items() if g]  # of each kind
     if oldest:
         (line, col), kind = min(oldest)
         raise ScoreParseError(f"unclosed group ({kind})", line, col)
     if current:
-        measures.append((tuple(current), current_pos))
+        measures.append(tuple(current))
     if not measures:
         raise ScoreParseError("score has no measures", 1, 1)
 
@@ -270,7 +304,7 @@ def parse_score(text: str, strict: bool = True) -> Score:
     if time is not None:
         target = measure_target(time)
         weight = {token: exponent for token, (_, exponent) in _CLASSES.items()}
-        for i, (tokens, pos) in enumerate(measures):
+        for i, tokens in enumerate(measures):
             total = sum(map(weight.__getitem__, tokens))
             if total != target:
                 message = (
@@ -278,11 +312,11 @@ def parse_score(text: str, strict: bool = True) -> Score:
                     f"for {time[0]}/{time[1]}"
                 )
                 if strict:
-                    raise ScoreParseError(message, *pos)
+                    raise ScoreParseError(message, *_measure_start(text, i))
                 warnings.append(message)
 
     return Score(
-        measures=tuple(tokens for tokens, _ in measures),
+        measures=tuple(measures),
         clef=header.get("clef", "treble"),
         time=time,
         warnings=tuple(warnings),

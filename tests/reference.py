@@ -16,11 +16,14 @@ The score tokenizer as one regular-expression match per token and per run
 of whitespace; ``score._tokenize`` reads the text one whitespace-separated
 word at a time and looks each one-token word up in ``score._ONE_TOKEN``.
 The score parser with one list of open groups of every kind, searched from
-its end at each closer, removed from by equality and walked at each bar, and
-a running exponent sum per measure; ``score.parse_score`` keeps one stack
-per group kind and reads each measure's sum from the class table at the
-time check.  A class token's parts as one match of ``CLASS_TOKEN``;
-``score.class_parts`` looks the token up in the class table.
+its end at each closer, removed from by equality and walked at each bar, a
+running exponent sum and the first event's position per measure, and every
+token read from the tokenizer; ``score.parse_score`` keeps one stack per
+group kind, splits a line of plain class tokens and bars without a token
+stream, reads each measure's sum from the class table at the time check and
+tokenizes the text again only to place a measure-sum error.  A class
+token's parts as one match of ``CLASS_TOKEN``; ``score.class_parts`` looks
+the token up in the class table.
 """
 
 from __future__ import annotations
@@ -193,13 +196,15 @@ def class_parts_by_regex(token: str) -> tuple:
     return pitch, int(exponent) * 3 // 2 if dot else int(exponent)
 
 
-def tokenize_by_regex(text: str):
+def tokenize_by_regex(text: str, line: int = 1):
     """Yield ``(kind, text, (line, col))`` for every token but whitespace and
-    comments; line and column are 1-based, the column counts characters.
-    Comments stop before a newline, so only whitespace tokens move the line:
-    each is scanned once, which keeps tokenizing linear in the text."""
+    comments; the text starts at ``line`` (so ``(row, line)`` tokenizes one
+    line of a text, as ``score._tokenize_line`` does), and the column is
+    1-based and counts characters.  Comments stop before a newline, so only
+    whitespace tokens move the line: each is scanned once, which keeps
+    tokenizing linear in the text."""
     pos = 0
-    line, line_start = 1, 0
+    line_start = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:

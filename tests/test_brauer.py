@@ -393,6 +393,20 @@ def test_invariants_from_tallies_reject_what_a_configuration_rejects():
         invariants_from_tallies([])
 
 
+def test_invariants_from_tallies_reject_a_negative_entry():
+    # the rows sum to 2 each, but vertex 1 cannot occur -1 times in polygon 0
+    with pytest.raises(ConfigError, match=r"^polygon 0: negative occurrence count -1$"):
+        invariants_from_tallies([[2, -1, 1], [1, 1, 0]])
+
+
+def test_invariants_from_tallies_reject_rows_of_unequal_length():
+    # zip(*rows) would cut the columns to the shortest row
+    with pytest.raises(ConfigError, match=r"^polygon 1: 2 tallies, expected 3$"):
+        invariants_from_tallies([[1, 1, 1], [1, 1]])
+    with pytest.raises(ConfigError, match=r"^polygon 2: 4 tallies, expected 3$"):
+        invariants_from_tallies([[1, 1, 1], [2, 0, 0], [1, 1, 0, 1]])
+
+
 # ---------------------------------------------------------------------------
 # Center identity for frequency-one configurations
 # ---------------------------------------------------------------------------

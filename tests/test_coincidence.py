@@ -285,6 +285,32 @@ def test_recover_key_rejects_trivial_lists():
         friedman_recover_key(list_counts("ABCD", 3))
 
 
+def test_recover_key_rejects_zero_lists():
+    with pytest.raises(ValueError, match="^key recovery needs at least one list$"):
+        friedman_recover_key([])
+
+
+def test_recover_key_rejects_a_row_not_of_26_counts():
+    with pytest.raises(ValueError, match="^list 1 has 25 letter counts, expected 26$"):
+        friedman_recover_key([[1] * 26, [1] * 25])
+    with pytest.raises(ValueError, match="^list 0 has 27 letter counts, expected 26$"):
+        friedman_recover_key([[1] * 27])
+
+
+def test_recover_key_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="^list 0 has a negative letter count -1$"):
+        friedman_recover_key([[-1] * 26, [2] * 26])
+
+
+def test_recover_key_rejects_lists_without_letters():
+    # no letter leaves no decryption to score; one empty list among others
+    # is still read
+    for rows in ([[0] * 26], [[0] * 26, [0] * 26]):
+        with pytest.raises(ValueError, match="^key recovery needs at least one letter$"):
+            friedman_recover_key(rows)
+    assert friedman_recover_key([[1] * 26, [0] * 26]).differences == ((0, 1, 0),)
+
+
 def test_chi_squared_prefers_english():
     shifted = vigenere_encrypt(SAMPLE_TEXT, "G")
     assert chi_squared(SAMPLE_TEXT) < chi_squared(shifted)

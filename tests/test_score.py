@@ -25,6 +25,7 @@ from brauer_kit.score import (
     _tokenize,
 )
 
+import reference
 import textgen
 from reference import (
     class_parts_by_regex,
@@ -488,7 +489,9 @@ def parse_outcome(text, strict, parse=parse_score):
 def test_tokenizer_matches_reference(text):
     assert token_stream(_tokenize, text) == token_stream(tokenize_by_regex, text)
     new = (parse_outcome(text, True), parse_outcome(text, False))
-    with mock.patch.object(score_module, "_tokenize", tokenize_by_regex):
+    # the parser tokenizes each line that is not plain, and the text again to
+    # place a measure-sum error, through ``_tokenize_line``
+    with mock.patch.object(score_module, "_tokenize_line", tokenize_by_regex):
         old = (parse_outcome(text, True), parse_outcome(text, False))
     assert new == old
 
@@ -501,6 +504,71 @@ def test_tokenizer_matches_reference(text):
 @example(GROUP_TEXTS["spanning-parens"](50))
 @example(GROUP_TEXTS["nested-repeats"](50))
 def test_parser_matches_reference(text):
+    for strict in (True, False):
+        assert parse_outcome(text, strict) == parse_outcome(
+            text, strict, parse_score_by_group_list
+        )
+
+
+# The separators that do not end a line; str.split() and the token grammar
+# both read each of them as whitespace.
+LINE_SPACES = tuple(space for space in SPACES if space and "\n" not in space)
+# Class tokens of plain lines, and whole 4/4 measures among them.
+PLAIN_WORDS = ("c16", "-d16", "+e16", "=f16", "r16", "g32", "r32", "a64", "b16.", "c8", "d8")
+FULL_MEASURES = (
+    ("|", "c16", "d16", "e16", "f16"), ("|", "a64"), ("|", "g32", "r32"),
+    ("|", "b16.", "c8", "r32"),
+)
+# Bar shapes a plain line may hold, and pieces that leave the plain path or
+# fail on it.
+PLAIN_BARS = (("|",), ("||",), ("|", "|"), ("c16|d16",))
+OFF_PLAIN = (
+    "c1.", "r1.", "(", ")", "[", "]", "{", "}x2", "}x3", "clef=bass", "time=4/4",
+    "# c16 |", "h4", "a4b4",
+)
+
+
+@st.composite
+def plain_heavy_texts(draw):
+    """Lines of several measures, three in four of them plain; the others
+    mix in empty measures, group symbols, header items, comments, glued or
+    foreign words and dotted sixty-fourths.  A line that does not start with
+    a bar goes on with the measure of the line before it."""
+    pieces = [
+        st.lists(st.sampled_from(PLAIN_WORDS), min_size=1, max_size=5).map(lambda w: ("|", *w)),
+        st.sampled_from(FULL_MEASURES),
+        st.lists(st.sampled_from(PLAIN_WORDS), min_size=1, max_size=3).map(tuple),
+    ]
+    odd = [st.sampled_from(PLAIN_BARS), st.sampled_from(OFF_PLAIN).map(lambda p: (p,))]
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        shapes = pieces if draw(st.integers(0, 3)) else pieces + odd
+        words = [w for piece in draw(st.lists(st.one_of(shapes), max_size=4)) for w in piece]
+        lines.append(draw(st.sampled_from(("", " "))) + "".join(
+            w + draw(st.sampled_from(LINE_SPACES)) for w in words
+        ))
+    head = draw(st.sampled_from(("", "time=4/4\n", "clef=bass time=3/4 ")))
+    return head + "\n".join(lines)
+
+
+@given(plain_heavy_texts())
+@example("| c4 | | d4")
+@example("| c4 c1. d4\n| e4")
+@example("| c4 r1.")
+@example("| c4 | d4\nclef=bass")
+@example("|\ntime=4/4\n| a64")
+@example("\n \t\nclef=bass time=4/4\n| a64")
+@example("| c4 [\n| d4")
+@example("| c4 {\n| d4\n}x2")
+@example("( \n| c4 | d4\n| e4 )")
+@example("time=4/4\n| a64\n| { c16 }x3")
+@example("time=4/4\n| a64 | ( c16 c16 c16\n) | a64")
+@example("time=4/4\n| a64\n|\n  c16 c16 c16\n| a64")
+@example("time=4/4\n| c16\x1cc16\x85c16\xa0c16\u3000|\rc16 c16\tc16")
+@example("( \n| c4 | d4 )\n| e4")
+@example("| c4 | d4 | a4b4\n| e4 || f4")
+@example("| c4 || d4 # a comment")
+def test_plain_lines_match_the_reference(text):
     for strict in (True, False):
         assert parse_outcome(text, strict) == parse_outcome(
             text, strict, parse_score_by_group_list
@@ -549,10 +617,10 @@ def test_parsed_tokens_share_one_string_per_class():
     assert len({id(t) for t in tokens}) == len(set(tokens))
 
 
-def parse_peak(text):
+def parse_peak(text, parse=parse_score):
     tracemalloc.start()
     try:
-        parse_score(text, strict=False)
+        parse(text, strict=False)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -564,10 +632,12 @@ def parse_peak(text):
     ids=["events", "repeats", "glued"],
 )
 def test_long_word_keeps_the_reference_peak(text):
-    # a word of several tokens is scanned where it stands, so its tokens are
-    # never held beside the ones the parser keeps
-    with mock.patch.object(score_module, "_tokenize", tokenize_by_regex):
-        reference_peak = parse_peak(text)
+    # a word of several tokens is scanned where it stands, and a line's words
+    # are not held while it is tokenized, so neither is held beside the
+    # tokens the parser keeps; the reference parser reads the streaming
+    # reference tokenizer
+    with mock.patch.object(reference, "_tokenize", tokenize_by_regex):
+        reference_peak = parse_peak(text, parse_score_by_group_list)
     assert parse_peak(text) <= 1.1 * reference_peak
 
 
