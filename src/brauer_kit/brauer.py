@@ -154,21 +154,25 @@ def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
 def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
     """``invariants`` of the configuration whose polygon i holds
     ``rows[i][c]`` occurrences of vertex c, read from that tally table
-    without listing an occurrence.  The rows have one length and no
-    negative entry; a Vigenere split is the table of its lists' letter
-    counts (``coincidence.list_counts``).
+    without listing an occurrence.  The rows have one length, and every
+    entry is an integer and not negative; a Vigenere split is the table of
+    its lists' letter counts (``coincidence.list_counts``).
 
     The vertices are the columns with a nonzero entry, each of valency its
     column sum, and a polygon holds its row's nonzero columns.
     """
-    sizes = list(map(sum, rows))
-    for i, (row, size) in enumerate(zip(rows, sizes)):
+    sizes = []
+    for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
             raise ConfigError(f"polygon {i}: {len(row)} tallies, expected {len(rows[0])}")
+        for f in row:
+            if not isinstance(f, int):
+                raise ConfigError(f"polygon {i}: occurrence count {f!r} is not an integer")
         if min(row, default=0) < 0:
             raise ConfigError(f"polygon {i}: negative occurrence count {min(row)}")
-        if size < 2:
-            raise ConfigError(f"polygon {i}: word length {size} < 2")
+        sizes.append(sum(row))
+        if sizes[-1] < 2:
+            raise ConfigError(f"polygon {i}: word length {sizes[-1]} < 2")
     histogram = Counter(map(sum, zip(*rows)))
     del histogram[0]  # a column that no row holds is no vertex
     return _incidence(sizes, histogram, (list(compress(count(), row)) for row in rows))

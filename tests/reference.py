@@ -11,7 +11,8 @@ The folding of text into the alphabet as one loop over its characters;
 ``Alphabet.normalize`` folds with string methods and regular expressions.
 Key recovery as one shifted overlap per list pair and shift, and one
 decryption tally per anchored key; ``coincidence.friedman_recover_key``
-reads both from each list's 26 rotations.
+reads a pair's 26 overlaps from one product of two packed integers, and
+rotates only the first decryption's tally.
 The score tokenizer as one regular-expression match per token and per run
 of whitespace; ``score._tokenize`` reads the text one whitespace-separated
 word at a time and looks each one-token word up in ``score._ONE_TOKEN``.

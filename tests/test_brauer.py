@@ -399,6 +399,14 @@ def test_invariants_from_tallies_reject_a_negative_entry():
         invariants_from_tallies([[2, -1, 1], [1, 1, 0]])
 
 
+def test_invariants_from_tallies_reject_an_entry_that_is_not_an_integer():
+    # an entry counts occurrences; 2.5 would give dim Z 5.5 and 2.5 loops
+    with pytest.raises(ConfigError, match=r"^polygon 0: occurrence count 2\.5 is not an integer$"):
+        invariants_from_tallies([[2.5, 1, 0], [1, 1, 1]])
+    with pytest.raises(ConfigError, match=r"^polygon 1: occurrence count '1' is not an integer$"):
+        invariants_from_tallies([[1, 1, 1], [1, "1", 1]])
+
+
 def test_invariants_from_tallies_reject_rows_of_unequal_length():
     # zip(*rows) would cut the columns to the shortest row
     with pytest.raises(ConfigError, match=r"^polygon 1: 2 tallies, expected 3$"):

@@ -1,7 +1,9 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,7 +23,12 @@ from brauer_kit.coincidence import (
 from reference import recover_key_by_overlaps
 from textgen import SAMPLE_TEXT, sample_english, sample_uniform
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
+
 CIPHERTEXT = "OOPAELRIXFGGBWDODDEPK"
+# the benchmark's generated ciphertext for seed 7 at 5 000 letters
+SEED7 = gen.attack_input(7, 5_000)["cipher"]
 
 
 def ioc_oracle(text):
@@ -203,7 +210,9 @@ ENCRYPTED_TEXTS = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(ENCRYPTED_TEXTS, st.integers(1, 40))
 @example("AAABBBCCCDEFGHIJ", 1)  # IoC 18/240 = 0.075, on the window's edge
+@example("ABCDEFGH" * 12 + "I" * 11 + "JKLMN" * 9 + "OPQ" * 8, 1)  # 1694/30800 = 0.055, the lower edge
 @example(SAMPLE_TEXT[:40], 20)  # two letters a list at the longest length
+@example(SEED7, coincidence.MAX_KEYLEN)  # 5 050 lists, of two sizes where m does not divide 5 000
 def test_keylength_matches_plain_reference(cipher, max_len):
     # lengths up to 40 take most counts from a multiple's, several levels
     # down; a length past half the text is the ranking's error, tested apart
@@ -302,6 +311,14 @@ def test_recover_key_rejects_a_negative_count():
         friedman_recover_key([[-1] * 26, [2] * 26])
 
 
+def test_recover_key_rejects_a_count_that_is_not_an_integer():
+    # a count is a number of letters; a float cannot be packed into a slot
+    with pytest.raises(ValueError, match=r"^list 0 has a letter count 0\.5 that is not an integer$"):
+        friedman_recover_key([[0.5] * 26, [1.5] * 26])
+    with pytest.raises(ValueError, match=r"^list 1 has a letter count '1' that is not an integer$"):
+        friedman_recover_key([[1] * 26, [1] * 25 + ["1"]])
+
+
 def test_recover_key_rejects_lists_without_letters():
     # no letter leaves no decryption to score; one empty list among others
     # is still read
@@ -350,8 +367,11 @@ def tally_tables(draw):
     vigenere_encrypt(sample_english(random.Random(30), 3_000), "BRAUER" * 5),
     30,
 ))
+@example(list_counts(SEED7, coincidence.MAX_KEYLEN))  # 4 950 list pairs
+@example([[2**64] * 26] * 3)  # every overlap is 26 * 2**128, the slot bound past 64 bits
+@example([[0] * 26, [0] * 7 + [1] + [0] * 18])  # one nonzero entry: all overlaps are 0
 def test_recovery_reads_the_overlaps_and_decryptions_from_rotations(rows):
-    # the rotation table gives what one overlap per pair and shift and one
+    # one product per pair gives what one overlap per pair and shift and one
     # recount per anchor give, ties and ranking included
     assert friedman_recover_key(rows) == recover_key_by_overlaps(rows)
 
