@@ -52,6 +52,15 @@ class BrauerConfiguration:
     def __post_init__(self):
         if not self.polygons:
             raise ConfigError("configuration has no polygons")
+        words = [poly.word for poly in self.polygons]
+        try:  # each word's length, then each distinct label, once
+            if min(map(len, words)) >= 2 and all(
+                isinstance(v, str) and v for v in set(chain.from_iterable(words))
+            ):
+                return
+        except TypeError:  # a label that is not hashable
+            pass
+        # some check fails: name the first fault, polygon by polygon
         for i, poly in enumerate(self.polygons):
             if len(poly.word) < 2:
                 raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
@@ -117,7 +126,11 @@ def _incidence(
     vertex held by one polygon only closes its circular order there with
     one loop more.  Every polygon holding a vertex is joined to the first
     one that held it; the incidence graph is connected when a single root
-    remains."""
+    remains; the roots are counted down as unions succeed.  Once the
+    polygons read so far form one component that holds every vertex, the
+    answer is settled: each later polygon joins that component and holds
+    only vertices held before, so it adds only its incidences and marks its
+    vertices as shared."""
     first: dict = {}     # vertex -> first polygon holding it
     shared: set = set()  # vertices held by more than one polygon
     parent = list(range(len(sizes)))
@@ -128,17 +141,31 @@ def _incidence(
             x = parent[x]
         return x
 
+    vertices, roots = sum(valency_histogram.values()), len(sizes)
     incidences = 0
+    holdings = iter(holdings)  # the settled polygons are read on from here
     for i, held in enumerate(holdings):
         incidences += len(held)
+        root = i  # polygon i's root; no earlier polygon was joined to i
         for v in held:
             j = first.setdefault(v, i)
             if j != i:
                 shared.add(v)
-                parent[find(i)] = find(j)
+                r = find(j)
+                if r != root:  # a union: two components become one
+                    parent[root] = r
+                    root = r
+                    roots -= 1
+        # polygons 0..i are one component when the roots left are it and
+        # the len(sizes) - 1 - i polygons still to read
+        if len(first) == vertices and roots == len(sizes) - i:
+            roots = 1
+            break
+    for held in holdings:
+        incidences += len(held)
+        shared.update(held)
     loops = sum(sizes) - incidences + len(first) - len(shared)
     inv = invariants_from_histogram(len(sizes), valency_histogram, loops)
-    roots = sum(1 for i, p in enumerate(parent) if i == p)
     return inv if roots == 1 else replace(inv, connected=False)
 
 

@@ -91,11 +91,11 @@ def decimate(text: str, m: int) -> list[str]:
     return [text[i::m] for i in range(m)]
 
 
-def _chi_squared(counts: list[int], n: int) -> float:
-    """Chi-squared statistic of letter counts summing to ``n`` > 0."""
+def _chi_squared(counts: list[int], expected: list[float]) -> float:
+    """Chi-squared statistic of letter counts against their ``expected``
+    counts, each ``n * freq / 100.0`` for the counts' sum n > 0."""
     score = 0.0
-    for count, freq in zip(counts, ENGLISH_FREQUENCIES.values()):
-        exp = n * freq / 100.0
+    for count, exp in zip(counts, expected):
         score += (count - exp) ** 2 / exp
     return score
 
@@ -239,10 +239,11 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     # list j decrypts cipher letter h + k_j to plaintext letter h
     plain = list(map(sum, zip(*(c[k:] + c[:k] for c, k in zip(counts, base)))))
     length = sum(plain)  # the text's, split into the lists
+    expected = [length * freq / 100.0 for freq in ENGLISH_FREQUENCIES.values()]
     # anchoring k_0 at a adds a to every k_j and rotates the decryption by a
     candidates = [
         KeyCandidate("".join(LETTERS[(k + a) % n] for k in base),
-                     _chi_squared(plain[a:] + plain[:a], length))
+                     _chi_squared(plain[a:] + plain[:a], expected))
         for a in range(n)
     ]
     candidates.sort(key=lambda c: c.chi2)

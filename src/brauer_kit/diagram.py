@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .brauer import ascii_ints
@@ -68,7 +69,7 @@ def diagram_for_score(
     only when ``connect_equal_y``) and ``extra_edges`` as closure pairs of
     pitched point positions.  A closure may not join a point to itself or
     repeat an edge, in either direction.  ``clef`` overrides the score's own."""
-    labels = list(dict.fromkeys(token for measure in score.measures for token in measure))
+    labels = list(dict.fromkeys(chain.from_iterable(score.measures)))
     if not labels:
         raise DiagramError("score has no events")
     pitches = [class_parts(label)[0] for label in labels]

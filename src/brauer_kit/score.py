@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from .brauer import BrauerConfiguration, config_from_words
 
 
@@ -226,9 +227,10 @@ def _measure_start(text: str, i: int) -> tuple:
 def parse_score(text: str, strict: bool = True) -> Score:
     """Parse DSL text one line at a time: ``_plain_line`` reads a line of
     bars and class tokens, any other line is tokenized, and a bar from either
-    is read by one rule.  Under a time signature each measure's sum is then
-    read from the class table; a violation raises in strict mode, at a
-    position found by tokenizing the text again, or becomes a warning."""
+    is read by one rule.  Under a time signature the measures' sums are then
+    read from the class table in one pass; a violation raises in strict
+    mode, at a position found by tokenizing the text again, or becomes a
+    warning."""
     header: dict = {}
     measures: list = []  # one tuple of tokens per measure
     measured = 0  # tokens in ``measures``
@@ -304,16 +306,17 @@ def parse_score(text: str, strict: bool = True) -> Score:
     if time is not None:
         target = measure_target(time)
         weight = {token: exponent for token, (_, exponent) in _CLASSES.items()}
-        for i, tokens in enumerate(measures):
-            total = sum(map(weight.__getitem__, tokens))
-            if total != target:
-                message = (
-                    f"measure {i + 1} sums to {total}, expected {target} "
-                    f"for {time[0]}/{time[1]}"
-                )
-                if strict:
-                    raise ScoreParseError(message, *_measure_start(text, i))
-                warnings.append(message)
+        totals = list(map(sum, map(map, repeat(weight.__getitem__), measures)))
+        if totals.count(target) != len(totals):  # name each measure that is off
+            for i, total in enumerate(totals):
+                if total != target:
+                    message = (
+                        f"measure {i + 1} sums to {total}, expected {target} "
+                        f"for {time[0]}/{time[1]}"
+                    )
+                    if strict:
+                        raise ScoreParseError(message, *_measure_start(text, i))
+                    warnings.append(message)
 
     return Score(
         measures=tuple(measures),
@@ -329,9 +332,10 @@ def parse_score(text: str, strict: bool = True) -> Score:
 
 def score_to_config(score: Score) -> BrauerConfiguration:
     """One polygon per measure, in score order; vertices are note classes."""
-    for i, measure in enumerate(score.measures):
-        if len(measure) < 2:
-            raise ScoreError(f"measure {i + 1} has fewer than 2 events")
+    if min(map(len, score.measures)) < 2:
+        for i, measure in enumerate(score.measures):
+            if len(measure) < 2:
+                raise ScoreError(f"measure {i + 1} has fewer than 2 events")
     return config_from_words(score.measures)
 
 

@@ -7,12 +7,17 @@ the configuration once per vertex.  The Vigenere split as a configuration,
 one polygon per decimated list.  The program computes neither: it counts
 ``brauer.invariants`` in one pass over the words and reads the split's
 invariants from its letter tallies (``brauer.invariants_from_tallies``).
+That pass with its union-find run over every polygon, and a
+configuration's checks made polygon by polygon; ``brauer._incidence``
+stops joining polygons once those read so far form one component holding
+every vertex, and ``BrauerConfiguration`` checks each distinct label once.
 The folding of text into the alphabet as one loop over its characters;
 ``Alphabet.normalize`` folds with string methods and regular expressions.
 Key recovery as one shifted overlap per list pair and shift, and one
-decryption tally per anchored key; ``coincidence.friedman_recover_key``
-reads a pair's 26 overlaps from one product of two packed integers, and
-rotates only the first decryption's tally.
+decryption tally and one set of expected counts per anchored key;
+``coincidence.friedman_recover_key`` reads a pair's 26 overlaps from one
+product of two packed integers, rotates only the first decryption's tally
+and computes the expected counts once.
 The score tokenizer as one regular-expression match per token and per run
 of whitespace; ``score._tokenize`` reads the text one whitespace-separated
 word at a time and looks each one-token word up in ``score._ONE_TOKEN``.
@@ -32,9 +37,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from brauer_kit.brauer import BrauerConfiguration, config_from_words
+from collections import Counter
+from dataclasses import replace
+from itertools import chain
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
+
+from brauer_kit.brauer import (
+    AlgebraInvariants,
+    BrauerConfiguration,
+    ConfigError,
+    config_from_words,
+    invariants_from_histogram,
+)
 from brauer_kit.cipher import LETTERS, CipherError
-from brauer_kit.coincidence import KeyCandidate, KeyRecovery, _chi_squared, decimate
+from brauer_kit.coincidence import ENGLISH_FREQUENCIES, KeyCandidate, KeyRecovery, decimate
 from brauer_kit.score import (
     CLASS_TOKEN,
     MAX_EVENTS,
@@ -120,6 +136,61 @@ def build_quiver(config: BrauerConfiguration) -> Quiver:
     return Quiver(tuple(arrows))
 
 
+def incidence_by_union_find(
+    sizes: Sequence[int],
+    valency_histogram: Mapping[int, int],
+    holdings: Iterable[Collection[Hashable]],
+) -> AlgebraInvariants:
+    """``brauer._incidence`` with the union-find run over every polygon:
+    each polygon gives (size - #distinct vertices) loops, a vertex held by
+    one polygon only gives one loop more, every polygon holding a vertex is
+    joined to the first one that held it, and the incidence graph is
+    connected when a single root remains."""
+    first: dict = {}     # vertex -> first polygon holding it
+    shared: set = set()  # vertices held by more than one polygon
+    parent = list(range(len(sizes)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    incidences = 0
+    for i, held in enumerate(holdings):
+        incidences += len(held)
+        for v in held:
+            j = first.setdefault(v, i)
+            if j != i:
+                shared.add(v)
+                parent[find(i)] = find(j)
+    loops = sum(sizes) - incidences + len(first) - len(shared)
+    inv = invariants_from_histogram(len(sizes), valency_histogram, loops)
+    roots = sum(1 for i, p in enumerate(parent) if i == p)
+    return inv if roots == 1 else replace(inv, connected=False)
+
+
+def invariants_by_union_find(config: BrauerConfiguration) -> AlgebraInvariants:
+    """``brauer.invariants`` counted by ``incidence_by_union_find``."""
+    words = [poly.word for poly in config.polygons]
+    valencies = Counter(chain.from_iterable(words))
+    return incidence_by_union_find(
+        list(map(len, words)), Counter(valencies.values()), map(set, words)
+    )
+
+
+def check_polygons(polygons) -> None:
+    """``BrauerConfiguration``'s checks polygon by polygon: raise the
+    ConfigError of the first fault, if there is one."""
+    if not polygons:
+        raise ConfigError("configuration has no polygons")
+    for i, poly in enumerate(polygons):
+        if len(poly.word) < 2:
+            raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
+        if any(not isinstance(v, str) or not v for v in poly.word):
+            raise ConfigError(f"polygon {i}: empty vertex label")
+
+
 def vigenere_to_config(cipher: str, m: int) -> BrauerConfiguration:
     """Configuration of a normalized ciphertext under an assumed key length:
     one polygon per decimated list, in list order."""
@@ -140,6 +211,15 @@ def normalize_by_loop(text: str, strip: bool = False) -> str:
         else:
             raise CipherError(f"character {ch!r} at offset {i} is not in the alphabet")
     return "".join(out)
+
+
+def _chi_squared(counts: list[int], n: int) -> float:
+    """Chi-squared statistic of letter counts summing to ``n`` > 0."""
+    score = 0.0
+    for count, freq in zip(counts, ENGLISH_FREQUENCIES.values()):
+        exp = n * freq / 100.0
+        score += (count - exp) ** 2 / exp
+    return score
 
 
 def recover_key_by_overlaps(counts) -> KeyRecovery:

@@ -2,10 +2,12 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from brauer_kit.brauer import (
+    BrauerConfiguration,
     ConfigError,
+    Polygon,
     config_from_words,
     invariants,
     invariants_from_histogram,
@@ -15,6 +17,8 @@ from brauer_kit.brauer import (
 from reference import (
     UnknownVertexError,
     build_quiver,
+    check_polygons,
+    invariants_by_union_find,
     successor_sequence,
     valency,
     vertex_universe,
@@ -82,6 +86,36 @@ def test_polygon_rejects_short_word():
         config_from_words([["a", "b"], ["a"]])
     with pytest.raises(ConfigError, match=r"^polygon 0: empty vertex label$"):
         config_from_words([["a", ""]])
+
+
+class Label(str):
+    """A label of a ``str`` subclass: a label like any other."""
+
+
+def config_error(build):
+    """The message of the ConfigError that ``build()`` raises, or None."""
+    try:
+        build()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.lists(
+    st.lists(
+        st.sampled_from(["a", "b", "", 5, None, Label("a"), Label("")]) | st.builds(list),
+        max_size=4,
+    ),
+    max_size=6,
+))
+def test_constructor_names_the_first_fault_of_the_polygon_loop(words):
+    # short words, empty labels, labels that are not strings and labels that
+    # cannot be hashed: the one-pass check and the polygon-by-polygon loop
+    # raise the same message, or none
+    polygons = tuple(Polygon(tuple(word)) for word in words)
+    assert config_error(lambda: BrauerConfiguration(polygons)) == config_error(
+        lambda: check_polygons(polygons)
+    )
 
 
 def test_polygon_label_must_be_permutation():
@@ -277,6 +311,44 @@ def test_connected_matches_quiver_search(words):
     # only through a later polygon
     cfg = config_from_words(words)
     assert invariants(cfg).connected == (quiver_components(cfg) == 1)
+
+
+def test_connectivity_settles_at_one_component_holding_every_vertex():
+    for words, loops, connected in (
+        # [a b] [b c] hold every vertex in one component; a, held once so
+        # far, gains its second holder after that
+        ("a b / b c / a a / c b", 1, True),
+        ("a b / a b / b a", 0, True),  # settled at the first polygon
+        # one component forms before c and d appear, in a second component
+        ("a b / a b / c d / b c", 1, True),
+        ("a b / a b / c d / b c / d d", 1, True),
+        ("a b / c d / b e", 4, False),
+        ("a b / c d / a b / c d", 0, False),  # every vertex seen, never one component
+    ):
+        cfg = config_from_words(word.split() for word in words.split(" / "))
+        inv = invariants(cfg)
+        assert (inv.loops, inv.connected) == (loops, connected)
+        assert inv.loops == build_quiver(cfg).loop_count
+        assert inv == invariants_by_union_find(cfg)
+        assert connected == (quiver_components(cfg) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda labels: st.lists(
+    st.lists(st.integers(0, labels - 1), min_size=2, max_size=6),
+    min_size=1,
+    max_size=40,
+)))
+def test_invariants_match_the_union_find_over_every_polygon(words):
+    # few labels settle early, many keep the union-find running to the end
+    # or leave the configuration disconnected
+    cfg = config_from_words([[f"v{c}" for c in word] for word in words])
+    oracle = invariants_by_union_find(cfg)
+    assert invariants(cfg) == oracle
+    width = max(map(max, words)) + 1
+    rows = [[word.count(c) for c in range(width)] for word in words]
+    assert invariants_from_tallies(rows) == oracle
+    assert oracle.connected == (quiver_components(cfg) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,7 @@ def tally_tables(draw):
     vigenere_encrypt(sample_english(random.Random(30), 3_000), "BRAUER" * 5),
     30,
 ))
+@example(list_counts(SEED7, 9))  # the key's length: every chi2 compared with ==
 @example(list_counts(SEED7, coincidence.MAX_KEYLEN))  # 4 950 list pairs
 @example([[2**64] * 26] * 3)  # every overlap is 26 * 2**128, the slot bound past 64 bits
 @example([[0] * 26, [0] * 7 + [1] + [0] * 18])  # one nonzero entry: all overlaps are 0

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from brauer_kit.diagram import (
     parse_edges,
 )
 from brauer_kit.score import CLEFS, Score, ScoreError, parse_score
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "brauer_kit" / "fixtures"
 
@@ -53,6 +57,20 @@ def test_classify_crab_includes_rests():
     points = diagram_for_score(CRAB).points
     assert any(p.label.startswith("r") for p in points)
     assert len(points) == 28
+
+
+@pytest.mark.parametrize("name", [
+    *(path.name for path in sorted(FIXTURES.glob("*.bsc"))),
+    *(f"seed{seed}-{n}" for seed in (3, 7, 23) for n in (500, 2000)),
+])
+def test_point_order_is_first_appearance(name):
+    if name.endswith(".bsc"):
+        score = parse_score((FIXTURES / name).read_text(), strict=False)
+    else:
+        seed, n = map(int, name[4:].split("-"))
+        score = parse_score(gen.score_input(seed, n)["text"])
+    first_seen = list(dict.fromkeys(token for measure in score.measures for token in measure))
+    assert labels(diagram_for_score(score)) == first_seen
 
 
 def test_classify_strips_groups():

@@ -575,6 +575,23 @@ def test_plain_lines_match_the_reference(text):
         )
 
 
+@pytest.mark.parametrize("text", [
+    "time=4/4\n| c16 c16 c16 c16 | c16 | c8 c8 c8 c8 c8 | c16 c16 c16 c16 | c4",
+    "time=4/4\n| c16 c16 c16 c16\n| c16 c16 c16\n  | c4\n| a64 | c2 c2 c2",
+    "time=3/4 | ( c16 c16 ) | [ c16 c16 c16 ] | { c16 }x3 | { c8 }x2 c8",
+    gen.score_input(7, 500)["text"].replace("| e16 r16 g16 a16", "| e16 r16 g16", 1)
+    + "| c16\n| c4 c4 c4 c4 c4\n",
+])
+def test_measure_sums_are_checked_in_score_order(text):
+    # several measures are off: strict parsing stops at the first, lax
+    # parsing warns about each, in order
+    for strict in (True, False):
+        assert parse_outcome(text, strict) == parse_outcome(
+            text, strict, parse_score_by_group_list
+        )
+    assert len(parse_score(text, strict=False).warnings) >= 2
+
+
 def test_repeated_word_reports_its_own_position():
     # every occurrence of a word is read from the one-token table, and each
     # is reported at its own line and column
@@ -668,6 +685,10 @@ def test_single_measure_encoding():
 def test_score_to_config_rejects_tiny_measure():
     score = Score(measures=(("c64",),))
     with pytest.raises(ScoreError):
+        score_to_config(score)
+    # the first short measure is named
+    score = Score(measures=(("c4", "d4"), ("e4",), ("f4", "g4"), ()))
+    with pytest.raises(ScoreError, match=r"^measure 2 has fewer than 2 events$"):
         score_to_config(score)
 
 
