@@ -24,7 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, compress, count
-from typing import Collection, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
 
 
 class ConfigError(ValueError):

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from importlib import resources
 
 from .brauer import (
     ConfigError,
@@ -263,17 +262,20 @@ def _verify_checks():
 
     yield ("vigenere-split-invariants", split_dims, (35, 14, 9))
 
-    fixture_dir = resources.files("brauer_kit") / "fixtures"
+    def fixture(name):
+        with open(os.path.join(os.path.dirname(__file__), "fixtures", name), encoding="utf-8") as f:
+            return f.read()
+
     for stem in ("slym", "canon_a6", "canon_crab", "canon_qi"):
         def score_payload(stem=stem):
-            score = parse_score((fixture_dir / f"{stem}.bsc").read_text(), strict=False)
+            score = parse_score(fixture(f"{stem}.bsc"), strict=False)
             return _invariants_payload(invariants(score_to_config(score)))
 
-        golden = (fixture_dir / f"{stem}.invariants.json").read_text()
+        golden = fixture(f"{stem}.invariants.json")
         yield (f"score-{stem}", score_payload, golden)
 
     for stem in ("canon_crab", "canon_qi"):
-        data = json.loads((fixture_dir / f"{stem}.hist.json").read_text())
+        data = json.loads(fixture(f"{stem}.hist.json"))
 
         def hist_dims(data=data):
             inv = invariants_from_histogram(

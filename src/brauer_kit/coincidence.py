@@ -26,7 +26,7 @@ from itertools import combinations, starmap
 from math import prod
 from operator import mul
 from struct import Struct
-from typing import Sequence
+from collections.abc import Sequence
 
 from .cipher import CipherError, LETTERS
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from collections.abc import Iterable
 
 from .brauer import ascii_ints
 from .score import CLEFS, PITCHES, Score, class_parts

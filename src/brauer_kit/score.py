@@ -14,9 +14,15 @@ multiplies the effective exponent by 3/2.  ``|`` separates measures.
 (which may span measures) are checked for balance and then dropped;
 ``{ ... }xN`` repeats its contents N times inside one measure.  A closer
 ends the newest open group of its own kind, so kinds may cross
-(``( [ ) ]``).  The text is read a line at a time, and parsing is linear
-in the text.  ``ref=`` and ``accidentals=`` header items are accepted
-annotations that are not stored.  ``#`` starts a comment.
+(``( [ ) ]``).  ``ref=`` and ``accidentals=`` header items are accepted
+annotations that are not stored.  ``#`` starts a comment, except inside a
+header item.
+
+The text is read by one reader, a line at a time, and parsing is linear in
+the text.  A line is split into words once; a run of class tokens joins its
+measure in one step, and a word of several tokens is scanned where it
+stands.  A place in the text is kept as (line, word, offset) and becomes a
+column only when an error is raised.
 
 Under a time signature n/2^m every measure's effective exponents must sum
 to n * 2^(6-m); strict parsing rejects violations, lax parsing records them
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from .brauer import BrauerConfiguration, config_from_words
 
 
@@ -110,9 +116,12 @@ def measure_target(time: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens
 # ---------------------------------------------------------------------------
 
+# One token of a word.  A header item runs to the end of its word, so a
+# ``#`` inside it is part of the item; any other ``#`` ends the line.
+# ``unknown`` takes the rest of a word where no other kind matches.
 _TOKEN = re.compile(
     r"""(?P<comment>\#)
       | (?P<header>(?:clef|time|ref|accidentals)=\S+)
@@ -121,183 +130,157 @@ _TOKEN = re.compile(
       | (?P<obracket>\[) | (?P<cbracket>\])
       | (?P<oparen>\() | (?P<cparen>\))
       | (?P<obrace>\{) | (?P<cbrace>\}x[0-9]+)
+      | (?P<unknown>\S+)
     """,
     re.VERBOSE,
 )
 _WORD = re.compile(r"\S+")
-# Every word that is one whole token other than a header item or a ``}xN``:
-# the class tokens and the bar and group symbols, each mapped to its kind and
-# one shared copy of itself.  ``_TOKEN`` names the kind, so the table cannot
-# disagree with it.
-_ONE_TOKEN = {
-    m[0]: (m.lastgroup, m[0])
-    for m in map(_TOKEN.fullmatch, ["|", "[", "]", "(", ")", "{", *_CLASSES])
-}
+# The one-character words other than a class token (a bar, a group symbol
+# or a lone ``#``), each mapped to its scan: the one match of ``_TOKEN``, so
+# the table cannot disagree with it.
+_SYMBOLS = {s: (_TOKEN.fullmatch(s),) for s in "|[](){#"}
 # The class tokens a score may hold (not the dotted sixty-fourths), each
 # mapped to the class table's own string.
 _PLAIN = {token: token for token, (_, exponent) in _CLASSES.items() if exponent is not None}
-
-
-def _plain_line(row: str, line: int) -> list | None:
-    """The tokens of a line of ``_PLAIN`` words and bars: each bar, and each
-    run of class tokens between two bars as one ``("run", tokens, pos)``.
-    None for any other line; it is split only up to its first bar segment
-    that holds another word, and not at all if it opens a comment or group."""
-    if "#" in row or "(" in row or "[" in row or "{" in row:
-        return None
-    items, col = [], 0
-    for segment in row.split("|"):
-        if col:
-            items.append(("bar", "|", (line, col)))
-        run = list(map(_PLAIN.get, segment.split()))
-        if not all(run):  # a word that is not in ``_PLAIN``
-            return None
-        if run:
-            items.append(("run", run, (line, col + 1)))
-        col += len(segment) + 1
-    return items
-
-
-def _tokenize_line(row: str, line: int):
-    """Yield ``(kind, text, (line, col))`` for every token of one line but
-    comments; the column is 1-based and counts characters.  No token but a
-    comment holds whitespace, so a word in ``_ONE_TOKEN`` is that token (the
-    table's shared text is yielded), and any other word is scanned with
-    ``_TOKEN`` where it stands.  A ``#`` runs to the end of the line."""
-    for w in _WORD.finditer(row):
-        word, col = w[0], w.start() + 1
-        token = _ONE_TOKEN.get(word)
-        if token is not None:
-            yield token[0], token[1], (line, col)
-            continue
-        off = 0
-        while off < len(word):
-            m = _TOKEN.match(word, off)
-            if m is None:
-                bad = word[off:][:12]
-                raise ScoreParseError(f"unknown token {bad!r}", line, col + off)
-            if m.lastgroup == "comment":
-                return  # the rest of the line is a comment
-            yield m.lastgroup, m[0], (line, col + off)
-            off = m.end()
-
-
-def _tokenize(text: str):
-    """``_tokenize_line`` over each line of the text; only ``\n`` starts one."""
-    for line, row in enumerate(text.split("\n"), 1):
-        yield from _tokenize_line(row, line)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-def _parse_header_item(item: str, line: int, col: int, header: dict) -> None:
+def _parse_header_item(item: str, header: dict) -> None:
+    """Read one ``key=value`` item into ``header``; a fault raises a
+    ``ScoreError`` that the caller places."""
     key, _, value = item.partition("=")
     if key in header:
-        raise ScoreParseError(f"duplicate header item {key!r}", line, col)
+        raise ScoreError(f"duplicate header item {key!r}")
     header[key] = value
     if key == "clef" and value not in CLEFS:
-        raise ScoreParseError(f"unknown clef {value!r}", line, col)
+        raise ScoreError(f"unknown clef {value!r}")
     if key == "time":
         m = re.fullmatch(r"([0-9]+)/([0-9]+)", value)
         if not m:
-            raise ScoreParseError(f"malformed time signature {value!r}", line, col)
+            raise ScoreError(f"malformed time signature {value!r}")
         try:
             header["time"] = (int(m.group(1)), int(m.group(2)))
             str(measure_target(header["time"]))  # the measure-sum message prints it
-        except ScoreError as exc:
-            raise ScoreParseError(str(exc), line, col) from None
+        except ScoreError:
+            raise
         except ValueError:  # more digits than Python converts between int and str
-            raise ScoreParseError("time signature is too large", line, col) from None
+            raise ScoreError("time signature is too large") from None
 
 
-def _measure_start(text: str, i: int) -> tuple:
-    """Position of the first event of measure ``i`` (0-based) of a text that parses."""
-    in_measure = False
-    for kind, _, pos in _tokenize(text):
-        if kind == "event" and not in_measure:
-            if i == 0:
-                return pos
-            i -= 1
-        if kind in ("bar", "event"):
-            in_measure = kind == "event"
+def _error(message: str, rows: list, line: int, word: int, off: int) -> ScoreParseError:
+    """The error at character ``off`` of word ``word`` (0-based) of a line;
+    the column is found by splitting that one line into words again."""
+    w = next(islice(_WORD.finditer(rows[line - 1]), word, None))
+    return ScoreParseError(message, line, w.start() + 1 + off)
 
 
 def parse_score(text: str, strict: bool = True) -> Score:
-    """Parse DSL text one line at a time: ``_plain_line`` reads a line of
-    bars and class tokens, any other line is tokenized, and a bar from either
-    is read by one rule.  Under a time signature the measures' sums are then
-    read from the class table in one pass; a violation raises in strict
-    mode, at a position found by tokenizing the text again, or becomes a
-    warning."""
+    """Parse DSL text one line at a time.  A line is split into words once:
+    each run of words in ``_PLAIN`` joins the open measure in one step, and
+    any other word is read from ``_SYMBOLS`` or scanned with ``_TOKEN``.
+    Under a time signature the measures' sums are then read from the class
+    table in one pass; a violation raises in strict mode, at the measure's
+    recorded first event, or becomes a warning."""
     header: dict = {}
     measures: list = []  # one tuple of tokens per measure
+    starts: list = []  # the place of each measure's first event
     measured = 0  # tokens in ``measures``
     current: list = []
-    # open groups of each kind, oldest first: (line, col, token count of the
-    # open measure when the group opened)
+    # open groups of each kind, oldest first: (line, word, offset, token
+    # count of the open measure when the group opened)
     opened: dict = {"bracket": [], "paren": [], "brace": []}
     seen_content = False
+    rows = text.split("\n")
 
-    for line, row in enumerate(text.split("\n"), 1):
-        for kind, value, (_, col) in _plain_line(row, line) or _tokenize_line(row, line):
-            if kind == "header":
-                if seen_content:
-                    raise ScoreParseError("header item after score content", line, col)
-                _parse_header_item(value, line, col, header)
-                continue
-            seen_content = True
-            if kind == "bar":
-                for group, name in (("brace", "repeat group"), ("bracket", "bracket group")):
-                    if opened[group]:
-                        raise ScoreParseError(
-                            f"{name} must close inside its measure", *opened[group][0][:2]
-                        )
-                if current:
-                    measures.append(tuple(current))
-                    measured += len(current)
-                    current = []
-                elif measures:
-                    raise ScoreParseError("empty measure", line, col)
-            elif kind == "event":
-                if value not in _PLAIN:
-                    raise ScoreParseError("a sixty-fourth value cannot be dotted", line, col)
-                current.append(value)
-            elif kind == "run":
-                current.extend(value)
-            elif kind in ("obracket", "oparen", "obrace"):
-                opened[kind[1:]].append((line, col, len(current)))
-            else:  # cbracket, cparen or cbrace: it ends the newest open group of its kind
-                want = kind[1:]
-                if not opened[want]:
-                    raise ScoreParseError(f"unmatched closing {want}", line, col)
-                start = opened[want].pop()[2]
-                if want != "brace":
+    for line, row in enumerate(rows, 1):
+        words = row.split()
+        # each plain word's token, and None for any other word and at the end
+        runs = [*map(_PLAIN.get, words), None]
+        begin = 0
+        while True:
+            i = runs.index(None, begin)
+            if i > begin:
+                if not current:
+                    start = (line, begin, 0)
+                current += runs[begin:i]
+                seen_content = True
+            if i == len(words):
+                break
+            begin = i + 1
+            word = words[i]
+            for m in _SYMBOLS.get(word) or _TOKEN.finditer(word):
+                kind = m.lastgroup
+                if kind == "comment":
+                    begin = len(words)  # the rest of the line is a comment
+                    break
+                if kind == "unknown":
+                    raise _error(f"unknown token {m[0][:12]!r}", rows, line, i, m.start())
+                if kind == "header":
+                    if seen_content:
+                        raise _error("header item after score content", rows, line, i, m.start())
+                    try:
+                        _parse_header_item(m[0], header)
+                    except ScoreError as exc:
+                        raise _error(str(exc), rows, line, i, m.start()) from None
                     continue
-                try:
-                    repeats = int(value[2:])
-                except ValueError:  # more digits than int() converts
-                    raise ScoreParseError("repeat count is too large", line, col) from None
-                if repeats < 1:
-                    raise ScoreParseError("repeat count must be >= 1", line, col)
-                # fail before any copy is built; a measure sum stays <= 96 * MAX_EVENTS
-                size = len(current) - start
-                if measured + len(current) + size * (repeats - 1) > MAX_EVENTS:
-                    raise ScoreParseError(
-                        f"repeat group expands the score past {MAX_EVENTS} events", line, col
-                    )
-                # copy only a body that repeats; an empty list times a count past
-                # sys.maxsize overflows
-                if size and repeats > 1:
-                    current.extend(current[start:] * (repeats - 1))
+                seen_content = True
+                if kind == "bar":
+                    for group, name in (("brace", "repeat group"), ("bracket", "bracket group")):
+                        if opened[group]:
+                            raise _error(
+                                f"{name} must close inside its measure", rows, *opened[group][0][:3]
+                            )
+                    if current:
+                        measures.append(tuple(current))
+                        starts.append(start)
+                        measured += len(current)
+                        current = []
+                    elif measures:
+                        raise _error("empty measure", rows, line, i, m.start())
+                elif kind == "event":
+                    token = _PLAIN.get(m[0])
+                    if token is None:
+                        raise _error("a sixty-fourth value cannot be dotted", rows, line, i, m.start())
+                    if not current:
+                        start = (line, i, m.start())
+                    current.append(token)
+                elif kind in ("obracket", "oparen", "obrace"):
+                    opened[kind[1:]].append((line, i, m.start(), len(current)))
+                else:  # cbracket, cparen or cbrace: it ends the newest open group of its kind
+                    want = kind[1:]
+                    if not opened[want]:
+                        raise _error(f"unmatched closing {want}", rows, line, i, m.start())
+                    begun = opened[want].pop()[3]
+                    if want != "brace":
+                        continue
+                    try:
+                        repeats = int(m[0][2:])
+                    except ValueError:  # more digits than int() converts
+                        raise _error("repeat count is too large", rows, line, i, m.start()) from None
+                    if repeats < 1:
+                        raise _error("repeat count must be >= 1", rows, line, i, m.start())
+                    # fail before any copy is built; a measure sum stays <= 96 * MAX_EVENTS
+                    size = len(current) - begun
+                    if measured + len(current) + size * (repeats - 1) > MAX_EVENTS:
+                        raise _error(
+                            f"repeat group expands the score past {MAX_EVENTS} events",
+                            rows, line, i, m.start(),
+                        )
+                    # copy only a body that repeats; an empty list times a count past
+                    # sys.maxsize overflows
+                    if size and repeats > 1:
+                        current.extend(current[begun:] * (repeats - 1))
 
-    oldest = [(g[0][:2], kind) for kind, g in opened.items() if g]  # of each kind
+    oldest = [(g[0][:3], kind) for kind, g in opened.items() if g]  # of each kind
     if oldest:
-        (line, col), kind = min(oldest)
-        raise ScoreParseError(f"unclosed group ({kind})", line, col)
+        place, kind = min(oldest)
+        raise _error(f"unclosed group ({kind})", rows, *place)
     if current:
         measures.append(tuple(current))
+        starts.append(start)
     if not measures:
         raise ScoreParseError("score has no measures", 1, 1)
 
@@ -315,7 +298,7 @@ def parse_score(text: str, strict: bool = True) -> Score:
                         f"for {time[0]}/{time[1]}"
                     )
                     if strict:
-                        raise ScoreParseError(message, *_measure_start(text, i))
+                        raise _error(message, rows, *starts[i])
                     warnings.append(message)
 
     return Score(

@@ -19,17 +19,17 @@ decryption tally and one set of expected counts per anchored key;
 product of two packed integers, rotates only the first decryption's tally
 and computes the expected counts once.
 The score tokenizer as one regular-expression match per token and per run
-of whitespace; ``score._tokenize`` reads the text one whitespace-separated
-word at a time and looks each one-token word up in ``score._ONE_TOKEN``.
-The score parser with one list of open groups of every kind, searched from
-its end at each closer, removed from by equality and walked at each bar, a
-running exponent sum and the first event's position per measure, and every
-token read from the tokenizer; ``score.parse_score`` keeps one stack per
-group kind, splits a line of plain class tokens and bars without a token
-stream, reads each measure's sum from the class table at the time check and
-tokenizes the text again only to place a measure-sum error.  A class
-token's parts as one match of ``CLASS_TOKEN``; ``score.class_parts`` looks
-the token up in the class table.
+of whitespace over the whole text, which counts lines and columns as it
+goes.  The score parser reads that tokenizer's stream, with one list of open
+groups of every kind, searched from its end at each closer, removed from by
+equality and walked at each bar, a running exponent sum and the first
+event's position per measure.  ``score.parse_score`` shares no tokenizer
+with them: it splits each line into words once, adds each run of plain
+class tokens to a measure in one step, scans any other word with its own
+pattern, keeps one stack per group kind, reads each measure's sum from the
+class table at the time check, and finds a column only for an error.  A
+class token's parts as one match of ``CLASS_TOKEN``; ``score.class_parts``
+looks the token up in the class table.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from brauer_kit.score import (
     ScoreError,
     ScoreParseError,
     _parse_header_item,
-    _tokenize,
     class_parts,
     measure_target,
 )
@@ -277,14 +276,13 @@ def class_parts_by_regex(token: str) -> tuple:
     return pitch, int(exponent) * 3 // 2 if dot else int(exponent)
 
 
-def tokenize_by_regex(text: str, line: int = 1):
+def tokenize_by_regex(text: str):
     """Yield ``(kind, text, (line, col))`` for every token but whitespace and
-    comments; the text starts at ``line`` (so ``(row, line)`` tokenizes one
-    line of a text, as ``score._tokenize_line`` does), and the column is
-    1-based and counts characters.  Comments stop before a newline, so only
-    whitespace tokens move the line: each is scanned once, which keeps
-    tokenizing linear in the text."""
+    comments; the column is 1-based and counts characters.  Comments stop
+    before a newline, so only whitespace tokens move the line: each is
+    scanned once, which keeps tokenizing linear in the text."""
     pos = 0
+    line = 1
     line_start = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -344,11 +342,14 @@ def parse_score_by_group_list(text: str, strict: bool = True) -> Score:
         current_pos = None
         current_sum = 0
 
-    for kind, value, (line, col) in _tokenize(text):
+    for kind, value, (line, col) in tokenize_by_regex(text):
         if kind == "header":
             if seen_content:
                 raise ScoreParseError("header item after score content", line, col)
-            _parse_header_item(value, line, col, header)
+            try:
+                _parse_header_item(value, header)
+            except ScoreError as exc:
+                raise ScoreParseError(str(exc), line, col) from None
             continue
         seen_content = True
         if kind == "bar":

@@ -140,6 +140,17 @@ def test_analyze_verify_passes(capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_start_up_loads_no_typing_resources_or_pathlib():
+    # annotation types come from collections.abc and --verify finds its
+    # fixtures with os.path; -S keeps the host's site hooks out of the child
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, brauer_kit.cli; print(sorted("
+         "{'typing', 'importlib.resources', 'pathlib'}.intersection(sys.modules)))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_encrypt_vigenere(capsys, tmp_path):
     src = tmp_path / "plain.txt"
     src.write_text("classicalcryptography")
