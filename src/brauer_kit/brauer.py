@@ -21,8 +21,7 @@ against, is in ``tests/reference.py``.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from itertools import chain, compress, count
 from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
 
@@ -35,37 +34,33 @@ class ConfigError(ValueError):
 # Data types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polygon:
-    """One word of a configuration: the ordered vertex occurrences
-    (repetitions allowed).  Its index is its position in the configuration."""
-
-    word: tuple[str, ...]
+Polygon = namedtuple("Polygon", "word")
+Polygon.__doc__ = """One word of a configuration: the ordered vertex occurrences
+(repetitions allowed).  Its index is its position in the configuration."""
 
 
-@dataclass(frozen=True)
-class BrauerConfiguration:
+class BrauerConfiguration(namedtuple("BrauerConfiguration", "polygons")):
     """An ordered tuple of polygons; polygon order fixes successor sequences."""
 
-    polygons: tuple[Polygon, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.polygons:
+    def __new__(cls, polygons: tuple[Polygon, ...]):
+        if not polygons:
             raise ConfigError("configuration has no polygons")
-        words = [poly.word for poly in self.polygons]
+        words = [poly.word for poly in polygons]
         try:  # each word's length, then each distinct label, once
-            if min(map(len, words)) >= 2 and all(
+            valid = min(map(len, words)) >= 2 and all(
                 isinstance(v, str) and v for v in set(chain.from_iterable(words))
-            ):
-                return
+            )
         except TypeError:  # a label that is not hashable
-            pass
-        # some check fails: name the first fault, polygon by polygon
-        for i, poly in enumerate(self.polygons):
-            if len(poly.word) < 2:
-                raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
-            if any(not isinstance(v, str) or not v for v in poly.word):
-                raise ConfigError(f"polygon {i}: empty vertex label")
+            valid = False
+        if not valid:  # name the first fault, polygon by polygon
+            for i, poly in enumerate(polygons):
+                if len(poly.word) < 2:
+                    raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
+                if any(not isinstance(v, str) or not v for v in poly.word):
+                    raise ConfigError(f"polygon {i}: empty vertex label")
+        return super().__new__(cls, polygons)
 
 
 def config_from_words(words: Iterable[Sequence[str]]) -> BrauerConfiguration:
@@ -73,9 +68,13 @@ def config_from_words(words: Iterable[Sequence[str]]) -> BrauerConfiguration:
     return BrauerConfiguration(tuple(Polygon(tuple(w)) for w in words))
 
 
-@dataclass(frozen=True)
-class AlgebraInvariants:
-    """Dimension data of the algebra induced by a configuration.
+class AlgebraInvariants(namedtuple("AlgebraInvariants", (
+    "dim_lambda", "dim_center", "loops", "polygon_count", "vertex_count",
+    "valency_histogram", "connected",
+), defaults=(True,))):
+    """Dimension data of the algebra induced by a configuration: dim Lambda,
+    dim Z, the loop census, the polygon and vertex counts, the valency
+    histogram (valency -> vertex count) and the ``connected`` flag.
 
     The center formula is stated for connected configurations; on
     disconnected input ``dim_center`` still carries the formula value
@@ -83,13 +82,7 @@ class AlgebraInvariants:
     ``connected`` flags the caveat.
     """
 
-    dim_lambda: int
-    dim_center: int
-    loops: int
-    polygon_count: int
-    vertex_count: int
-    valency_histogram: Mapping[int, int]
-    connected: bool = True
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form with stable key order."""
@@ -166,7 +159,7 @@ def _incidence(
         shared.update(held)
     loops = sum(sizes) - incidences + len(first) - len(shared)
     inv = invariants_from_histogram(len(sizes), valency_histogram, loops)
-    return inv if roots == 1 else replace(inv, connected=False)
+    return inv if roots == 1 else inv._replace(connected=False)
 
 
 def invariants(config: BrauerConfiguration) -> AlgebraInvariants:

@@ -10,7 +10,7 @@ fold into it; anything else is rejected unless explicitly stripped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .brauer import ascii_ints
@@ -85,17 +85,17 @@ def vigenere_decrypt(cipher: str, key: str) -> str:
 # Block transposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockPermutation:
+class BlockPermutation(namedtuple("BlockPermutation", "oneline")):
     """One-line notation: position i of the output takes input position
     oneline[i] (1-based)."""
 
-    oneline: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.oneline)
-        if sorted(self.oneline) != list(range(1, n + 1)):
-            raise CipherError(f"{self.oneline} is not a permutation of 1..{n}")
+    def __new__(cls, oneline: tuple[int, ...]):
+        n = len(oneline)
+        if sorted(oneline) != list(range(1, n + 1)):
+            raise CipherError(f"{oneline} is not a permutation of 1..{n}")
+        return super().__new__(cls, oneline)
 
     def __len__(self) -> int:
         return len(self.oneline)

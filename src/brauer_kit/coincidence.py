@@ -20,7 +20,7 @@ counts, so the attack counts each split once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, starmap
 from math import prod
@@ -104,14 +104,12 @@ def _chi_squared(counts: list[int], expected: list[float]) -> float:
 # Key length estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyLengthCandidate:
-    m: int
-    per_list_ioc: tuple[Fraction, ...]
-    score: Fraction  # mean |ioc - target| over the m lists
-    flagged: bool    # every list has |ioc - target| <= IOC_WINDOW
-    related: tuple[int, ...]  # other flagged lengths in divisor relation
-    counts: tuple[tuple[int, ...], ...]  # letter counts of each list, A to Z
+KeyLengthCandidate = namedtuple("KeyLengthCandidate", "m per_list_ioc score flagged related counts")
+KeyLengthCandidate.__doc__ = """A ranked key length ``m``: the IoC of each of its
+lists (``per_list_ioc``), the ``score`` mean |ioc - target| over them,
+``flagged`` when every list has |ioc - target| <= IOC_WINDOW, the other
+flagged lengths in divisor relation (``related``), and the letter counts of
+each list, A to Z (``counts``)."""
 
 
 def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
@@ -167,17 +165,14 @@ def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
 # Key recovery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyCandidate:
-    key: str
-    chi2: float
+KeyCandidate = namedtuple("KeyCandidate", "key chi2")
+KeyCandidate.__doc__ = """A recovered ``key`` and the chi-squared fit of its
+decryption against English (``chi2``)."""
 
-
-@dataclass(frozen=True)
-class KeyRecovery:
-    differences: tuple[tuple[int, int, int], ...]  # (i, j, k_i - k_j mod n)
-    residuals: tuple[tuple[int, int, int], ...]    # pairs inconsistent with the star solution
-    candidates: tuple[KeyCandidate, ...]           # ranked by chi-squared, best first
+KeyRecovery = namedtuple("KeyRecovery", "differences residuals candidates")
+KeyRecovery.__doc__ = """The shift ``differences`` (i, j, k_i - k_j mod n) of the
+list pairs, the ``residuals``, the pairs inconsistent with the star solution,
+and the key ``candidates``, ranked by chi-squared, best first."""
 
 
 def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:

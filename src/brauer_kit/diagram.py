@@ -18,7 +18,7 @@ equal-offset joins and any extra closure edges are opt-in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from collections.abc import Iterable
 
@@ -39,22 +39,14 @@ def letter_offset(pitch: str, reference: str) -> int:
     return i if i <= 4 else i - len(PITCHES)
 
 
-@dataclass(frozen=True)
-class ClassPoint:
-    label: str
-    y: int | None  # None for rests
+ClassPoint = namedtuple("ClassPoint", "label y")
+ClassPoint.__doc__ = """A class token's point: its ``label`` and its offset ``y``,
+None for rests."""
 
-
-@dataclass(frozen=True)
-class PointDiagram:
-    """Points plus two kinds of edges: ``edges`` joins consecutive pitched
-    points (the polyline), ``closures`` holds user-chosen pairs.  An edge
-    names its points by position."""
-
-    points: tuple
-    edges: tuple
-    orientation: str
-    closures: tuple
+PointDiagram = namedtuple("PointDiagram", "points edges orientation closures")
+PointDiagram.__doc__ = """Points plus two kinds of edges: ``edges`` joins
+consecutive pitched points (the polyline), ``closures`` holds user-chosen
+pairs.  An edge names its points by position."""
 
 
 def diagram_for_score(

@@ -40,7 +40,7 @@ effective exponent from the class table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice, repeat
 from .brauer import BrauerConfiguration, config_from_words
 
@@ -93,18 +93,24 @@ def class_parts(token: str) -> tuple:
     return parts
 
 
-@dataclass(frozen=True)
-class Score:
-    measures: tuple                    # one tuple of note tokens per measure
-    clef: str = "treble"
-    time: tuple | None = None          # (n, denominator), denominator = 2^m
-    warnings: tuple = ()
+class Score(namedtuple("Score", "measures clef time warnings")):
+    """One tuple of note tokens per measure, the clef, the time signature
+    (n, denominator) with denominator = 2^m, or None, and the warnings."""
 
-    def __post_init__(self):
-        if not self.measures:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        measures: tuple,
+        clef: str = "treble",
+        time: tuple | None = None,
+        warnings: tuple = (),
+    ):
+        if not measures:
             raise ScoreError("a score needs at least one measure")
-        if self.clef not in CLEFS:
-            raise ScoreError(f"unknown clef {self.clef!r}")
+        if clef not in CLEFS:
+            raise ScoreError(f"unknown clef {clef!r}")
+        return super().__new__(cls, measures, clef, time, warnings)
 
 
 def measure_target(time: tuple) -> int:

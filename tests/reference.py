@@ -38,7 +38,6 @@ import re
 from dataclasses import dataclass
 
 from collections import Counter
-from dataclasses import replace
 from itertools import chain
 from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
@@ -166,7 +165,7 @@ def incidence_by_union_find(
     loops = sum(sizes) - incidences + len(first) - len(shared)
     inv = invariants_from_histogram(len(sizes), valency_histogram, loops)
     roots = sum(1 for i, p in enumerate(parent) if i == p)
-    return inv if roots == 1 else replace(inv, connected=False)
+    return inv if roots == 1 else inv._replace(connected=False)
 
 
 def invariants_by_union_find(config: BrauerConfiguration) -> AlgebraInvariants:

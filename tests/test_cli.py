@@ -140,12 +140,13 @@ def test_analyze_verify_passes(capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_start_up_loads_no_typing_resources_or_pathlib():
-    # annotation types come from collections.abc and --verify finds its
-    # fixtures with os.path; -S keeps the host's site hooks out of the child
+def test_start_up_loads_no_typing_resources_pathlib_dataclasses_or_inspect():
+    # annotation types come from collections.abc, --verify finds its
+    # fixtures with os.path and the records are named tuples; -S keeps the
+    # host's site hooks out of the child
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, brauer_kit.cli; print(sorted("
-         "{'typing', 'importlib.resources', 'pathlib'}.intersection(sys.modules)))"],
+        [sys.executable, "-S", "-c", "import sys, brauer_kit.cli; print(sorted({'typing', "
+         "'importlib.resources', 'pathlib', 'dataclasses', 'inspect'}.intersection(sys.modules)))"],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

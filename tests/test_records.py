@@ -1,0 +1,134 @@
+"""The package's ten records are named tuples.  Each keeps its field names
+and order, its repr, equality and hashing by fields, its immutability and
+its checks with their messages; as a tuple it also equals the plain tuple of
+its fields."""
+
+from fractions import Fraction
+
+import pytest
+
+from brauer_kit.brauer import AlgebraInvariants, BrauerConfiguration, ConfigError, Polygon
+from brauer_kit.cipher import BlockPermutation, CipherError
+from brauer_kit.coincidence import KeyCandidate, KeyLengthCandidate, KeyRecovery
+from brauer_kit.diagram import ClassPoint, PointDiagram
+from brauer_kit.score import Score, ScoreError
+
+# name -> (build, field names, repr, hashable, [(bad arguments, error, message)]);
+# each call of build makes a new record from new, equal values
+RECORDS = {
+    "Polygon": (
+        lambda: Polygon(("a", "b")),
+        ("word",),
+        "Polygon(word=('a', 'b'))",
+        True,
+        [],
+    ),
+    "BrauerConfiguration": (
+        lambda: BrauerConfiguration((Polygon(("a", "b")), Polygon(("b", "c")))),
+        ("polygons",),
+        "BrauerConfiguration(polygons=(Polygon(word=('a', 'b')), Polygon(word=('b', 'c'))))",
+        True,
+        [
+            (((),), ConfigError, "configuration has no polygons"),
+            (((Polygon(("a", "b")), Polygon(("c",))),), ConfigError,
+             "polygon 1: word length 1 < 2"),
+            (((Polygon(("a", "")),),), ConfigError, "polygon 0: empty vertex label"),
+            (((Polygon(("a", ["b"])),),), ConfigError, "polygon 0: empty vertex label"),
+        ],
+    ),
+    "AlgebraInvariants": (
+        lambda: AlgebraInvariants(8, 4, 1, 2, 3, {1: 2, 2: 1}),
+        ("dim_lambda", "dim_center", "loops", "polygon_count", "vertex_count",
+         "valency_histogram", "connected"),
+        "AlgebraInvariants(dim_lambda=8, dim_center=4, loops=1, polygon_count=2, "
+        "vertex_count=3, valency_histogram={1: 2, 2: 1}, connected=True)",
+        False,  # the histogram is a dict
+        [],
+    ),
+    "BlockPermutation": (
+        lambda: BlockPermutation((2, 3, 1)),
+        ("oneline",),
+        "BlockPermutation(oneline=(2, 3, 1))",
+        True,
+        [
+            (((1, 1),), CipherError, "(1, 1) is not a permutation of 1..2"),
+            (([2, 3],), CipherError, "[2, 3] is not a permutation of 1..2"),
+        ],
+    ),
+    "KeyLengthCandidate": (
+        lambda: KeyLengthCandidate(2, (Fraction(1, 15), Fraction(1, 16)), Fraction(1, 480),
+                                   True, (4,), ((1, 2), (3, 4))),
+        ("m", "per_list_ioc", "score", "flagged", "related", "counts"),
+        "KeyLengthCandidate(m=2, per_list_ioc=(Fraction(1, 15), Fraction(1, 16)), "
+        "score=Fraction(1, 480), flagged=True, related=(4,), counts=((1, 2), (3, 4)))",
+        True,
+        [],
+    ),
+    "KeyCandidate": (
+        lambda: KeyCandidate("AB", 1.0),
+        ("key", "chi2"),
+        "KeyCandidate(key='AB', chi2=1.0)",
+        True,
+        [],
+    ),
+    "KeyRecovery": (
+        lambda: KeyRecovery(((0, 1, 25),), (), (KeyCandidate("AB", 1.0),)),
+        ("differences", "residuals", "candidates"),
+        "KeyRecovery(differences=((0, 1, 25),), residuals=(), "
+        "candidates=(KeyCandidate(key='AB', chi2=1.0),))",
+        True,
+        [],
+    ),
+    "ClassPoint": (
+        lambda: ClassPoint("r4", None),
+        ("label", "y"),
+        "ClassPoint(label='r4', y=None)",
+        True,
+        [],
+    ),
+    "PointDiagram": (
+        lambda: PointDiagram((ClassPoint("e4", 0), ClassPoint("g4", 2)), ((0, 1),),
+                             "standard", ()),
+        ("points", "edges", "orientation", "closures"),
+        "PointDiagram(points=(ClassPoint(label='e4', y=0), ClassPoint(label='g4', y=2)), "
+        "edges=((0, 1),), orientation='standard', closures=())",
+        True,
+        [],
+    ),
+    "Score": (
+        lambda: Score((("e4", "g4"),)),
+        ("measures", "clef", "time", "warnings"),
+        "Score(measures=(('e4', 'g4'),), clef='treble', time=None, warnings=())",
+        True,
+        [
+            (((),), ScoreError, "a score needs at least one measure"),
+            (((("e4", "g4"),), "tenor"), ScoreError, "unknown clef 'tenor'"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_keeps_its_fields_repr_equality_immutability_and_checks(name):
+    build, fields, text, hashable, bad = RECORDS[name]
+    record, twin = build(), build()
+    assert type(record).__name__ == name
+    assert record._fields == fields
+    assert repr(record) == text
+    assert record == twin and not record != twin
+    assert record == tuple(getattr(record, field) for field in fields)
+    if hashable:
+        assert hash(record) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert record == twin
+    for args, error, message in bad:
+        with pytest.raises(error) as err:
+            type(record)(*args)
+        assert str(err.value) == message

@@ -96,18 +96,18 @@ CIPHERTEXT_COMMANDS = {
 @pytest.mark.parametrize("name", sorted(CIPHERTEXT_COMMANDS))
 def test_ciphertext_commands_build_no_configuration(capsys, monkeypatch, name):
     built, counted = [], []
-    post_init = brauer.BrauerConfiguration.__post_init__
+    new = brauer.BrauerConfiguration.__new__
     count = brauer.invariants
 
-    def spy_post_init(self):
-        built.append(self)
-        post_init(self)
+    def spy_new(cls, polygons):
+        built.append(polygons)
+        return new(cls, polygons)
 
     def spy_invariants(config):
         counted.append(config)
         return count(config)
 
-    monkeypatch.setattr(brauer.BrauerConfiguration, "__post_init__", spy_post_init)
+    monkeypatch.setattr(brauer.BrauerConfiguration, "__new__", spy_new)
     for module in (brauer, cli):
         if getattr(module, "invariants", None) is count:
             monkeypatch.setattr(module, "invariants", spy_invariants)
