@@ -12,10 +12,11 @@ from one product of two big integers that hold the tallies in fixed-width
 slots (Kronecker substitution).
 
 Everything after the split reads the lists' letter counts.  Ranking key
-lengths up to M splits the text and counts its letters only for the
-lengths in (M/2, M]; every shorter length has a multiple there, and its
-lists' counts are sums of that multiple's.  Recovery takes one length's
-counts, so the attack counts each split once.
+lengths up to M counts letters only for a few splits: every length has a
+multiple in (M/2, M], and the lengths there share a split at a common
+multiple while its lists keep at least _MIN_LIST letters, so a length's
+lists' counts are sums of a split's.  Recovery takes one length's counts,
+so the attack counts each split once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, starmap
-from math import prod
+from math import lcm, prod
 from operator import mul
 from struct import Struct
 from collections.abc import Sequence
@@ -43,10 +44,20 @@ IOC_WINDOW = Fraction(1, 100)
 # Ceiling of the attack's --keylen and --max-keylen.  Recovery at m compares
 # m(m-1)/2 list pairs and the ranking up to M reports M(M+1)/2 list indices,
 # so the work grows with the square of either flag.  At the ceiling the
-# slowest attack on 100 000 letters takes 0.31-0.46 s and about 21 MB as a
-# subprocess; README's Limits gives the host and the figure before the
-# attack worked in integers.
+# slowest attack on 100 000 letters takes 0.22-0.45 s and about 20 MB as a
+# subprocess; README's Limits gives the host and the figures before the
+# ranking shared its splits and before the attack worked in integers.
 MAX_KEYLEN = 100
+
+# Fewest letters in a list of a split shared by several key lengths.  A
+# shared split scans the text once for many lengths but makes 26 str.count
+# calls on each of its lists, so on short lists the calls cost more than
+# the scans they save.  Ranking seed 7's bench text (best of 3-15 calls,
+# Python 3.11, a shared 2-CPU x86-64 host, two runs): a 64-letter floor
+# made 20 000 letters 6-22 % slower at M = 100, while floors of 192 and
+# 256 made 80 000 letters 10-43 % faster at M = 8, 20 and 100, and 256
+# lost nowhere at 5 000-100 000 letters.
+_MIN_LIST = 256
 
 
 def letter_counts(text: str) -> list[int]:
@@ -126,13 +137,29 @@ def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
         raise CipherError(
             f"ciphertext of length {len(cipher)} is too short for key lengths up to {max_len}"
         )
-    # every m <= max_len has a multiple in (max_len/2, max_len]: only those
-    # lengths split the text, and list i of a smaller m is the sum of the
-    # lists j = i (mod m) of its largest multiple
-    counts = {m: list_counts(cipher, m) for m in range(max_len, max_len // 2, -1)}
-    for m in range(1, max_len // 2 + 1):
-        lists = counts[max_len // m * m]
-        counts[m] = [[sum(column) for column in zip(*lists[i::m])] for i in range(m)]
+    # list i of m is the sum of the lists j = i (mod m) of any multiple of
+    # m.  The lengths in (max_len/2, max_len] take their counts from a few
+    # splits, each at a common multiple of several of them whose lists keep
+    # _MIN_LIST letters; every smaller m from its largest multiple <= max_len
+    splits: list[int] = []
+    for m in range(max_len, max_len // 2, -1):
+        if any(split % m == 0 for split in splits):
+            continue
+        for k, split in enumerate(splits):
+            if (common := lcm(split, m)) * _MIN_LIST <= len(cipher):
+                splits[k] = common
+                break
+        else:
+            splits.append(m)
+    split_counts = {split: list_counts(cipher, split) for split in splits}
+    counts = {}
+    for m in range(max_len, 0, -1):
+        if m > max_len // 2:
+            lists = next(rows for split, rows in split_counts.items() if split % m == 0)
+        else:
+            lists = counts[max_len // m * m]
+        counts[m] = lists if len(lists) == m else [
+            [sum(column) for column in zip(*lists[i::m])] for i in range(m)]
     # list i's IoC is s/p, and its deviation from the target a/b is
     # |s*b - a*p| / (b*p): each gap |s*b - a*p| is checked against the window
     # and summed in integers, per denominator p.  A length's lists have at

@@ -27,8 +27,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
 
 CIPHERTEXT = "OOPAELRIXFGGBWDODDEPK"
-# the benchmark's generated ciphertext for seed 7 at 5 000 letters
+# the benchmark's generated ciphertexts for seed 7 at 5 000 and 80 000 letters
 SEED7 = gen.attack_input(7, 5_000)["cipher"]
+SEED7_80K = gen.attack_input(7, 80_000)["cipher"]
 
 
 def ioc_oracle(text):
@@ -227,6 +228,35 @@ def test_keylength_matches_plain_reference(cipher, max_len):
         )
 
 
+# texts long enough for the lengths past M/2 to share a split
+LONG_TEXTS = st.builds(
+    lambda seed, length, key: vigenere_encrypt(
+        sample_english(random.Random(seed), length), "".join(LETTERS[k] for k in key)
+    ),
+    st.integers(0, 2**32),
+    st.integers(2_000, 40_000),
+    st.lists(st.integers(0, 25), min_size=1, max_size=12),
+) | st.builds(
+    lambda seed, length: sample_uniform(random.Random(seed), length),
+    st.integers(0, 2**32),
+    st.integers(2_000, 40_000),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(LONG_TEXTS, st.integers(1, 40))
+@example(SEED7_80K, 20)  # four shared splits in place of ten
+def test_keylength_from_shared_splits_matches_plain_reference(cipher, max_len):
+    candidates = friedman_keylength(cipher, max_len)
+    assert [
+        (c.m, c.per_list_ioc, c.score, c.flagged, c.related) for c in candidates
+    ] == keylength_reference(cipher, max_len)
+    for c in candidates:
+        assert c.counts == tuple(
+            tuple(cipher[i::c.m].count(ch) for ch in LETTERS) for i in range(c.m)
+        )
+
+
 def test_keylength_splits_only_the_top_half(monkeypatch):
     # every shorter length's counts are sums of a multiple's
     split = []
@@ -240,9 +270,32 @@ def test_keylength_splits_only_the_top_half(monkeypatch):
     assert sorted(split) == list(range(11, 21))
 
 
+def test_keylength_shares_splits_of_long_lists(monkeypatch):
+    # at 80 000 letters a common multiple of lengths in 11..20 keeps lists
+    # of 256 letters, so one split serves several lengths
+    split = []
+
+    def spy(text, m):
+        split.append(m)
+        return decimate(text, m)
+
+    monkeypatch.setattr(coincidence, "decimate", spy)
+    friedman_keylength(SEED7_80K, 20)
+    assert len(split) <= 5
+    assert all(any(s % m == 0 for s in split) for m in range(11, 21))
+    assert all(len(SEED7_80K) // s >= 256 for s in split)
+
+
 def test_unknown_characters_are_named_once_for_the_whole_text():
     with pytest.raises(CipherError, match=r"^characters \['1', 'a'\] are not in the alphabet$"):
         friedman_keylength("AB1CDEFGHIJKLMNOPQRa", 10)
+
+
+def test_unknown_characters_are_named_once_when_splits_are_shared():
+    cipher = SEED7_80K[:40_000] + "1" + SEED7_80K[40_000:-2] + "a"
+    assert len(cipher) == 80_000
+    with pytest.raises(CipherError, match=r"^characters \['1', 'a'\] are not in the alphabet$"):
+        friedman_keylength(cipher, 20)
 
 
 # ---------------------------------------------------------------------------
