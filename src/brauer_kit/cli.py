@@ -4,7 +4,8 @@ Subcommands: ``encrypt``/``decrypt`` stream classical-cipher text,
 ``attack`` emits a JSON cryptanalysis report, ``analyze`` emits the
 invariants of a configuration read from a polygon file, a ciphertext split
 or a score, ``score-check`` validates DSL files, ``graph`` renders
-note-point diagrams to JSON and SVG.
+note-point diagrams to JSON and SVG.  A command builds only its own option
+parser; the help, and a usage error at the top level, come from the full one.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal error.  Errors
 print to stderr as ``brauer-kit: error[CODE]: message``.  Set
@@ -21,6 +22,7 @@ from contextlib import contextmanager
 
 from .brauer import (
     ConfigError,
+    ascii_ints,
     invariants,
     invariants_from_histogram,
     invariants_from_tallies,
@@ -345,69 +347,89 @@ def _cmd_graph(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="brauer-kit",
-        description="Brauer configurations from ciphertexts and scores, "
-        "classical ciphers, and note-point diagrams.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMANDS = {  # each command and its line in the full parser's help
+    "encrypt": "encrypt text read from --in or stdin",
+    "decrypt": "decrypt text read from --in or stdin",
+    "attack": "coincidence-index attack report (JSON)",
+    "analyze": "invariants of a configuration (JSON)",
+    "score-check": "validate a score DSL file",
+    "graph": "note-point diagram (JSON, optionally SVG)",
+}
 
-    for name, encrypting in (("encrypt", True), ("decrypt", False)):
-        p = sub.add_parser(name, help=f"{name} text read from --in or stdin")
+
+def _int(text: str) -> int:
+    """An int flag's value: ASCII digits after an optional ``-``."""
+    try:
+        (value,) = ascii_ints([text.removeprefix("-")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return -value if text.startswith("-") else value
+
+
+def _add_options(p: argparse.ArgumentParser, name: str) -> None:
+    """Add command ``name``'s options to ``p``, its own or the full parser's."""
+    if name in ("encrypt", "decrypt"):
         p.add_argument("--system", choices=("vigenere", "transposition"), required=True)
         p.add_argument("--key", required=True,
                        help="letters for vigenere, one-line permutation for transposition")
         p.add_argument("--in", dest="infile", help="input file (default stdin)")
         p.add_argument("--strip", action="store_true",
                        help="drop non-alphabet characters instead of rejecting them")
-        p.set_defaults(func=lambda a, e=encrypting: _cmd_crypt(a, e))
+        p.set_defaults(func=lambda a: _cmd_crypt(a, name == "encrypt"))
+    elif name == "attack":
+        p.add_argument("--ciphertext", help="ciphertext argument (default: --in or stdin)")
+        p.add_argument("--in", dest="infile", help="input file")
+        p.add_argument("--max-keylen", type=_int, default=8)
+        p.add_argument("--keylen", type=_int, default=None,
+                       help="force recovery at this key length (default: top candidate)")
+        p.add_argument("--top", type=_int, default=5, help="key candidates to report")
+        p.add_argument("--strip", action="store_true")
+        p.add_argument("--out", help="write the report here instead of stdout")
+        p.set_defaults(func=_cmd_attack)
+    elif name == "analyze":
+        p.add_argument("--config", help="polygon-per-line configuration file")
+        p.add_argument("--ciphertext", help="ciphertext to split by --keylen")
+        p.add_argument("--keylen", type=_int, default=None)
+        p.add_argument("--score", help="score DSL file")
+        p.add_argument("--lax", action="store_true", help="downgrade measure-sum errors")
+        p.add_argument("--strip", action="store_true")
+        p.add_argument("--out", help="write the report here instead of stdout")
+        p.add_argument("--verify", action="store_true",
+                       help="re-check all bundled fixtures against their goldens")
+        p.set_defaults(func=_cmd_analyze)
+    else:  # score-check, graph
+        p.add_argument("score")
+        if name == "graph":
+            p.add_argument("--clef", choices=tuple(CLEFS), default=None,
+                           help="override the score header clef")
+            p.add_argument("--orientation", choices=ORIENTATIONS, default="standard")
+            p.add_argument("--edges", help="sidecar file of extra edge pairs, one 'i j' per line")
+            p.add_argument("--connect-equal-y", action="store_true")
+            p.add_argument("--svg", help="write an SVG rendering here")
+            p.add_argument("--json", dest="json_out",
+                           help="write the JSON diagram here instead of stdout")
+        p.add_argument("--lax", action="store_true")
+        p.set_defaults(func=_cmd_graph if name == "graph" else _cmd_score_check)
 
-    p = sub.add_parser("attack", help="coincidence-index attack report (JSON)")
-    p.add_argument("--ciphertext", help="ciphertext argument (default: --in or stdin)")
-    p.add_argument("--in", dest="infile", help="input file")
-    p.add_argument("--max-keylen", type=int, default=8)
-    p.add_argument("--keylen", type=int, default=None,
-                   help="force recovery at this key length (default: top candidate)")
-    p.add_argument("--top", type=int, default=5, help="key candidates to report")
-    p.add_argument("--strip", action="store_true")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=_cmd_attack)
 
-    p = sub.add_parser("analyze", help="invariants of a configuration (JSON)")
-    p.add_argument("--config", help="polygon-per-line configuration file")
-    p.add_argument("--ciphertext", help="ciphertext to split by --keylen")
-    p.add_argument("--keylen", type=int, default=None)
-    p.add_argument("--score", help="score DSL file")
-    p.add_argument("--lax", action="store_true", help="downgrade measure-sum errors")
-    p.add_argument("--strip", action="store_true")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--verify", action="store_true",
-                   help="re-check all bundled fixtures against their goldens")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("score-check", help="validate a score DSL file")
-    p.add_argument("score")
-    p.add_argument("--lax", action="store_true")
-    p.set_defaults(func=_cmd_score_check)
-
-    p = sub.add_parser("graph", help="note-point diagram (JSON, optionally SVG)")
-    p.add_argument("score")
-    p.add_argument("--clef", choices=tuple(CLEFS), default=None,
-                   help="override the score header clef")
-    p.add_argument("--orientation", choices=ORIENTATIONS, default="standard")
-    p.add_argument("--edges", help="sidecar file of extra edge pairs, one 'i j' per line")
-    p.add_argument("--connect-equal-y", action="store_true")
-    p.add_argument("--svg", help="write an SVG rendering here")
-    p.add_argument("--json", dest="json_out", help="write the JSON diagram here instead of stdout")
-    p.add_argument("--lax", action="store_true")
-    p.set_defaults(func=_cmd_graph)
-
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="brauer-kit", description="Brauer configurations from "
+                                     "ciphertexts and scores, classical ciphers, and note-point diagrams.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, line in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=line), name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    rest = argv  # what the command's own parser leaves over
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"brauer-kit {argv[0]}")
+        _add_options(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+    if rest or not argv:  # the full parser words the help or the usage error
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _ERROR_CODES) as exc:

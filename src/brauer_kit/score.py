@@ -80,6 +80,8 @@ _CLASSES = {
     ])
     if m
 }
+# Each class token's effective exponent, the weight a measure sum adds up.
+_WEIGHT = {token: exponent for token, (_, exponent) in _CLASSES.items()}
 
 
 def class_parts(token: str) -> tuple:
@@ -294,8 +296,7 @@ def parse_score(text: str, strict: bool = True) -> Score:
     time = header.get("time")
     if time is not None:
         target = measure_target(time)
-        weight = {token: exponent for token, (_, exponent) in _CLASSES.items()}
-        totals = list(map(sum, map(map, repeat(weight.__getitem__), measures)))
+        totals = list(map(sum, map(map, repeat(_WEIGHT.__getitem__), measures)))
         if totals.count(target) != len(totals):  # name each measure that is off
             for i, total in enumerate(totals):
                 if total != target:
