@@ -16,6 +16,12 @@ them from a table of per-polygon vertex counts such as a Vigenere split's
 letter tallies, and ``invariants_from_histogram`` turns them into exact
 integers.  The definition-level quiver, which the counts are tested
 against, is in ``tests/reference.py``.
+
+``parse_config`` reads a configuration file in whole-text passes and
+checks each of the file's rules once: having passed them, its words meet
+every rule of ``BrauerConfiguration``, so the record is made with the
+named tuple's ``_make`` and its words are not checked again.  The
+line-by-line reader it is tested against is in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ import re
 from collections import Counter, namedtuple
 from itertools import chain, compress, count
 from collections.abc import Collection, Hashable, Iterable, Mapping, Sequence
+
+
+SCHEMA = "1"  # the "schema" field of every JSON document brauer-kit writes
 
 
 class ConfigError(ValueError):
@@ -242,6 +251,7 @@ def invariants_from_histogram(
 # word positions as space-separated 1-based integers.  The permutation is
 # checked and then dropped: no invariant depends on it.
 
+_COMMENT = re.compile("#.*")  # '.' stops only at "\n"
 _LABEL_SUFFIX = re.compile(r"(?<!\S)label:")
 _NUMBER = re.compile("[0-9]+")
 
@@ -256,30 +266,46 @@ def ascii_ints(words: Sequence[str]) -> list[int]:
 
 
 def parse_config(text: str) -> BrauerConfiguration:
-    words: list[tuple[str, ...]] = []
-    bad_label: str | None = None  # reported only once every line has parsed
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        label: list[int] | None = None
-        suffix = "label:" in line and _LABEL_SUFFIX.search(line)
-        if suffix:
-            try:
-                label = sorted(ascii_ints(line[suffix.end():].split()))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: malformed label permutation")
-            line = line[:suffix.start()]
-        tokens = tuple(line.split())
-        if len(tokens) < 2:
-            raise ConfigError(f"line {lineno}: polygon needs at least 2 vertices")
-        if bad_label is None and label is not None and label != list(range(1, len(tokens) + 1)):
-            bad_label = (
-                f"polygon {len(words)}: label is not a permutation of 1..{len(tokens)}"
-            )
-        words.append(tokens)
-    if not words:
+    """The configuration that ``text`` writes in the file format above.
+
+    The faults, first found first: a line's malformed permutation, then its
+    short polygon, line by line; no polygon at all; the first polygon whose
+    permutation is not of 1..n."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    rows = text.split("\n")
+    # row index -> its sorted label, or None when the label is malformed; a
+    # label row is a polygon even with no words
+    labels: dict[int, list[int] | None] = {}
+    if "label:" in text:
+        for i, row in enumerate(rows):
+            suffix = "label:" in row and _LABEL_SUFFIX.search(row)
+            if suffix:
+                rows[i] = row[:suffix.start()]
+                try:
+                    labels[i] = sorted(ascii_ints(row[suffix.end():].split()))
+                except ValueError:
+                    labels[i] = None
+    words = list(map(tuple, map(str.split, rows)))
+    del rows  # freed before the polygons are made, to keep the peak memory down
+    # a line fault is looked up in what was collected; only then are the
+    # lines walked again, to name the first
+    if (None in labels.values() or 1 in map(len, words)
+            or any(not words[i] for i in labels)):
+        for i, word in enumerate(words):
+            if i in labels and labels[i] is None:
+                raise ConfigError(f"line {i + 1}: malformed label permutation")
+            if len(word) == 1 or (not word and i in labels):
+                raise ConfigError(f"line {i + 1}: polygon needs at least 2 vertices")
+    polygons = tuple(map(Polygon, filter(None, words)))
+    if not polygons:
         raise ConfigError("no polygons found")
-    if bad_label is not None:
-        raise ConfigError(bad_label)
-    return config_from_words(words)
+    for i, label in labels.items():
+        n = len(words[i])
+        if label != list(range(1, n + 1)):
+            raise ConfigError(
+                f"polygon {i - words[:i].count(())}: label is not a permutation of 1..{n}"
+            )
+    # the checks above are all of BrauerConfiguration's: str.split yields no
+    # empty label, so the words are not checked again
+    return BrauerConfiguration._make((polygons,))

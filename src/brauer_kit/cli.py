@@ -21,6 +21,7 @@ import sys
 from contextlib import contextmanager
 
 from .brauer import (
+    SCHEMA,
     ConfigError,
     ascii_ints,
     invariants,
@@ -41,8 +42,6 @@ from .cipher import (
 from .coincidence import MAX_KEYLEN, friedman_keylength, friedman_recover_key, list_counts
 from .diagram import ORIENTATIONS, DiagramError, diagram_for_score, emit_json, emit_svg, parse_edges
 from .score import CLEFS, ScoreError, ScoreParseError, parse_score, score_to_config
-
-SCHEMA = "1"
 
 _ERROR_CODES = (
     (ScoreParseError, "E_SCORE_PARSE"),

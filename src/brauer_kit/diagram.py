@@ -22,7 +22,7 @@ from collections import namedtuple
 from itertools import chain
 from collections.abc import Iterable
 
-from .brauer import ascii_ints
+from .brauer import SCHEMA, ascii_ints
 from .score import CLEFS, PITCHES, Score, class_parts
 
 ORIENTATIONS = ("standard", "reversed")
@@ -116,7 +116,7 @@ def parse_edges(text: str) -> tuple:
 
 def emit_json(diagram: PointDiagram) -> str:
     data = {
-        "schema": "1",
+        "schema": SCHEMA,
         "orientation": diagram.orientation,
         "points": [
             {"label": p.label, "x": x, "y": p.y} for x, p in enumerate(diagram.points)

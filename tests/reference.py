@@ -11,6 +11,10 @@ That pass with its union-find run over every polygon, and a
 configuration's checks made polygon by polygon; ``brauer._incidence``
 stops joining polygons once those read so far form one component holding
 every vertex, and ``BrauerConfiguration`` checks each distinct label once.
+The configuration file read line by line, each line's rules applied as it
+is read and the record built by the checking constructor;
+``brauer.parse_config`` reads the text in whole-text passes and builds the
+record without checking its words again.
 The folding of text into the alphabet as one loop over its characters;
 ``Alphabet.normalize`` folds with string methods and regular expressions.
 Key recovery as one shifted overlap per list pair and shift, and one
@@ -45,6 +49,8 @@ from brauer_kit.brauer import (
     AlgebraInvariants,
     BrauerConfiguration,
     ConfigError,
+    _LABEL_SUFFIX,
+    ascii_ints,
     config_from_words,
     invariants_from_histogram,
 )
@@ -187,6 +193,36 @@ def check_polygons(polygons) -> None:
             raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
         if any(not isinstance(v, str) or not v for v in poly.word):
             raise ConfigError(f"polygon {i}: empty vertex label")
+
+
+def parse_config_by_lines(text: str) -> BrauerConfiguration:
+    words: list[tuple[str, ...]] = []
+    bad_label: str | None = None  # reported only once every line has parsed
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        label: list[int] | None = None
+        suffix = "label:" in line and _LABEL_SUFFIX.search(line)
+        if suffix:
+            try:
+                label = sorted(ascii_ints(line[suffix.end():].split()))
+            except ValueError:
+                raise ConfigError(f"line {lineno}: malformed label permutation")
+            line = line[:suffix.start()]
+        tokens = tuple(line.split())
+        if len(tokens) < 2:
+            raise ConfigError(f"line {lineno}: polygon needs at least 2 vertices")
+        if bad_label is None and label is not None and label != list(range(1, len(tokens) + 1)):
+            bad_label = (
+                f"polygon {len(words)}: label is not a permutation of 1..{len(tokens)}"
+            )
+        words.append(tokens)
+    if not words:
+        raise ConfigError("no polygons found")
+    if bad_label is not None:
+        raise ConfigError(bad_label)
+    return config_from_words(words)
 
 
 def vigenere_to_config(cipher: str, m: int) -> BrauerConfiguration:

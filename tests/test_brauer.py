@@ -1,5 +1,8 @@
 import random
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +22,14 @@ from reference import (
     build_quiver,
     check_polygons,
     invariants_by_union_find,
+    parse_config_by_lines,
     successor_sequence,
     valency,
     vertex_universe,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 # Keylength-4 split of the worked Vigenere ciphertext OOPAELRIXFGGBWDODDEPK.
 VIGENERE_WORDS = [
@@ -633,15 +640,94 @@ def test_parse_config_breaks_lines_only_at_newline():
 
 
 def test_parse_config_rejects_bad_label():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config("a b label: 1 1\n")
+    assert str(err.value) == "polygon 0: label is not a permutation of 1..2"
 
 
 def test_parse_config_rejects_short_line():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config("a\n")
+    assert str(err.value) == "line 1: polygon needs at least 2 vertices"
 
 
 def test_parse_config_rejects_empty():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config("# nothing here\n")
+    assert str(err.value) == "no polygons found"
+
+
+def test_parse_config_fault_order():
+    # within a line a malformed permutation comes first; a label suffix alone
+    # is a short polygon, not a blank line; polygons are counted, not lines
+    for text, message in [
+        ("a b\nc label: x\n", "line 2: malformed label permutation"),
+        ("a b\nlabel: 1 2\n", "line 2: polygon needs at least 2 vertices"),
+        ("x y # c\nlabel: 1 2\n", "line 2: polygon needs at least 2 vertices"),
+        ("# a b\n\n", "no polygons found"),
+        ("\na b\n\nc d label: 2 2\n", "polygon 1: label is not a permutation of 1..2"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+    # '#' cuts inside a word; "xlabel:" is a vertex
+    assert [p.word for p in parse_config("a b#c d\nxlabel: e\n").polygons] == [
+        ("a", "b"), ("xlabel:", "e"),
+    ]
+
+
+CONFIG_TOKENS = ["a", "b", "xlabel:", "label:", "1", "2", "3", "\u0663", "-1", "#"]
+CONFIG_SPACES = [" ", "\t", "\r", "\x0c", "\x85", "\u2028"]
+
+
+@st.composite
+def config_lines(draw):
+    """Lines of tokens, many of them with a label suffix that permutes the
+    line's token positions or one position more, so that whole files parse
+    or fail only at a polygon's label."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        tokens = draw(st.lists(st.sampled_from(CONFIG_TOKENS), max_size=4))
+        if draw(st.booleans()):
+            n = len(tokens) + draw(st.integers(0, 1))
+            tokens += ["label:", *map(str, draw(st.permutations(range(1, n + 1))))]
+        lines.append(draw(st.sampled_from(CONFIG_SPACES)).join(tokens))
+    return "\n".join(lines)
+
+
+CONFIG_TEXTS = st.one_of(
+    config_lines(),
+    st.lists(st.sampled_from(CONFIG_TOKENS + CONFIG_SPACES + ["\n"]), max_size=40).map("".join),
+)
+
+
+def config_outcome(parse, text):
+    try:
+        return parse(text)
+    except ConfigError as err:
+        return str(err)
+
+
+@settings(max_examples=400)
+@given(CONFIG_TEXTS)
+def test_parse_config_matches_line_reader(text):
+    cfg = config_outcome(parse_config, text)
+    assert cfg == config_outcome(parse_config_by_lines, text)
+    if not isinstance(cfg, str):
+        # the constructor's check that parse_config skips could not have failed
+        assert cfg == BrauerConfiguration(cfg.polygons)
+
+
+def test_parse_config_peak_memory_is_the_line_readers():
+    text = gen.config_input(7, 1_000)["text"]
+
+    def peak(parse):
+        parse(text)  # a first call leaves nothing behind to count
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_config) <= 1.05 * peak(parse_config_by_lines)
