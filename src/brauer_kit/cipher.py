@@ -1,7 +1,8 @@
 """Classical cryptosystems over the fixed alphabet A-Z.
 
-Vigenere shifts and block transpositions; a route through a grid is the
-one-block transposition key that lists its cells' row-major indices in order.
+Vigenere shifts and block transpositions, whose keys are tuples in one-line
+notation; a route through a grid is the one-block transposition key that
+lists its cells' row-major indices in order.
 ``LETTERS`` is the one alphabet of the package: a letter's index in it is its
 residue, and 26 is the modulus of every shift.  Only the ASCII letters a-z
 fold into it; anything else is rejected unless explicitly stripped.
@@ -10,7 +11,6 @@ fold into it; anything else is rejected unless explicitly stripped.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .brauer import ascii_ints
@@ -85,40 +85,20 @@ def vigenere_decrypt(cipher: str, key: str) -> str:
 # Block transposition
 # ---------------------------------------------------------------------------
 
-class BlockPermutation(namedtuple("BlockPermutation", "oneline")):
-    """One-line notation: position i of the output takes input position
-    oneline[i] (1-based)."""
+def _checked(p: Sequence[int]) -> Sequence[int]:
+    n = len(p)
+    if not all(isinstance(j, int) for j in p) or sorted(p) != list(range(1, n + 1)):
+        raise CipherError(f"{p} is not a permutation of 1..{n}")
+    return p
 
-    __slots__ = ()
 
-    def __new__(cls, oneline: tuple[int, ...]):
-        n = len(oneline)
-        if sorted(oneline) != list(range(1, n + 1)):
-            raise CipherError(f"{oneline} is not a permutation of 1..{n}")
-        return super().__new__(cls, oneline)
-
-    def __len__(self) -> int:
-        return len(self.oneline)
-
-    def apply(self, block: str) -> str:
-        if len(block) != len(self.oneline):
-            raise CipherError(
-                f"block length {len(block)} != permutation length {len(self.oneline)}"
-            )
-        return "".join(block[j - 1] for j in self.oneline)
-
-    def inverse(self) -> "BlockPermutation":
-        inv = [0] * len(self.oneline)
-        for i, j in enumerate(self.oneline, start=1):
-            inv[j - 1] = i
-        return BlockPermutation(tuple(inv))
-
-    @classmethod
-    def from_text(cls, text: str) -> "BlockPermutation":
-        try:
-            return cls(tuple(ascii_ints(text.replace(",", " ").split())))
-        except ValueError:  # not ASCII digits, too long for int(), or no permutation
-            raise CipherError(f"malformed permutation {text!r}") from None
+def parse_permutation(text: str) -> tuple[int, ...]:
+    """The permutation that ``text`` writes in one-line notation, its
+    entries ASCII digits split by commas or whitespace."""
+    try:
+        return _checked(tuple(ascii_ints(text.replace(",", " ").split())))
+    except ValueError:  # not ASCII digits, too long for int(), or no permutation
+        raise CipherError(f"malformed permutation {text!r}") from None
 
 
 def split_blocks(text: str, sizes: Sequence[int]) -> list[str]:
@@ -136,16 +116,25 @@ def split_blocks(text: str, sizes: Sequence[int]) -> list[str]:
     return blocks
 
 
-def transposition_encrypt(text: str, perms: Sequence[BlockPermutation]) -> str:
-    """Cut ``text`` into one block per permutation, of its length, and
-    reorder each block by its permutation."""
-    blocks = split_blocks(text, [len(p) for p in perms])
-    return "".join(p.apply(b) for b, p in zip(blocks, perms))
+def _transpose(text: str, perms: Sequence[Sequence[int]], invert: bool) -> str:
+    orders = {}
+    for p in perms:
+        key = tuple(p)
+        # checked once per distinct tuple, and again if not all ints: (1.0, 2.0) == (1, 2)
+        if key not in orders or not all(isinstance(j, int) for j in key):
+            order = [j - 1 for j in _checked(p)]
+            orders[key] = sorted(range(len(order)), key=order.__getitem__) if invert else order
+    reads = [orders[tuple(p)] for p in perms]
+    blocks = split_blocks(text, list(map(len, reads)))
+    return "".join(b[i] for b, order in zip(blocks, reads) for i in order)
 
 
-def transposition_decrypt(text: str, perms: Sequence[BlockPermutation]) -> str:
-    """Encryption with the inverse permutations, each distinct one inverted
-    once."""
-    inverses = {p: p.inverse() for p in set(perms)}
-    return transposition_encrypt(text, [inverses[p] for p in perms])
+def transposition_encrypt(text: str, perms: Sequence[Sequence[int]]) -> str:
+    """Cut ``text`` into one block per permutation p, of its length; position
+    i of a block's output takes the block's position p[i] (1-based)."""
+    return _transpose(text, perms, invert=False)
 
+
+def transposition_decrypt(text: str, perms: Sequence[Sequence[int]]) -> str:
+    """Encryption with the inverse permutations, each distinct one inverted once."""
+    return _transpose(text, perms, invert=True)

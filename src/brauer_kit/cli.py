@@ -31,9 +31,9 @@ from .brauer import (
 )
 from .bridge import brauer_ioc
 from .cipher import (
-    BlockPermutation,
     CipherError,
     DEFAULT_ALPHABET,
+    parse_permutation,
     transposition_decrypt,
     transposition_encrypt,
     vigenere_decrypt,
@@ -141,7 +141,7 @@ def _cmd_crypt(args, encrypting: bool) -> int:
         crypt = vigenere_encrypt if encrypting else vigenere_decrypt
         out = crypt(text, args.key)
     else:
-        perm = BlockPermutation.from_text(args.key)
+        perm = parse_permutation(args.key)
         size = len(perm)
         if size < 2:
             raise CipherError("transposition blocks must have size >= 2")
@@ -365,8 +365,18 @@ def _int(text: str) -> int:
     return -value if text.startswith("-") else value
 
 
+class _Store(argparse.Action):
+    """``store``, but ``--opt=--``, which argparse reads as [], lacks a value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 def _add_options(p: argparse.ArgumentParser, name: str) -> None:
     """Add command ``name``'s options to ``p``, its own or the full parser's."""
+    p.register("action", None, _Store)
     if name in ("encrypt", "decrypt"):
         p.add_argument("--system", choices=("vigenere", "transposition"), required=True)
         p.add_argument("--key", required=True,

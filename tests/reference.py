@@ -17,6 +17,9 @@ is read and the record built by the checking constructor;
 record without checking its words again.
 The folding of text into the alphabet as one loop over its characters;
 ``Alphabet.normalize`` folds with string methods and regular expressions.
+A block permutation as the checked record that the package used to keep,
+with its apply, inverse and text reader; ``cipher.transposition_encrypt``,
+``transposition_decrypt`` and ``parse_permutation`` take plain tuples.
 Key recovery as one shifted overlap per list pair and shift, and one
 decryption tally and one set of expected counts per anchored key;
 ``coincidence.friedman_recover_key`` reads a pair's 26 overlaps from one
@@ -41,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain
 from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
@@ -54,7 +57,7 @@ from brauer_kit.brauer import (
     config_from_words,
     invariants_from_histogram,
 )
-from brauer_kit.cipher import LETTERS, CipherError
+from brauer_kit.cipher import LETTERS, CipherError, split_blocks
 from brauer_kit.coincidence import ENGLISH_FREQUENCIES, KeyCandidate, KeyRecovery, decimate
 from brauer_kit.score import (
     CLASS_TOKEN,
@@ -245,6 +248,69 @@ def normalize_by_loop(text: str, strip: bool = False) -> str:
         else:
             raise CipherError(f"character {ch!r} at offset {i} is not in the alphabet")
     return "".join(out)
+
+
+class BlockPermutation(namedtuple("BlockPermutation", "oneline")):
+    """One-line notation: position i of the output takes input position
+    oneline[i] (1-based)."""
+
+    __slots__ = ()
+
+    def __new__(cls, oneline: tuple[int, ...]):
+        n = len(oneline)
+        if sorted(oneline) != list(range(1, n + 1)):
+            raise CipherError(f"{oneline} is not a permutation of 1..{n}")
+        return super().__new__(cls, oneline)
+
+    def __len__(self) -> int:
+        return len(self.oneline)
+
+    def apply(self, block: str) -> str:
+        if len(block) != len(self.oneline):
+            raise CipherError(
+                f"block length {len(block)} != permutation length {len(self.oneline)}"
+            )
+        return "".join(block[j - 1] for j in self.oneline)
+
+    def inverse(self) -> "BlockPermutation":
+        inv = [0] * len(self.oneline)
+        for i, j in enumerate(self.oneline, start=1):
+            inv[j - 1] = i
+        return BlockPermutation(tuple(inv))
+
+    @classmethod
+    def from_text(cls, text: str) -> "BlockPermutation":
+        try:
+            return cls(tuple(ascii_ints(text.replace(",", " ").split())))
+        except ValueError:  # not ASCII digits, too long for int(), or no permutation
+            raise CipherError(f"malformed permutation {text!r}") from None
+
+
+def transposition_encrypt(text: str, perms: Sequence[BlockPermutation]) -> str:
+    """Cut ``text`` into one block per permutation, of its length, and
+    reorder each block by its permutation."""
+    blocks = split_blocks(text, [len(p) for p in perms])
+    return "".join(p.apply(b) for b, p in zip(blocks, perms))
+
+
+def transposition_decrypt(text: str, perms: Sequence[BlockPermutation]) -> str:
+    """Encryption with the inverse permutations, each distinct one inverted
+    once."""
+    inverses = {p: p.inverse() for p in set(perms)}
+    return transposition_encrypt(text, [inverses[p] for p in perms])
+
+
+def encrypt_by_record(text: str, perms: Sequence[tuple[int, ...]]) -> str:
+    """``transposition_encrypt`` above on the records of ``perms``."""
+    return transposition_encrypt(text, [BlockPermutation(p) for p in perms])
+
+
+def decrypt_by_record(text: str, perms: Sequence[tuple[int, ...]]) -> str:
+    return transposition_decrypt(text, [BlockPermutation(p) for p in perms])
+
+
+def parse_permutation_by_record(text: str) -> tuple[int, ...]:
+    return BlockPermutation.from_text(text).oneline
 
 
 def _chi_squared(counts: list[int], n: int) -> float:

@@ -9,7 +9,6 @@ from brauer_kit.bridge import brauer_ioc
 from brauer_kit.brauer import ConfigError, config_from_words, invariants, invariants_from_tallies
 from brauer_kit.cipher import (
     LETTERS,
-    BlockPermutation,
     CipherError,
     split_blocks,
     transposition_encrypt,
@@ -25,7 +24,7 @@ CIPHERTEXT = "OOPAELRIXFGGBWDODDEPK"
 def random_permutation(rng, size):
     order = list(range(1, size + 1))
     rng.shuffle(order)
-    return BlockPermutation(tuple(order))
+    return tuple(order)
 
 
 def text_with_min_count(rng, distinct=5, min_count=2, max_count=6):
@@ -150,14 +149,14 @@ def test_transposition_to_config_rejects_bad_partition():
 
 
 def test_permutation_invariance_worked_example():
-    pi = BlockPermutation((3, 4, 1, 2))
+    pi = (3, 4, 1, 2)
     cipher = transposition_encrypt("CRYPTOGRAPHY", [pi, pi, pi])
     assert cipher == "YPCRGRTOHYAP"
     assert block_invariants(cipher, [4, 4, 4]) == block_invariants("CRYPTOGRAPHY", [4, 4, 4])
 
 
 def test_permutation_invariance_identity():
-    ident = BlockPermutation((1, 2, 3, 4))
+    ident = (1, 2, 3, 4)
     assert transposition_encrypt("CRYPTOGRAPHY", [ident, ident, ident]) == "CRYPTOGRAPHY"
 
 

@@ -4,22 +4,28 @@ import sys
 from itertools import filterfalse
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brauer_kit.cipher import (
     LETTERS,
     Alphabet,
-    BlockPermutation,
     CipherError,
+    parse_permutation,
     split_blocks,
     transposition_decrypt,
     transposition_encrypt,
     vigenere_decrypt,
     vigenere_encrypt,
 )
-from reference import normalize_by_loop
+from brauer_kit import cipher
+from reference import (
+    decrypt_by_record,
+    encrypt_by_record,
+    normalize_by_loop,
+    parse_permutation_by_record,
+)
 
-PI = BlockPermutation((3, 4, 1, 2))
+PI = (3, 4, 1, 2)
 
 # Decrypted 4x3 grid in row-major text: rows CRA, RGP, YOH, PTY, so its
 # columns read CRYP, RGOT, APHY top to bottom.
@@ -28,7 +34,7 @@ DECRYPTED_GRID = "CRARGPYOHPTY"
 # The route down the first column, up the second and down the third, as the
 # transposition key of the 4x3 grid: entry k is the row-major index of the
 # k-th cell visited.
-ROUTE_4X3 = BlockPermutation.from_text("1 4 7 10 11 8 5 2 3 6 9 12")
+ROUTE_4X3 = parse_permutation("1 4 7 10 11 8 5 2 3 6 9 12")
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +170,7 @@ def test_transposition_second_block():
 
 
 def test_transposition_identity():
-    ident = BlockPermutation((1, 2, 3))
-    assert transposition_encrypt("ABC", [ident]) == "ABC"
+    assert transposition_encrypt("ABC", [(1, 2, 3)]) == "ABC"
 
 
 def test_transposition_full_plaintext():
@@ -186,13 +191,45 @@ def test_split_blocks_rejects_negative_size():
 
 
 def test_block_permutation_rejects_non_bijection():
-    with pytest.raises(CipherError):
-        BlockPermutation((1, 1, 2))
+    for crypt in (transposition_encrypt, transposition_decrypt):
+        with pytest.raises(CipherError, match=r"^\(1, 1, 2\) is not a permutation of 1\.\.3$"):
+            crypt("ABC", [(1, 1, 2)])
+
+
+def test_transposition_names_a_bad_permutation_as_given():
+    # checked before the blocks are cut, and printed as the caller wrote it
+    for perm, message in (
+        ((1, 1), "(1, 1) is not a permutation of 1..2"),
+        ([2, 3], "[2, 3] is not a permutation of 1..2"),
+    ):
+        with pytest.raises(CipherError) as err:
+            transposition_encrypt("ABC", [(1, 2), perm])
+        assert str(err.value) == message
 
 
 def test_block_permutation_inverse():
-    assert PI.inverse().apply(PI.apply("CRYP")) == "CRYP"
-    assert BlockPermutation.from_text("3 4 1 2") == PI
+    assert transposition_decrypt(transposition_encrypt("CRYP", [PI]), [PI]) == "CRYP"
+    assert transposition_decrypt("CRYP", [PI]) == "YPCR"  # (3 4 1 2) is its own inverse
+    assert transposition_decrypt("ABC", [(2, 3, 1)]) == transposition_encrypt("ABC", [(3, 1, 2)])
+    assert parse_permutation("3 4 1 2") == parse_permutation("3,4,,1 2") == PI
+
+
+def test_list_permutations_work_in_both_directions():
+    perms = [[3, 4, 1, 2], [2, 1], [3, 4, 1, 2]]
+    assert transposition_encrypt("CRYPABTOGR", perms) == "YPCRBAGRTO"
+    assert transposition_decrypt("YPCRBAGRTO", perms) == "CRYPABTOGR"
+
+
+@pytest.mark.parametrize("perms, message", [
+    ([(1.0, 2.0)], "(1.0, 2.0) is not a permutation of 1..2"),
+    ([(1, 2), (1.0, 2.0)], "(1.0, 2.0) is not a permutation of 1..2"),  # equal tuples
+    ([[2, "1"]], "[2, '1'] is not a permutation of 1..2"),
+])
+def test_entries_that_are_not_ints_are_rejected(perms, message):
+    for crypt in (transposition_encrypt, transposition_decrypt):
+        with pytest.raises(CipherError) as err:
+            crypt("AB" * len(perms), perms)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -201,7 +238,7 @@ def test_block_permutation_inverse():
 def test_block_permutation_text_takes_ascii_digits_only(text):
     # int() would read each of these as a permutation
     with pytest.raises(CipherError, match="^malformed permutation "):
-        BlockPermutation.from_text(text)
+        parse_permutation(text)
 
 
 @given(
@@ -211,21 +248,78 @@ def test_block_permutation_text_takes_ascii_digits_only(text):
 def test_transposition_round_trip(block, rng):
     order = list(range(1, len(block) + 1))
     rng.shuffle(order)
-    perm = BlockPermutation(tuple(order))
-    assert transposition_decrypt(perm.apply(block), [perm]) == block
+    perm = tuple(order)
+    assert transposition_decrypt(transposition_encrypt(block, [perm]), [perm]) == block
+
+
+def _result(f, *args):
+    try:
+        return "ok", f(*args)
+    except CipherError as exc:
+        return "error", str(exc)
+
+
+# valid permutations, the empty one among them, and tuples with repeats, 0,
+# negatives or gaps; entries that are not ints and lists are left out, since
+# the record's TypeError on them is the defect that the tuples mend
+PERMUTATIONS = st.one_of(
+    st.integers(0, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple),
+    st.lists(st.integers(-2, 8), max_size=6).map(tuple),
+)
+
+
+@st.composite
+def transposition_inputs(draw):
+    perms = draw(st.lists(st.one_of(PERMUTATIONS, st.sampled_from([PI, (2, 1)])), max_size=5))
+    size = sum(map(len, perms))
+    text = draw(st.one_of(
+        st.text("ABCDEFG", min_size=size, max_size=size),
+        st.text("ABCDEFG", max_size=size + 2),
+    ))
+    return text, perms
+
+
+@settings(max_examples=300)
+@given(transposition_inputs())
+@example(("", []))
+@example(("AB", [()]))
+@example(("AB", [(), (2, 1), ()]))
+@example(("ABC", [(2, 1), (1, 1)]))
+@example(("ABC", [(0, 1)]))
+def test_transposition_matches_the_record(inputs):
+    # the same text, or the same error, as the record that checked each
+    # permutation once when it was built
+    text, perms = inputs
+    assert _result(transposition_encrypt, text, perms) == _result(encrypt_by_record, text, perms)
+    assert _result(transposition_decrypt, text, perms) == _result(decrypt_by_record, text, perms)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.text("0123456789, -+_\u0663", max_size=16),
+    st.integers(1, 7).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda perm: ", ".join(map(str, perm))
+    ),
+    st.integers(4301, 4400).map(lambda n: "1 " + "2" * n),
+))
+@example("")
+@example("1,,2")
+@example("2 1 " + "3" * 4301)
+def test_parse_permutation_matches_the_record(text):
+    assert _result(parse_permutation, text) == _result(parse_permutation_by_record, text)
 
 
 def test_decrypt_inverts_each_distinct_permutation_once(monkeypatch):
     calls = []
-    inverse = BlockPermutation.inverse
+    checked = cipher._checked
 
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
+    def counted(p):
+        calls.append(p)
+        return checked(p)
 
-    monkeypatch.setattr(BlockPermutation, "inverse", counted)
-    ident = BlockPermutation((1, 2))
-    perms = [PI, ident, PI, BlockPermutation((3, 4, 1, 2)), ident]
+    monkeypatch.setattr(cipher, "_checked", counted)
+    ident = (1, 2)
+    perms = [PI, ident, PI, [3, 4, 1, 2], ident]
     assert transposition_decrypt("YPCRABGRTOHYAPCD", perms) == "CRYPABTOGRAPHYCD"
     assert sorted(calls, key=len) == [ident, PI]
 
@@ -244,16 +338,16 @@ def test_route_second_column_bottom_up_continues_plaintext():
     column_only = "".join(DECRYPTED_GRID[j - 1] for j in up_col2)
     assert column_only == "TOGR"
     with pytest.raises(CipherError, match="is not a permutation"):
-        BlockPermutation(up_col2)  # partial routes are rejected
+        transposition_encrypt(column_only, [up_col2])  # partial routes are rejected
 
 
 def test_route_single_cell():
-    assert transposition_encrypt("X", [BlockPermutation((1,))]) == "X"
+    assert transposition_encrypt("X", [(1,)]) == "X"
 
 
 def test_route_duplicate_cell_rejected():
     with pytest.raises(CipherError, match="is not a permutation"):
-        BlockPermutation((1, 1))
+        transposition_decrypt("XY", [(1, 1)])
 
 
 def test_route_inverse_round_trip():
@@ -270,11 +364,11 @@ def test_boustrophedon_matches_a_cell_walk(rows, cols, rng):
     for c in range(cols):
         for r in range(rows) if c % 2 == 0 else reversed(range(rows)):
             walk.append(grid[r][c])
-    route = BlockPermutation(tuple(
+    route = tuple(
         r * cols + c + 1
         for c in range(cols)
         for r in (range(rows) if c % 2 == 0 else range(rows - 1, -1, -1))
-    ))
+    )
     assert transposition_encrypt(text, [route]) == "".join(walk)
     assert transposition_decrypt("".join(walk), [route]) == text
 

@@ -8,6 +8,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -220,6 +221,43 @@ def test_transposition_partition_mismatch(capsys, monkeypatch):
     code, _, err = run(capsys, "encrypt", "--system", "transposition", "--key", "3 4 1 2")
     assert code == 2
     assert "error[E_CIPHER]" in err
+
+
+# Keys of up to 4 KB in the characters a key of either system is written
+# in, and the characters that only look like them: a sign, an underscore and
+# another script's digit.
+CRYPT_KEYS = st.one_of(
+    st.text("0123456789, ABCXYZabcxyz-_\u0661", max_size=4096),
+    st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda perm: " ".join(map(str, perm))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["encrypt", "decrypt"]),
+    st.sampled_from(["vigenere", "transposition"]),
+    CRYPT_KEYS,
+    st.booleans(),
+    st.one_of(st.text("ABCDEFGHIJKL", max_size=24), st.text(max_size=24)),
+)
+@example("decrypt", "transposition", "1 " + "0" * 4094, False, "AB")
+@example("encrypt", "transposition", "", False, "")
+@example("encrypt", "transposition", "1", True, "A")
+@example("encrypt", "transposition", "-1 2", False, "AB")
+@example("decrypt", "vigenere", "--", True, "J")  # argparse reads --key=-- as []
+def test_crypt_commands_never_exit_internal(command, system, key, strip, text):
+    argv = [command, "--system", system, f"--key={key}"] + ["--strip"] * strip
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(text)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "E_INTERNAL" not in err.getvalue()
 
 
 def test_attack_report_schema(capsys, tmp_path):

@@ -40,6 +40,9 @@ CORPUS = [
     ["graph", "--", SCORE], ["score-check", "--", SCORE],
     ["attack", "--max", "4", "--ciphertext", CIPHERTEXT],
     ["attack", "--max-keylen=4", "--ciphertext=" + CIPHERTEXT],
+    # argparse reads --flag=-- as an empty list, which no option takes
+    ["encrypt", "--system", "vigenere", "--key=--"], ["attack", "--max-keylen=--"],
+    ["analyze", "--config=--"], ["graph", SCORE, "--svg=--"],
     # commands that run, and their own errors
     ["encrypt", "--system", "vigenere", "--key", "MDPI"],
     ["decrypt", "--system", "transposition", "--key", "2 1", "--strip"],

@@ -1,14 +1,18 @@
-"""The package's ten records are named tuples.  Each keeps its field names
+"""The package's nine records are named tuples.  Each keeps its field names
 and order, its repr, equality and hashing by fields, its immutability and
 its checks with their messages; as a tuple it also equals the plain tuple of
-its fields."""
+its fields, and its ``_make`` and ``_replace`` work.  A record built with
+``_make`` or ``_replace`` skips its checks, so each place in the package
+that does so names the test that shows the checks could not have failed."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import brauer_kit
 from brauer_kit.brauer import AlgebraInvariants, BrauerConfiguration, ConfigError, Polygon
-from brauer_kit.cipher import BlockPermutation, CipherError
 from brauer_kit.coincidence import KeyCandidate, KeyLengthCandidate, KeyRecovery
 from brauer_kit.diagram import ClassPoint, PointDiagram
 from brauer_kit.score import Score, ScoreError
@@ -44,16 +48,6 @@ RECORDS = {
         "vertex_count=3, valency_histogram={1: 2, 2: 1}, connected=True)",
         False,  # the histogram is a dict
         [],
-    ),
-    "BlockPermutation": (
-        lambda: BlockPermutation((2, 3, 1)),
-        ("oneline",),
-        "BlockPermutation(oneline=(2, 3, 1))",
-        True,
-        [
-            (((1, 1),), CipherError, "(1, 1) is not a permutation of 1..2"),
-            (([2, 3],), CipherError, "[2, 3] is not a permutation of 1..2"),
-        ],
     ),
     "KeyLengthCandidate": (
         lambda: KeyLengthCandidate(2, (Fraction(1, 15), Fraction(1, 16)), Fraction(1, 480),
@@ -117,6 +111,9 @@ def test_record_keeps_its_fields_repr_equality_immutability_and_checks(name):
     assert repr(record) == text
     assert record == twin and not record != twin
     assert record == tuple(getattr(record, field) for field in fields)
+    assert len(record) == len(fields)
+    assert type(record)._make(record) == record
+    assert record._replace() == record
     if hashable:
         assert hash(record) == hash(twin)
     else:
@@ -132,3 +129,36 @@ def test_record_keeps_its_fields_repr_equality_immutability_and_checks(name):
         with pytest.raises(error) as err:
             type(record)(*args)
         assert str(err.value) == message
+
+
+# "module.function" -> the test that shows, over the function's whole input
+# domain, that the record's constructor would accept what it builds
+UNCHECKED_BUILDS = {
+    # its property compares the record with the one the constructor builds
+    "brauer.parse_config": "test_brauer.py::test_parse_config_matches_line_reader",
+    # AlgebraInvariants has no checks; the union-find oracle builds the record
+    # with its constructor, and the property compares the two
+    "brauer._incidence": "test_brauer.py::test_invariants_match_the_union_find_over_every_polygon",
+}
+
+
+def _unchecked_builds(tree: ast.AST, scope: str):
+    """The scopes that hold a ``._make(`` or ``._replace(`` call, one per call."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("_make", "_replace")):
+            yield inner
+        yield from _unchecked_builds(node, inner)
+
+
+def test_every_record_built_without_its_checks_names_its_covering_test():
+    found = set()
+    for path in Path(brauer_kit.__file__).parent.glob("*.py"):
+        found.update(_unchecked_builds(ast.parse(path.read_text()), path.stem))
+    assert found == set(UNCHECKED_BUILDS)
+    for covering in UNCHECKED_BUILDS.values():
+        file, name = covering.split("::")
+        assert f"\ndef {name}(" in (Path(__file__).parent / file).read_text()
