@@ -11,7 +11,7 @@ fold into it; anything else is rejected unless explicitly stripped.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .brauer import ascii_ints
 
@@ -46,11 +46,6 @@ class Alphabet:
         return "".join(folded.split())
 
 
-def _letters(residues: Iterable[int]) -> str:
-    """The letters of ``residues`` taken modulo the alphabet size."""
-    return "".join(LETTERS[r % len(LETTERS)] for r in residues)
-
-
 DEFAULT_ALPHABET = Alphabet()
 
 
@@ -66,8 +61,8 @@ def _shift(text: str, key: str, sign: int) -> str:
     if not shifts:
         raise CipherError("empty key")
     m = len(shifts)
-    return _letters(
-        LETTERS.index(ch) + sign * shifts[i % m]
+    return "".join(
+        LETTERS[(LETTERS.index(ch) + sign * shifts[i % m]) % len(LETTERS)]
         for i, ch in enumerate(DEFAULT_ALPHABET.normalize(text))
     )
 

@@ -45,8 +45,8 @@ IOC_WINDOW = Fraction(1, 100)
 # m(m-1)/2 list pairs and the ranking up to M reports M(M+1)/2 list indices,
 # so the work grows with the square of either flag.  At the ceiling the
 # slowest attack on 100 000 letters takes 0.22-0.45 s and about 20 MB as a
-# subprocess; README's Limits gives the host and the figures before the
-# ranking shared its splits and before the attack worked in integers.
+# subprocess, in 15 runs on a shared 2-CPU x86-64 host under Python 3.11
+# (README's Limits).
 MAX_KEYLEN = 100
 
 # Fewest letters in a list of a split shared by several key lengths.  A
@@ -60,17 +60,12 @@ MAX_KEYLEN = 100
 _MIN_LIST = 256
 
 
-def letter_counts(text: str) -> list[int]:
-    """Occurrences of each letter of A-Z in ``text``, in alphabet order.
-    Other characters are not counted; ``list_counts`` rejects them."""
-    return [text.count(ch) for ch in LETTERS]  # 26 scans in C beat one Counter
-
-
 def list_counts(cipher: str, m: int) -> list[list[int]]:
-    """``letter_counts`` of each of the m decimated lists of ``cipher``.
-    The counts of all lists add up to the text's length unless it holds a
-    character outside A-Z, which is an error naming every such character."""
-    counts = [letter_counts(part) for part in decimate(cipher, m)]
+    """Occurrences of each letter of A-Z, in alphabet order, in each of the
+    m decimated lists of ``cipher``.  They add up to the text's length unless
+    it holds a character outside A-Z, an error naming every such character."""
+    # 26 scans in C per list beat one Counter
+    counts = [list(map(part.count, LETTERS)) for part in decimate(cipher, m)]
     if sum(map(sum, counts)) != len(cipher):
         unknown = sorted(set(cipher) - set(LETTERS))
         raise CipherError(f"characters {unknown} are not in the alphabet")

@@ -20,6 +20,8 @@ The folding of text into the alphabet as one loop over its characters;
 A block permutation as the checked record that the package used to keep,
 with its apply, inverse and text reader; ``cipher.transposition_encrypt``,
 ``transposition_decrypt`` and ``parse_permutation`` take plain tuples.
+A split's letter counts as one call of a per-list tally for each decimated
+list; ``coincidence.list_counts`` counts each list in place.
 Key recovery as one shifted overlap per list pair and shift, and one
 decryption tally and one set of expected counts per anchored key;
 ``coincidence.friedman_recover_key`` reads a pair's 26 overlaps from one
@@ -311,6 +313,23 @@ def decrypt_by_record(text: str, perms: Sequence[tuple[int, ...]]) -> str:
 
 def parse_permutation_by_record(text: str) -> tuple[int, ...]:
     return BlockPermutation.from_text(text).oneline
+
+
+def letter_counts(text: str) -> list[int]:
+    """Occurrences of each letter of A-Z in ``text``, in alphabet order.
+    Other characters are not counted; ``list_counts`` rejects them."""
+    return [text.count(ch) for ch in LETTERS]  # 26 scans in C beat one Counter
+
+
+def list_counts(cipher: str, m: int) -> list[list[int]]:
+    """``letter_counts`` of each of the m decimated lists of ``cipher``.
+    The counts of all lists add up to the text's length unless it holds a
+    character outside A-Z, which is an error naming every such character."""
+    counts = [letter_counts(part) for part in decimate(cipher, m)]
+    if sum(map(sum, counts)) != len(cipher):
+        unknown = sorted(set(cipher) - set(LETTERS))
+        raise CipherError(f"characters {unknown} are not in the alphabet")
+    return counts
 
 
 def _chi_squared(counts: list[int], n: int) -> float:

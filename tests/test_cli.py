@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from brauer_kit import cipher, cli, coincidence
 from brauer_kit.cli import main
+from brauer_kit.score import MAX_EVENTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = SRC / "brauer_kit" / "fixtures"
@@ -368,22 +370,24 @@ def test_huge_keylen_on_a_long_text_ends_at_once(tmp_path):
 
 
 def test_attack_counts_only_the_lists(capsys, monkeypatch):
-    # the report's ioc and the recovery reuse the ranking's list counts
+    # the report's ioc and the recovery reuse the ranking's list counts: the
+    # whole text is never split into one list, nor its index taken apart
     text = "OOPAELRIXFGGBWDODDEPK" * 20
     calls = []
 
     def spy(original):
-        def counted(arg):
-            calls.append((original.__name__, arg == text))
-            return original(arg)
+        def counted(arg, *m):
+            calls.append((original.__name__, arg == text, m))
+            return original(arg, *m)
         return counted
 
-    for name in ("letter_counts", "index_of_coincidence"):
+    for name in ("decimate", "index_of_coincidence"):
         monkeypatch.setattr(coincidence, name, spy(getattr(coincidence, name)))
     for flags in ([], ["--keylen", "7"], ["--keylen", "12"]):
         code, _, _ = run(capsys, "attack", "--ciphertext", text, "--max-keylen", "10", *flags)
         assert code == 0
-    assert calls and not [name for name, whole in calls if whole]
+    assert ("decimate", True, (12,)) in calls
+    assert not [call for call in calls if call[1:] in ((True, ()), (True, (1,)))]
 
 
 def test_attack_folds_its_text_once(capsys, monkeypatch):
@@ -927,6 +931,172 @@ def test_commands_never_exit_internal(data, key, keylen):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in (0, 2), (argv, err.getvalue())
+
+
+# README's limits, each at and just past its value: key lengths and list
+# counts against the text's length N and the ceiling of 100, repeat counts
+# against MAX_EVENTS, and numbers past Python's 4 300-digit int/str limit.
+LETTERS_4K = ("OOPAELRIXFGGBWDODDEPK" * 196)[:4096]
+GROUP_SHAPES = (  # n nested or spanning groups, about 4 KB at n = 1 000
+    lambda n: "| " + "( " * n + "a4 " + ") " * n,
+    lambda n: "( " * n + "| a4 " * n + ") " * n,
+    lambda n: "| " + "{ " * n + "a4 " * n + "}x1 " * n,
+)
+SCORE_PIECES = (
+    "|", "c4", "-d8", "a16.", "r4", "(", ")", "[", "]", "{", "}x2", "time=4/4", "clef=bass",
+    *(f"}}x{count}" for count in (MAX_EVENTS // 2, MAX_EVENTS - 1, MAX_EVENTS, MAX_EVENTS + 1)),
+    f"}}x{'9' * 4301}", f"time={'9' * 4301}/4",
+)
+
+
+def _sizes(most: int):
+    """Sizes from 0 to ``most``, its ends among them."""
+    return st.one_of(st.sampled_from([0, 1, 2, most - 1, most]), st.integers(0, most))
+
+
+# Inputs of up to 4 KB, and the numbers past the digit limit, which take a
+# little more: each command reads one of its own kind, or any text or bytes.
+INPUTS = {
+    "cipher": _sizes(4096).map(lambda n: LETTERS_4K[:n]),
+    "config": _sizes(1024).map(lambda n: "a b c\n" * (n // 2) + "d e\n" * (n - n // 2)),
+    "score": st.one_of(
+        st.lists(st.sampled_from(SCORE_PIECES), max_size=24).map(" ".join),
+        st.tuples(st.sampled_from(GROUP_SHAPES), _sizes(1000)).map(lambda s: s[0](s[1])),
+    ),
+    "edges": st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12)), max_size=8).map(
+        lambda pairs: "".join(f"{i} {j}\n" for i, j in pairs)),
+    "any": st.one_of(st.text(st.characters(exclude_categories=("Cs",)), max_size=64),
+                     st.binary(max_size=64)),
+}
+COMMANDS = {  # a command and the kind of input it reads
+    "attack": "cipher", "analyze --ciphertext": "cipher", "analyze --config": "config",
+    "analyze --score": "score", "analyze --verify": "any", "score-check": "score",
+    "graph": "score", "graph --edges": "edges",
+}
+INPUT, OUTPUT = "<input file>", "<output file>"  # stand-ins in a drawn argv
+
+
+@st.composite
+def limit_commands(draw):
+    """A command, an input for it and its drawn flags; the argv names the
+    input's file and an output file by stand-ins."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    data = draw(st.one_of(INPUTS[COMMANDS[command]], INPUTS["any"]))
+    text = data.decode(errors="replace") if isinstance(data, bytes) else data
+
+    def maybe(*flag):
+        return draw(st.sampled_from([[], list(flag)]))
+
+    def number(name):  # an int flag, if drawn, at one of the text's limits
+        n = len(text)
+        return maybe(name, draw(st.sampled_from(["0", "1", "100", "101", str(n // 2),
+                                                 str(n // 2 + 1)])))
+
+    if command == "attack":
+        source = draw(st.sampled_from([["--ciphertext=" + text], ["--in", INPUT]]))
+        argv = ["attack", *source, *number("--max-keylen"), *number("--keylen"),
+                *number("--top"), *maybe("--strip")]
+    elif command == "analyze --ciphertext":
+        argv = ["analyze", "--ciphertext=" + text, *number("--keylen"), *maybe("--strip")]
+    elif command == "analyze --verify":
+        argv = ["analyze", "--verify", *maybe("--lax")]
+    elif command.startswith("analyze"):
+        argv = [*command.split(), INPUT, *maybe("--lax")]
+    elif command == "score-check":
+        argv = ["score-check", INPUT, *maybe("--lax")]
+    elif command == "graph":
+        argv = ["graph", INPUT, "--svg", OUTPUT, *maybe("--orientation", "reversed"),
+                *maybe("--connect-equal-y"), *maybe("--lax")]
+    else:
+        argv = ["graph", str(FIXTURES / "canon_a6.bsc"), "--edges", INPUT, "--json", OUTPUT]
+    return data, argv
+
+
+class _Overtime(BaseException):
+    """A run that passes its time bound; no ``except Exception`` stops it."""
+
+
+def _run_bounded(argv, seconds=2.0, traced=False):
+    """``main(argv)`` with its output captured, stopped after ``seconds``:
+    the exit code, stderr, the wall time and the tracemalloc peak (0 when
+    not ``traced``)."""
+    def overtime(signum, frame):
+        raise _Overtime(f"{' '.join(a[:24] for a in argv)} ran past {seconds} s")
+
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    if traced:
+        tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1] if traced else 0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if traced:
+            tracemalloc.stop()
+    return code, err.getvalue(), elapsed, peak
+
+
+@settings(max_examples=300, deadline=None)
+@given(limit_commands())
+@example((LETTERS_4K, ["attack", "--in", INPUT, "--max-keylen", "100", "--keylen", "100"]))
+@example((LETTERS_4K, ["attack", "--ciphertext=" + LETTERS_4K, "--keylen", "2048"]))
+@example((LETTERS_4K, ["attack", "--in", INPUT, "--max-keylen", "2048"]))
+@example((LETTERS_4K, ["analyze", "--ciphertext=" + LETTERS_4K, "--keylen", "2048"]))
+def test_every_command_ends_in_exit_0_or_2_at_its_limits(case):
+    data, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        files = {INPUT: str(path), OUTPUT: str(Path(tmp) / "out")}
+        argv = [files.get(a, a) for a in argv]
+        code, err, _, _ = _run_bounded(argv)
+    assert code in (0, 2), (argv[:6], err)
+    assert "E_INTERNAL" not in err
+
+
+# Each limit at its value, where a command does the most work it admits,
+# and just past it: (argv with stand-ins, the input file's text).
+LIMIT_CASES = {
+    "attack-ceiling": (["attack", "--in", INPUT, "--max-keylen", "100", "--keylen", "100"],
+                       LETTERS_4K),
+    "attack-keylen-half": (["attack", "--in", INPUT, "--keylen", "2048"], LETTERS_4K),
+    "attack-max-keylen-half": (["attack", "--in", INPUT, "--max-keylen", "2048"], LETTERS_4K),
+    "split-half": (["analyze", "--ciphertext=" + LETTERS_4K, "--keylen", "2048"], ""),
+    "split-past-half": (["analyze", "--ciphertext=" + LETTERS_4K, "--keylen", "2049"], ""),
+    "events-at-limit": (["analyze", "--score", INPUT], f"| {{ c4 d4 }}x{MAX_EVENTS // 2}\n"),
+    "events-past-limit": (["graph", INPUT, "--svg", OUTPUT],
+                          f"| {{ c4 d4 }}x{MAX_EVENTS // 2 + 1}\n"),
+    "repeat-digits": (["score-check", INPUT], f"| {{ c4 }}x{'9' * 4301}\n"),
+    "time-digits": (["analyze", "--score", INPUT, "--lax"], f"time={'9' * 4301}/4 | c4\n"),
+    **{f"groups-{i}": (["graph", INPUT, "--svg", OUTPUT, "--lax"], shape(1000))
+       for i, shape in enumerate(GROUP_SHAPES)},
+    "config-4k": (["analyze", "--config", INPUT], "a b c d\n" * 512),
+    "verify": (["analyze", "--verify"], ""),
+}
+
+
+@pytest.mark.parametrize("name", LIMIT_CASES)
+def test_a_command_at_its_limit_stays_within_2_s_and_50_mb(name, tmp_path):
+    argv, text = LIMIT_CASES[name]
+    (tmp_path / "in.txt").write_text(text)
+    files = {INPUT: str(tmp_path / "in.txt"), OUTPUT: str(tmp_path / "out")}
+    argv = [files.get(a, a) for a in argv]
+    # timed untraced first, as tracing slows a run 10-15 times
+    code, err, elapsed, _ = _run_bounded(argv)
+    assert code in (0, 2) and "E_INTERNAL" not in err, err
+    assert elapsed < 2.0
+    traced = _run_bounded(argv, seconds=60.0, traced=True)
+    assert traced[:2] == (code, err)
+    assert traced[3] < 50_000_000
 
 
 def test_nested_repeats_fail_fast_in_little_memory(tmp_path):

@@ -20,7 +20,7 @@ from brauer_kit.coincidence import (
     index_of_coincidence,
     list_counts,
 )
-from reference import recover_key_by_overlaps
+from reference import list_counts as list_counts_by_list, recover_key_by_overlaps
 from textgen import SAMPLE_TEXT, sample_english, sample_uniform
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -296,6 +296,31 @@ def test_unknown_characters_are_named_once_when_splits_are_shared():
     assert len(cipher) == 80_000
     with pytest.raises(CipherError, match=r"^characters \['1', 'a'\] are not in the alphabet$"):
         friedman_keylength(cipher, 20)
+
+
+def _counts_or_error(count, text, m):
+    """``count(text, m)``, or the text of the CipherError it raises."""
+    try:
+        return count(text, m)
+    except CipherError as exc:
+        return str(exc)
+
+
+# Texts over A-Z and four characters outside it, and list counts from one
+# below the least to one past the most that leave every list 2 letters.
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.text(LETTERS, max_size=400), st.text(LETTERS + "a\u00e9 1", max_size=400))
+    .flatmap(lambda text: st.tuples(st.just(text), st.integers(-1, len(text) // 2 + 1)))
+)
+@example(("", 0))
+@example(("AB" * 200, 200))
+@example(("AB" * 200 + "\u00e9", 1))
+def test_list_counts_match_the_per_list_reference(case):
+    text, m = case
+    for split in (m, len(text) // 2):  # at N // 2 every list holds 2 or 3 letters
+        assert _counts_or_error(list_counts, text, split) == _counts_or_error(
+            list_counts_by_list, text, split)
 
 
 # ---------------------------------------------------------------------------

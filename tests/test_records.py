@@ -3,19 +3,44 @@ and order, its repr, equality and hashing by fields, its immutability and
 its checks with their messages; as a tuple it also equals the plain tuple of
 its fields, and its ``_make`` and ``_replace`` work.  A record built with
 ``_make`` or ``_replace`` skips its checks, so each place in the package
-that does so names the test that shows the checks could not have failed."""
+that does so names the test that shows the checks could not have failed.
+Every record that a public producer returns, on inputs of its own domain,
+and every record nested in it, is rebuilt by its constructor unchanged."""
 
 import ast
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brauer_kit
-from brauer_kit.brauer import AlgebraInvariants, BrauerConfiguration, ConfigError, Polygon
-from brauer_kit.coincidence import KeyCandidate, KeyLengthCandidate, KeyRecovery
-from brauer_kit.diagram import ClassPoint, PointDiagram
-from brauer_kit.score import Score, ScoreError
+from brauer_kit.brauer import (
+    AlgebraInvariants,
+    BrauerConfiguration,
+    ConfigError,
+    Polygon,
+    config_from_words,
+    invariants,
+    invariants_from_tallies,
+    parse_config,
+)
+from brauer_kit.cipher import LETTERS, CipherError
+from brauer_kit.coincidence import (
+    KeyCandidate,
+    KeyLengthCandidate,
+    KeyRecovery,
+    friedman_keylength,
+    friedman_recover_key,
+)
+from brauer_kit.diagram import (
+    ORIENTATIONS,
+    ClassPoint,
+    DiagramError,
+    PointDiagram,
+    diagram_for_score,
+)
+from brauer_kit.score import CLEFS, Score, ScoreError, parse_score, score_to_config
 
 # name -> (build, field names, repr, hashable, [(bad arguments, error, message)]);
 # each call of build makes a new record from new, equal values
@@ -162,3 +187,81 @@ def test_every_record_built_without_its_checks_names_its_covering_test():
     for covering in UNCHECKED_BUILDS.values():
         file, name = covering.split("::")
         assert f"\ndef {name}(" in (Path(__file__).parent / file).read_text()
+
+
+# Each public producer's inputs, drawn from its own domain: mostly valid
+# ones, and ones with its faults.
+LABELS = st.sampled_from(["a", "b", "c", "d", "a1"])
+VALID_WORDS = st.lists(st.lists(LABELS, min_size=2, max_size=5), min_size=1, max_size=5)
+WORDS = st.one_of(
+    VALID_WORDS, st.lists(st.lists(st.one_of(LABELS, st.just("")), max_size=5), max_size=5))
+CONFIG_TEXTS = st.one_of(
+    WORDS.map(lambda words: "\n".join(map(" ".join, words))),
+    st.lists(st.lists(st.sampled_from(["a", "b", "label:", "1", "2", "#", "\u0663"]),
+                      max_size=6).map(" ".join), max_size=5).map("\n".join),
+)
+CLASS_TOKENS = st.sampled_from(["c4", "-d8", "+e16", "=f2", "g64", "a32.", "r4", "b16", "c1"])
+MEASURES = st.lists(st.lists(CLASS_TOKENS, min_size=2, max_size=5).map(tuple), min_size=1,
+                    max_size=5).map(tuple)
+SCORE_TEXTS = st.one_of(
+    MEASURES.map(lambda measures: "".join("| " + " ".join(m) + "\n" for m in measures)),
+    st.lists(st.one_of(CLASS_TOKENS, st.sampled_from(
+        ["|", "(", ")", "[", "]", "{", "}x2", "}x0", "time=4/4", "clef=bass", "c1.", "h4"])),
+        max_size=24).map(" ".join),
+)
+SCORES = st.builds(Score, MEASURES, st.sampled_from(sorted(CLEFS)))
+TALLIES = st.integers(1, 5).flatmap(lambda width: st.one_of(
+    st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width).filter(
+        lambda row: sum(row) >= 2), min_size=1, max_size=5),
+    st.lists(st.lists(st.integers(-1, 3), min_size=width, max_size=width), max_size=5),
+))
+CIPHERS = st.one_of(st.text(LETTERS[:8], min_size=24, max_size=200),
+                    st.text(LETTERS[:6] + "a", max_size=30))
+COUNTS = st.lists(st.lists(st.integers(0, 9), min_size=26, max_size=26), min_size=1, max_size=5)
+
+# name -> (producer, strategy of its arguments, records every result holds)
+PRODUCERS = {
+    "parse_config": (parse_config, st.tuples(CONFIG_TEXTS), {"BrauerConfiguration", "Polygon"}),
+    "config_from_words": (config_from_words, st.tuples(WORDS),
+                          {"BrauerConfiguration", "Polygon"}),
+    "parse_score": (parse_score, st.tuples(SCORE_TEXTS, st.booleans()), {"Score"}),
+    "score_to_config": (score_to_config, st.tuples(st.one_of(
+        SCORES, SCORE_TEXTS.map(lambda text: parse_score(text, strict=False)))),
+        {"BrauerConfiguration", "Polygon"}),
+    "invariants": (invariants, st.tuples(VALID_WORDS.map(config_from_words)),
+                   {"AlgebraInvariants"}),
+    "invariants_from_tallies": (invariants_from_tallies, st.tuples(TALLIES),
+                                {"AlgebraInvariants"}),
+    "friedman_keylength": (friedman_keylength, st.tuples(CIPHERS, st.integers(0, 12)),
+                           {"KeyLengthCandidate"}),
+    "friedman_recover_key": (friedman_recover_key, st.tuples(COUNTS),
+                             {"KeyRecovery", "KeyCandidate"}),
+    "diagram_for_score": (diagram_for_score, st.tuples(
+        SCORES, st.sampled_from([None, *sorted(CLEFS)]), st.sampled_from(ORIENTATIONS),
+        st.booleans(), st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3)),
+        {"PointDiagram", "ClassPoint"}),
+}
+
+
+def _records(value):
+    """Every record in ``value``, itself included, within tuples and lists."""
+    if hasattr(value, "_fields"):
+        yield value
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _records(item)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_produced_record_passes_its_constructor(name, data):
+    produce, arguments, kinds = PRODUCERS[name]
+    try:
+        result = produce(*data.draw(arguments))
+    except (CipherError, ConfigError, DiagramError, ScoreError):
+        return
+    records = list(_records(result))
+    assert kinds <= {type(r).__name__ for r in records}
+    for record in records:
+        assert type(record)(*record) == record
