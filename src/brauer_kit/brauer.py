@@ -216,22 +216,35 @@ def invariants_from_histogram(
     count and a loop census.  Assumes the standard multiplicity rule and a
     connected configuration.  This is the one home of the dimension
     formulas; ``invariants`` and ``invariants_from_tallies`` feed it the
-    counts of a configuration."""
+    counts of a configuration.
+
+    The polygon count, the loop count and every vertex count are integers;
+    a valency is an integer or, as in a JSON document, a string of ASCII
+    digits.  Any other value is a ConfigError that names it."""
+    if not isinstance(polygon_count, int):
+        raise ConfigError(f"polygon count {polygon_count!r} is not an integer")
     if polygon_count < 1:
         raise ConfigError("polygon count must be positive")
-    histogram = {int(k): int(v) for k, v in valency_histogram.items()}
+    histogram = {}
+    for val, n in valency_histogram.items():
+        try:
+            histogram[val if isinstance(val, int) else ascii_ints([val])[0]] = n
+        except (TypeError, ValueError):  # not a string, or not ASCII digits
+            raise ConfigError(f"valency {val!r} is not an integer") from None
+        if not isinstance(n, int):
+            raise ConfigError(f"valency {val!r}: vertex count {n!r} is not an integer")
     if any(k < 1 or v < 0 for k, v in histogram.items()):
         raise ConfigError("histogram entries must map valency >= 1 to count >= 0")
+    if not isinstance(loops, int):
+        raise ConfigError(f"loop count {loops!r} is not an integer")
     if loops < 0:
         raise ConfigError("loop count must be >= 0")
     vertex_count = sum(histogram.values())
-    val_one = histogram.get(1, 0)
-    sum_mu = vertex_count + val_one
-    dim_l = 2 * polygon_count + sum(
-        count * val * (val * (2 if val == 1 else 1) - 1)
-        for val, count in histogram.items()
+    # the paper's forms, with Σμ = V + #{val = 1} and val·(val·μ - 1) = 1 at valency 1
+    dim_l = 2 * polygon_count + histogram.get(1, 0) + sum(
+        count * val * (val - 1) for val, count in histogram.items()
     )
-    dim_z = 1 + polygon_count - vertex_count + sum_mu + loops - val_one
+    dim_z = 1 + polygon_count + loops
     return AlgebraInvariants(
         dim_lambda=dim_l,
         dim_center=dim_z,

@@ -60,7 +60,9 @@ def diagram_for_score(
     the edges between consecutive pitched points (equal-offset neighbours
     only when ``connect_equal_y``) and ``extra_edges`` as closure pairs of
     pitched point positions.  A closure may not join a point to itself or
-    repeat an edge, in either direction.  ``clef`` overrides the score's own."""
+    repeat an edge, in either direction, and an extra edge that is not a
+    pair of integers is a DiagramError that names it.  ``clef`` overrides
+    the score's own."""
     labels = list(dict.fromkeys(chain.from_iterable(score.measures)))
     if not labels:
         raise DiagramError("score has no events")
@@ -81,7 +83,13 @@ def diagram_for_score(
             edges.append((last, i))
         last = i
     closures, drawn = [], set(map(frozenset, edges))  # an edge either way round
-    for i, j in extra_edges:
+    for edge in extra_edges:
+        try:
+            i, j = edge
+        except (TypeError, ValueError):  # not iterable, or not two items
+            i = j = None
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise DiagramError(f"extra edge {edge!r} is not a pair of point indices")
         if not (0 <= i < len(points) and 0 <= j < len(points)):
             raise DiagramError(f"extra edge ({i}, {j}) references an unknown point")
         if points[i].y is None or points[j].y is None:

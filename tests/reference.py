@@ -11,6 +11,9 @@ That pass with its union-find run over every polygon, and a
 configuration's checks made polygon by polygon; ``brauer._incidence``
 stops joining polygons once those read so far form one component holding
 every vertex, and ``BrauerConfiguration`` checks each distinct label once.
+The dimension formulas in the paper's form, which sum the multiplicity
+of every vertex; ``brauer.invariants_from_histogram`` states them in closed
+form, dim Z = 1 + polygons + loops.
 The configuration file read line by line, each line's rules applied as it
 is read and the record built by the checking constructor;
 ``brauer.parse_config`` reads the text in whole-text passes and builds the
@@ -185,6 +188,34 @@ def invariants_by_union_find(config: BrauerConfiguration) -> AlgebraInvariants:
     valencies = Counter(chain.from_iterable(words))
     return incidence_by_union_find(
         list(map(len, words)), Counter(valencies.values()), map(set, words)
+    )
+
+
+def invariants_from_histogram_by_mu(
+    polygon_count: int,
+    valency_histogram: Mapping[int, int],
+    loops: int,
+) -> AlgebraInvariants:
+    """The dimension formulas in the paper's form, with the multiplicity
+    mu = 2 at valency 1 and 1 elsewhere summed over the vertices and
+    applied per valency.  Keys and counts are read with ``int``; the input
+    is not checked."""
+    histogram = {int(k): int(v) for k, v in valency_histogram.items()}
+    vertex_count = sum(histogram.values())
+    val_one = histogram.get(1, 0)
+    sum_mu = vertex_count + val_one
+    dim_l = 2 * polygon_count + sum(
+        count * val * (val * (2 if val == 1 else 1) - 1)
+        for val, count in histogram.items()
+    )
+    dim_z = 1 + polygon_count - vertex_count + sum_mu + loops - val_one
+    return AlgebraInvariants(
+        dim_lambda=dim_l,
+        dim_center=dim_z,
+        loops=loops,
+        polygon_count=polygon_count,
+        vertex_count=vertex_count,
+        valency_histogram=dict(sorted(histogram.items())),
     )
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brauer_kit.brauer import (
     BrauerConfiguration,
@@ -22,6 +22,7 @@ from reference import (
     build_quiver,
     check_polygons,
     invariants_by_union_find,
+    invariants_from_histogram_by_mu,
     parse_config_by_lines,
     successor_sequence,
     valency,
@@ -446,6 +447,52 @@ def test_invariants_from_histogram_matches_full_computation():
         )
         assert summary.dim_lambda == inv.dim_lambda
         assert summary.dim_center == inv.dim_center
+
+
+# a valency as an int or as the string of ASCII digits a JSON document holds,
+# with or without leading zeros; "01" and 1 name one valency, and the later
+# entry wins in both readers
+HISTOGRAM_VALENCIES = st.integers(1, 30) | st.builds(
+    lambda val, zeros: "0" * zeros + str(val), st.integers(1, 30), st.integers(0, 2)
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 60),
+    st.dictionaries(HISTOGRAM_VALENCIES, st.integers(0, 20), max_size=30),
+    st.integers(0, 300),
+)
+@example(1, {}, 0)                # no vertex at all
+@example(1, {1: 20}, 300)         # more loops than any such configuration has
+@example(1, {"30": 20, 1: 0}, 0)   # 600 occurrences in one polygon and no loop
+def test_invariants_from_histogram_matches_the_paper_form(polygons, histogram, loops):
+    # the closed form against the paper's sum over the multiplicities, on
+    # histograms whether or not a configuration realizes them
+    got = invariants_from_histogram(polygons, histogram, loops)
+    want = invariants_from_histogram_by_mu(polygons, histogram, loops)
+    assert got == want
+    assert list(got.valency_histogram.items()) == list(want.valency_histogram.items())
+    assert got.connected is want.connected is True
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, {1.9: 2, 2: 1}, 1), "valency 1.9 is not an integer"),
+    ((2, {2: 1}, 0.5), "loop count 0.5 is not an integer"),
+    ((2.5, {2: 1}, 1), "polygon count 2.5 is not an integer"),
+    ((2, {"\u0661": 2, " 2": 1}, 1), "valency '\u0661' is not an integer"),
+    ((2, {1: 2, " 2": 1}, 1), "valency ' 2' is not an integer"),
+    ((2, {"x": 1}, 1), "valency 'x' is not an integer"),
+    ((2, {"2": 1.0}, 1), "valency '2': vertex count 1.0 is not an integer"),
+    ((1, {0: 1}, 0), "histogram entries must map valency >= 1 to count >= 0"),
+], ids=[
+    "float-valency", "float-loops", "float-polygons", "arabic-indic-digit",
+    "space", "letter", "float-count", "valency-zero",
+])
+def test_invariants_from_histogram_names_the_fault(args, message):
+    with pytest.raises(ConfigError) as caught:
+        invariants_from_histogram(*args)
+    assert str(caught.value) == message
 
 
 def tally_words(rows):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from brauer_kit.bridge import brauer_ioc
-from brauer_kit.brauer import ConfigError, config_from_words, invariants, invariants_from_tallies
+from brauer_kit.brauer import (
+    ConfigError,
+    config_from_words,
+    invariants,
+    invariants_from_histogram,
+    invariants_from_tallies,
+)
 from brauer_kit.cipher import (
     LETTERS,
     CipherError,
@@ -110,6 +116,11 @@ def test_split_invariants_from_tallies_match_the_configuration(text):
         assert invariants_from_tallies(list_counts(text, m)) == invariants(
             config_from_words(decimate(text, m))
         )
+
+
+def test_brauer_ioc_needs_two_characters():
+    with pytest.raises(CipherError, match="^text shorter than 2$"):
+        brauer_ioc(invariants_from_histogram(1, {1: 1}, 0))
 
 
 def test_brauer_ioc_counts_singletons():

@@ -143,6 +143,25 @@ def test_analyze_verify_passes(capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_analyze_verify_reports_each_failing_check_and_runs_the_rest(capsys, monkeypatch):
+    # one check raises and one computes a wrong value; the other six still run
+    def broken(rows):
+        raise ValueError("tally table lost")
+
+    monkeypatch.setenv("BRAUER_KIT_COLOR", "never")
+    monkeypatch.setattr(cli, "invariants_from_tallies", broken)
+    monkeypatch.setattr(cli, "vigenere_encrypt", lambda text, key: "WRONG")
+    code, out, err = run(capsys, "analyze", "--verify")
+    lines = out.strip().splitlines()
+    assert code == 2 and "E_INTERNAL" not in out + err
+    assert lines[:2] == [
+        f"FAIL vigenere-encrypt: got 'WRONG', want {cli._REFERENCE_CIPHERTEXT!r}",
+        "FAIL vigenere-split-invariants: tally table lost",
+    ]
+    assert len(lines) == 8
+    assert all(line.startswith("PASS ") for line in lines[2:])
+
+
 def test_start_up_loads_no_typing_resources_pathlib_dataclasses_or_inspect():
     # annotation types come from collections.abc, --verify finds its
     # fixtures with os.path and the records are named tuples; -S keeps the

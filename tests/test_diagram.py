@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from brauer_kit.diagram import (
     ORIENTATIONS,
     DiagramError,
+    PointDiagram,
     diagram_for_score,
     emit_json,
     emit_svg,
@@ -208,6 +209,15 @@ def test_extra_edge_unknown_point_rejected():
         diagram_for_score(score, extra_edges=[(-1, 0)])
 
 
+@pytest.mark.parametrize(
+    "edge", [(0.0, 1.0), ("0", "1"), (0, 1, 2), 5], ids=["floats", "strings", "triple", "int"]
+)
+def test_extra_edge_must_be_a_pair_of_integers(edge):
+    with pytest.raises(DiagramError) as err:
+        diagram_for_score(A6, extra_edges=[edge])
+    assert str(err.value) == f"extra edge {edge!r} is not a pair of point indices"
+
+
 def test_edge_count_bound():
     diagram = diagram_for_score(A6, extra_edges=[(1, 3)])
     assert len(diagram.edges) + len(diagram.closures) <= len(diagram.points) - 1 + 1
@@ -281,6 +291,11 @@ def test_emit_svg_chain_edge_across_rest_stays_in_polyline():
 def test_emit_svg_extra_edges_dashed():
     svg = emit_svg(diagram_for_score(A6, extra_edges=[(1, 3)]))
     assert 'stroke-dasharray="6,4"' in svg
+
+
+def test_emit_svg_needs_a_point():
+    with pytest.raises(DiagramError, match="^nothing to draw$"):
+        emit_svg(PointDiagram((), (), "standard", ()))
 
 
 def test_reversed_twice_is_standard():

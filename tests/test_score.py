@@ -290,6 +290,12 @@ def test_parse_repeat_lax_still_expands():
     assert score.warnings == ("measure 1 sums to 208, expected 64 for 4/4",)
 
 
+def test_parse_repeat_count_zero():
+    with pytest.raises(ScoreParseError) as err:
+        parse_score("| { c4 d4 }x0")
+    assert str(err.value) == "line 1, column 11: repeat count must be >= 1"
+
+
 def test_parse_repeat_count_too_large():
     with pytest.raises(ScoreParseError, match="repeat count is too large"):
         parse_score("| { c16 }x" + "9" * 5000)
