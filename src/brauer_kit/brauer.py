@@ -207,6 +207,12 @@ def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
     return _incidence(sizes, histogram, (list(compress(count(), row)) for row in rows))
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool, which Python counts
+    as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def invariants_from_histogram(
     polygon_count: int,
     valency_histogram: Mapping[int, int],
@@ -218,24 +224,28 @@ def invariants_from_histogram(
     formulas; ``invariants`` and ``invariants_from_tallies`` feed it the
     counts of a configuration.
 
-    The polygon count, the loop count and every vertex count are integers;
-    a valency is an integer or, as in a JSON document, a string of ASCII
-    digits.  Any other value is a ConfigError that names it."""
-    if not isinstance(polygon_count, int):
+    The polygon count, the loop count and every vertex count are integers,
+    and not bools; a valency is an integer or, as in a JSON document, a
+    string of ASCII digits, and no two keys spell one valency.  Any other
+    value is a ConfigError that names it."""
+    if not _is_int(polygon_count):
         raise ConfigError(f"polygon count {polygon_count!r} is not an integer")
     if polygon_count < 1:
         raise ConfigError("polygon count must be positive")
     histogram = {}
     for val, n in valency_histogram.items():
         try:
-            histogram[val if isinstance(val, int) else ascii_ints([val])[0]] = n
+            key = val if _is_int(val) else ascii_ints([val])[0]
         except (TypeError, ValueError):  # not a string, or not ASCII digits
             raise ConfigError(f"valency {val!r} is not an integer") from None
-        if not isinstance(n, int):
+        if key in histogram:
+            raise ConfigError(f"valency {val!r} repeats valency {key}")
+        if not _is_int(n):
             raise ConfigError(f"valency {val!r}: vertex count {n!r} is not an integer")
+        histogram[key] = n
     if any(k < 1 or v < 0 for k, v in histogram.items()):
         raise ConfigError("histogram entries must map valency >= 1 to count >= 0")
-    if not isinstance(loops, int):
+    if not _is_int(loops):
         raise ConfigError(f"loop count {loops!r} is not an integer")
     if loops < 0:
         raise ConfigError("loop count must be >= 0")

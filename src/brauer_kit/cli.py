@@ -300,8 +300,28 @@ def _cmd_verify() -> int:
             print(f"{_paint('PASS', '32', sys.stdout)} {name}")
         else:
             failures += 1
-            print(f"{_paint('FAIL', '31', sys.stdout)} {name}: got {actual!r}, want {expected!r}")
+            print(f"{_paint('FAIL', '31', sys.stdout)} {name}: {_mismatch(actual, expected)}")
     return 0 if failures == 0 else 2
+
+
+def _mismatch(actual, expected) -> str:
+    """A failed check's report: the top-level fields that differ when both
+    values are JSON objects, as text or as dicts, else both values whole."""
+    try:
+        got, want = (v if isinstance(v, dict) else json.loads(v) for v in (actual, expected))
+    except (TypeError, ValueError):  # not JSON text
+        got = want = None
+    if not (isinstance(got, dict) and isinstance(want, dict) and got != want):
+        return f"got {actual!r}, want {expected!r}"
+
+    def show(fields, key):
+        return json.dumps(fields[key]) if key in fields else "nothing"
+
+    return "; ".join(
+        f"{key}: got {show(got, key)}, want {show(want, key)}"
+        for key in dict.fromkeys([*want, *got])
+        if show(got, key) != show(want, key)
+    )
 
 
 # ---------------------------------------------------------------------------

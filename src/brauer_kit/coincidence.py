@@ -12,11 +12,11 @@ from one product of two big integers that hold the tallies in fixed-width
 slots (Kronecker substitution).
 
 Everything after the split reads the lists' letter counts.  Ranking key
-lengths up to M counts letters only for a few splits: every length has a
-multiple in (M/2, M], and the lengths there share a split at a common
-multiple while its lists keep at least _MIN_LIST letters, so a length's
-lists' counts are sums of a split's.  Recovery takes one length's counts,
-so the attack counts each split once.
+lengths up to M counts letters only for a few splits: from M down, a length
+that divides no split yet shares one at a common multiple while its lists
+keep at least _MIN_LIST letters.  Each length's lists' counts are then sums
+of the smallest table it divides among the splits and the longer lengths.
+Recovery takes one length's counts, so the attack counts each split once.
 """
 
 from __future__ import annotations
@@ -133,11 +133,11 @@ def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
             f"ciphertext of length {len(cipher)} is too short for key lengths up to {max_len}"
         )
     # list i of m is the sum of the lists j = i (mod m) of any multiple of
-    # m.  The lengths in (max_len/2, max_len] take their counts from a few
-    # splits, each at a common multiple of several of them whose lists keep
-    # _MIN_LIST letters; every smaller m from its largest multiple <= max_len
+    # m.  Longest first, a length that divides no split yet joins one at a
+    # common multiple whose lists keep _MIN_LIST letters, or starts its own;
+    # then each length sums the smallest table counted so far that it divides
     splits: list[int] = []
-    for m in range(max_len, max_len // 2, -1):
+    for m in range(max_len, 0, -1):
         if any(split % m == 0 for split in splits):
             continue
         for k, split in enumerate(splits):
@@ -146,13 +146,9 @@ def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
                 break
         else:
             splits.append(m)
-    split_counts = {split: list_counts(cipher, split) for split in splits}
-    counts = {}
+    counts = {split: list_counts(cipher, split) for split in splits}
     for m in range(max_len, 0, -1):
-        if m > max_len // 2:
-            lists = next(rows for split, rows in split_counts.items() if split % m == 0)
-        else:
-            lists = counts[max_len // m * m]
+        lists = counts[min(k for k in counts if k % m == 0)]
         counts[m] = lists if len(lists) == m else [
             [sum(column) for column in zip(*lists[i::m])] for i in range(m)]
     # list i's IoC is s/p, and its deviation from the target a/b is

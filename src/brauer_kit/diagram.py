@@ -61,8 +61,8 @@ def diagram_for_score(
     only when ``connect_equal_y``) and ``extra_edges`` as closure pairs of
     pitched point positions.  A closure may not join a point to itself or
     repeat an edge, in either direction, and an extra edge that is not a
-    pair of integers is a DiagramError that names it.  ``clef`` overrides
-    the score's own."""
+    pair of integers, bools excluded, is a DiagramError that names it.
+    ``clef`` overrides the score's own."""
     labels = list(dict.fromkeys(chain.from_iterable(score.measures)))
     if not labels:
         raise DiagramError("score has no events")
@@ -88,7 +88,7 @@ def diagram_for_score(
             i, j = edge
         except (TypeError, ValueError):  # not iterable, or not two items
             i = j = None
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)):
             raise DiagramError(f"extra edge {edge!r} is not a pair of point indices")
         if not (0 <= i < len(points) and 0 <= j < len(points)):
             raise DiagramError(f"extra edge ({i}, {j}) references an unknown point")

@@ -450,8 +450,8 @@ def test_invariants_from_histogram_matches_full_computation():
 
 
 # a valency as an int or as the string of ASCII digits a JSON document holds,
-# with or without leading zeros; "01" and 1 name one valency, and the later
-# entry wins in both readers
+# with or without leading zeros; "01" and 1 name one valency, and a second
+# key for it is an error
 HISTOGRAM_VALENCIES = st.integers(1, 30) | st.builds(
     lambda val, zeros: "0" * zeros + str(val), st.integers(1, 30), st.integers(0, 2)
 )
@@ -469,6 +469,14 @@ HISTOGRAM_VALENCIES = st.integers(1, 30) | st.builds(
 def test_invariants_from_histogram_matches_the_paper_form(polygons, histogram, loops):
     # the closed form against the paper's sum over the multiplicities, on
     # histograms whether or not a configuration realizes them
+    seen = set()
+    for val in histogram:
+        if int(val) in seen:
+            with pytest.raises(ConfigError) as caught:
+                invariants_from_histogram(polygons, histogram, loops)
+            assert str(caught.value) == f"valency {val!r} repeats valency {int(val)}"
+            return
+        seen.add(int(val))
     got = invariants_from_histogram(polygons, histogram, loops)
     want = invariants_from_histogram_by_mu(polygons, histogram, loops)
     assert got == want
@@ -485,9 +493,19 @@ def test_invariants_from_histogram_matches_the_paper_form(polygons, histogram, l
     ((2, {"x": 1}, 1), "valency 'x' is not an integer"),
     ((2, {"2": 1.0}, 1), "valency '2': vertex count 1.0 is not an integer"),
     ((1, {0: 1}, 0), "histogram entries must map valency >= 1 to count >= 0"),
+    # Python counts a bool as an int; JSON's true is no count
+    ((True, {2: 1}, 1), "polygon count True is not an integer"),
+    ((2, {2: 1}, False), "loop count False is not an integer"),
+    ((2, {True: 2}, 1), "valency True is not an integer"),
+    ((2, {"2": True}, 1), "valency '2': vertex count True is not an integer"),
+    # two keys that spell one valency would keep only the later count
+    ((2, {1: 2, "1": 3}, 1), "valency '1' repeats valency 1"),
+    ((2, {"1": 2, "01": 3}, 1), "valency '01' repeats valency 1"),
 ], ids=[
     "float-valency", "float-loops", "float-polygons", "arabic-indic-digit",
-    "space", "letter", "float-count", "valency-zero",
+    "space", "letter", "float-count", "valency-zero", "bool-polygons",
+    "bool-loops", "bool-valency", "bool-count", "int-and-string-valency",
+    "leading-zero-valency",
 ])
 def test_invariants_from_histogram_names_the_fault(args, message):
     with pytest.raises(ConfigError) as caught:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -160,6 +161,28 @@ def test_analyze_verify_reports_each_failing_check_and_runs_the_rest(capsys, mon
     ]
     assert len(lines) == 8
     assert all(line.startswith("PASS ") for line in lines[2:])
+
+
+def test_analyze_verify_names_the_fields_a_golden_mismatch_differs_in(capsys, monkeypatch, tmp_path):
+    # a score golden and a histogram golden each with one number changed; a
+    # FAIL line names the changed fields, not the two whole documents
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(Path(cli.__file__).parent / "fixtures", fixtures)
+    for name, old, new in [
+        ("slym.invariants.json", '"dimCenter": 20,', '"dimCenter": 21,'),
+        ("canon_crab.hist.json", '"dimLambda": 582,', '"dimLambda": 583,'),
+    ]:
+        text = (fixtures / name).read_text(encoding="utf-8")
+        (fixtures / name).write_text(text.replace(old, new, 1), encoding="utf-8")
+    monkeypatch.setenv("BRAUER_KIT_COLOR", "never")
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+    code, out, err = run(capsys, "analyze", "--verify")
+    lines = out.strip().splitlines()
+    assert (code, err, len(lines)) == (2, "", 8)
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL score-slym: dimCenter: got 20, want 21",
+        "FAIL histogram-canon_crab: dimLambda: got 582, want 583",
+    ]
 
 
 def test_start_up_loads_no_typing_resources_pathlib_dataclasses_or_inspect():

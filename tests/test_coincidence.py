@@ -246,6 +246,7 @@ LONG_TEXTS = st.builds(
 @settings(max_examples=20, deadline=None)
 @given(LONG_TEXTS, st.integers(1, 40))
 @example(SEED7_80K, 20)  # four shared splits in place of ten
+@example(SEED7_80K, coincidence.MAX_KEYLEN)  # 37 shared splits; every length up to 50 sums 2m
 def test_keylength_from_shared_splits_matches_plain_reference(cipher, max_len):
     candidates = friedman_keylength(cipher, max_len)
     assert [

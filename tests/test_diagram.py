@@ -210,7 +210,8 @@ def test_extra_edge_unknown_point_rejected():
 
 
 @pytest.mark.parametrize(
-    "edge", [(0.0, 1.0), ("0", "1"), (0, 1, 2), 5], ids=["floats", "strings", "triple", "int"]
+    "edge", [(0.0, 1.0), ("0", "1"), (0, 1, 2), 5, (True, 3)],
+    ids=["floats", "strings", "triple", "int", "bool"],
 )
 def test_extra_edge_must_be_a_pair_of_integers(edge):
     with pytest.raises(DiagramError) as err:
