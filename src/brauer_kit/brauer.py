@@ -184,19 +184,24 @@ def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
     """``invariants`` of the configuration whose polygon i holds
     ``rows[i][c]`` occurrences of vertex c, read from that tally table
     without listing an occurrence.  The rows have one length, and every
-    entry is an integer and not negative; a Vigenere split is the table of
-    its lists' letter counts (``coincidence.list_counts``).
+    entry is an integer, not a bool, and not negative; a Vigenere split is
+    the table of its lists' letter counts (``coincidence.list_counts``).
 
     The vertices are the columns with a nonzero entry, each of valency its
     column sum, and a polygon holds its row's nonzero columns.
     """
     sizes = []
+    try:  # one C pass over the whole table; a table of exact ints walks no row
+        exact = {int}.issuperset(map(type, chain.from_iterable(rows)))
+    except TypeError:  # a row that is not iterable fails len() below
+        exact = False
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
             raise ConfigError(f"polygon {i}: {len(row)} tallies, expected {len(rows[0])}")
-        for f in row:
-            if not isinstance(f, int):
-                raise ConfigError(f"polygon {i}: occurrence count {f!r} is not an integer")
+        if not exact:
+            for f in row:
+                if not _is_int(f):
+                    raise ConfigError(f"polygon {i}: occurrence count {f!r} is not an integer")
         if min(row, default=0) < 0:
             raise ConfigError(f"polygon {i}: negative occurrence count {min(row)}")
         sizes.append(sum(row))
@@ -209,7 +214,8 @@ def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
 
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer and not a bool, which Python counts
-    as one."""
+    as one: the package's one test of a count, an index or a permutation
+    entry."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

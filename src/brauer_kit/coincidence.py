@@ -29,6 +29,7 @@ from operator import mul
 from struct import Struct
 from collections.abc import Sequence
 
+from .brauer import _is_int
 from .cipher import CipherError, LETTERS
 
 # Relative letter frequencies of English text, in percent, A to Z.
@@ -196,7 +197,7 @@ and the key ``candidates``, ranked by chi-squared, best first."""
 def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     """Recover Vigenere key candidates from the letter counts of a
     ciphertext's m decimated lists (``list_counts``, or a ranked length's
-    ``counts``).
+    ``counts``): 26 integers per list, none a bool or negative.
 
     A shift by s rotates a list's tally, so for each list pair i < j the
     shift with the largest overlap sum_h f_i[h] * f_j[h - s] gives one
@@ -216,9 +217,10 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     for j, c in enumerate(counts):
         if len(c) != n:
             raise CipherError(f"list {j} has {len(c)} letter counts, expected {n}")
-        for f in c:
-            if not isinstance(f, int):
-                raise CipherError(f"list {j} has a letter count {f!r} that is not an integer")
+        if not {int}.issuperset(map(type, c)):  # one C pass over exact ints
+            for f in c:
+                if not _is_int(f):
+                    raise CipherError(f"list {j} has a letter count {f!r} that is not an integer")
         if min(c) < 0:
             raise CipherError(f"list {j} has a negative letter count {min(c)}")
     if not any(map(any, counts)):  # no decryption to score

@@ -22,7 +22,7 @@ from collections import namedtuple
 from itertools import chain
 from collections.abc import Iterable
 
-from .brauer import SCHEMA, ascii_ints
+from .brauer import SCHEMA, _is_int, ascii_ints
 from .score import CLEFS, PITCHES, Score, class_parts
 
 ORIENTATIONS = ("standard", "reversed")
@@ -67,7 +67,7 @@ def diagram_for_score(
     if not labels:
         raise DiagramError("score has no events")
     pitches = [class_parts(label)[0] for label in labels]
-    clef = clef or score.clef
+    clef = score.clef if clef is None else clef
     if clef not in CLEFS:
         raise DiagramError(f"unknown clef {clef!r}")
     if orientation not in ORIENTATIONS:
@@ -88,7 +88,7 @@ def diagram_for_score(
             i, j = edge
         except (TypeError, ValueError):  # not iterable, or not two items
             i = j = None
-        if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)):
+        if not (_is_int(i) and _is_int(j)):
             raise DiagramError(f"extra edge {edge!r} is not a pair of point indices")
         if not (0 <= i < len(points) and 0 <= j < len(points)):
             raise DiagramError(f"extra edge ({i}, {j}) references an unknown point")

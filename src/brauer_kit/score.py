@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from itertools import islice, repeat
-from .brauer import BrauerConfiguration, config_from_words
+from .brauer import BrauerConfiguration, _is_int, config_from_words
 
 
 class ScoreError(ValueError):
@@ -116,9 +116,10 @@ class Score(namedtuple("Score", "measures clef time warnings")):
 
 
 def measure_target(time: tuple) -> int:
-    """Required exponent sum for one measure of signature n/2^m."""
+    """Required exponent sum for one measure of signature n/2^m; n and 2^m
+    are ints, and not bools."""
     n, denom = time
-    if denom not in EXPONENTS or n < 1:
+    if not (_is_int(n) and _is_int(denom)) or denom not in EXPONENTS or n < 1:
         raise ScoreError(f"unsupported time signature {n}/{denom}")
     return n * (64 // denom)
 
@@ -335,10 +336,15 @@ def config_to_message(
     time: tuple | None = None,
 ) -> str:
     """Emit the concatenated polygon words as DSL text, one measure per
-    polygon.  Every vertex label must be a well-formed note or rest token."""
+    polygon.  Every vertex label must be a well-formed note or rest token,
+    and the clef and time signature ones that ``parse_score`` reads."""
     for poly in config.polygons:
         for label in poly.word:
             class_parts(label)
+    if clef is not None and clef not in CLEFS:
+        raise ScoreError(f"unknown clef {clef!r}")
+    if time is not None:
+        measure_target(time)
     lines = []
     head = []
     if clef is not None:

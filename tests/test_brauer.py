@@ -1,3 +1,4 @@
+import ast
 import random
 import sys
 import tracemalloc
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import brauer_kit
 from brauer_kit.brauer import (
     BrauerConfiguration,
     ConfigError,
@@ -549,6 +551,31 @@ def test_invariants_from_tallies_reject_an_entry_that_is_not_an_integer():
         invariants_from_tallies([[2.5, 1, 0], [1, 1, 1]])
     with pytest.raises(ConfigError, match=r"^polygon 1: occurrence count '1' is not an integer$"):
         invariants_from_tallies([[1, 1, 1], [1, "1", 1]])
+    # Python counts a bool as an int
+    with pytest.raises(ConfigError, match=r"^polygon 0: occurrence count True is not an integer$"):
+        invariants_from_tallies([[True, True]])
+
+
+def _int_tests(tree: ast.AST, scope: str):
+    """The scopes that hold an ``isinstance(..., int)`` call, one per call."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "int"
+                        for n in ast.walk(node.args[1]))):
+            yield inner
+        yield from _int_tests(node, inner)
+
+
+def test_every_integer_check_asks_is_int():
+    # an inline isinstance(x, int) lets bools through, unlike _is_int
+    found = []
+    for path in sorted(Path(brauer_kit.__file__).parent.glob("*.py")):
+        found.extend(_int_tests(ast.parse(path.read_text()), path.stem))
+    assert found == ["brauer._is_int"]
 
 
 def test_invariants_from_tallies_reject_rows_of_unequal_length():

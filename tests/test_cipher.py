@@ -224,6 +224,8 @@ def test_list_permutations_work_in_both_directions():
     ([(1.0, 2.0)], "(1.0, 2.0) is not a permutation of 1..2"),
     ([(1, 2), (1.0, 2.0)], "(1.0, 2.0) is not a permutation of 1..2"),  # equal tuples
     ([[2, "1"]], "[2, '1'] is not a permutation of 1..2"),
+    ([(2, True)], "(2, True) is not a permutation of 1..2"),
+    ([(1, 2), (True, 2)], "(True, 2) is not a permutation of 1..2"),  # equal tuples
 ])
 def test_entries_that_are_not_ints_are_rejected(perms, message):
     for crypt in (transposition_encrypt, transposition_decrypt):

@@ -396,6 +396,9 @@ def test_recover_key_rejects_a_count_that_is_not_an_integer():
         friedman_recover_key([[0.5] * 26, [1.5] * 26])
     with pytest.raises(ValueError, match=r"^list 1 has a letter count '1' that is not an integer$"):
         friedman_recover_key([[1] * 26, [1] * 25 + ["1"]])
+    # Python counts a bool as an int
+    with pytest.raises(ValueError, match=r"^list 0 has a letter count True that is not an integer$"):
+        friedman_recover_key([[True] * 26])
 
 
 def test_recover_key_rejects_lists_without_letters():

@@ -137,6 +137,9 @@ def test_clef_references():
     assert CLEFS == {"treble": "e", "bass": "d", "alto": "a"}
     with pytest.raises(DiagramError, match="unknown clef 'tenor'"):
         diagram_for_score(A6, clef="tenor", orientation="sideways")
+    # an empty clef is no clef, not the score's own
+    with pytest.raises(DiagramError, match="unknown clef ''"):
+        diagram_for_score(A6, clef="")
     with pytest.raises(DiagramError, match="unknown orientation 'sideways'"):
         diagram_for_score(A6, orientation="sideways", extra_edges=[(0, 99)])
 

@@ -463,6 +463,11 @@ def test_measure_target_values():
     assert measure_target((4, 4)) == 64
     assert measure_target((3, 4)) == 48
     assert measure_target((6, 8)) == 48
+    # a part is an int, not a float and not a bool
+    for time in [(2, True), (2.0, 4), (True, 4)]:
+        with pytest.raises(ScoreError) as err:
+            measure_target(time)
+        assert str(err.value) == f"unsupported time signature {time[0]}/{time[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +749,12 @@ def test_config_to_message_rejects_foreign_labels():
     # a trailing newline is no part of a class token
     with pytest.raises(ScoreError, match=r"foreign vertex label 'b8\\n'"):
         config_to_message(config_from_words([["b8\n", "c4"]]))
+    # the header too is one that parse_score reads
+    config = config_from_words([["c4", "d4"]])
+    with pytest.raises(ScoreError, match=r"^unknown clef 'nope'$"):
+        config_to_message(config, clef="nope")
+    with pytest.raises(ScoreError, match=r"^unsupported time signature 3/5$"):
+        config_to_message(config, time=(3, 5))
 
 
 def test_round_trip_is_fixpoint_on_canonical_text():
