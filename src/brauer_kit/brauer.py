@@ -214,9 +214,16 @@ def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
 
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer and not a bool, which Python counts
-    as one: the package's one test of a count, an index or a permutation
-    entry."""
+    as one: the package's one rule for a count, an index or a permutation
+    entry.  ``_all_ints`` and ``invariants_from_tallies`` pass exact ints
+    in one C pass and ask it of the rest."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _all_ints(values: Sequence) -> bool:
+    """Whether every entry of ``values`` passes ``_is_int``; a sequence of
+    exact ints passes in one C pass, without a call per entry."""
+    return {int}.issuperset(map(type, values)) or all(map(_is_int, values))
 
 
 def invariants_from_histogram(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 
-from .brauer import _is_int, ascii_ints
+from .brauer import _all_ints, ascii_ints
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _FOLD = str.maketrans(LETTERS.lower(), LETTERS)
@@ -82,7 +82,7 @@ def vigenere_decrypt(cipher: str, key: str) -> str:
 
 def _checked(p: Sequence[int]) -> Sequence[int]:
     n = len(p)
-    if not all(map(_is_int, p)) or sorted(p) != list(range(1, n + 1)):
+    if not _all_ints(p) or sorted(p) != list(range(1, n + 1)):
         raise CipherError(f"{p} is not a permutation of 1..{n}")
     return p
 
@@ -117,7 +117,7 @@ def _transpose(text: str, perms: Sequence[Sequence[int]], invert: bool) -> str:
         key = tuple(p)
         # checked once per distinct tuple, and again if not all ints: (1.0, 2.0)
         # and (True, 2) equal (1, 2)
-        if key not in orders or not all(map(_is_int, key)):
+        if key not in orders or not _all_ints(key):
             order = [j - 1 for j in _checked(p)]
             orders[key] = sorted(range(len(order)), key=order.__getitem__) if invert else order
     reads = [orders[tuple(p)] for p in perms]

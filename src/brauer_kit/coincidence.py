@@ -217,10 +217,9 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     for j, c in enumerate(counts):
         if len(c) != n:
             raise CipherError(f"list {j} has {len(c)} letter counts, expected {n}")
-        if not {int}.issuperset(map(type, c)):  # one C pass over exact ints
-            for f in c:
-                if not _is_int(f):
-                    raise CipherError(f"list {j} has a letter count {f!r} that is not an integer")
+        for f in c:
+            if not _is_int(f):
+                raise CipherError(f"list {j} has a letter count {f!r} that is not an integer")
         if min(c) < 0:
             raise CipherError(f"list {j} has a negative letter count {min(c)}")
     if not any(map(any, counts)):  # no decryption to score

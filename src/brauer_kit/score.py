@@ -116,9 +116,12 @@ class Score(namedtuple("Score", "measures clef time warnings")):
 
 
 def measure_target(time: tuple) -> int:
-    """Required exponent sum for one measure of signature n/2^m; n and 2^m
-    are ints, and not bools."""
-    n, denom = time
+    """Required exponent sum for one measure of signature n/2^m; ``time``
+    is the pair (n, 2^m) of ints, and not bools."""
+    try:
+        n, denom = time
+    except (TypeError, ValueError):  # not a pair
+        raise ScoreError(f"unsupported time signature {time!r}") from None
     if not (_is_int(n) and _is_int(denom)) or denom not in EXPONENTS or n < 1:
         raise ScoreError(f"unsupported time signature {n}/{denom}")
     return n * (64 // denom)

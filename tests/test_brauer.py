@@ -557,7 +557,9 @@ def test_invariants_from_tallies_reject_an_entry_that_is_not_an_integer():
 
 
 def _int_tests(tree: ast.AST, scope: str):
-    """The scopes that hold an ``isinstance(..., int)`` call, one per call."""
+    """(scope, form) of each test of a type against ``int``: an
+    ``isinstance(..., int)`` call, or a set or comparison that holds ``int``
+    itself, as in ``{int}.issuperset(map(type, row))`` or ``type(x) is int``."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -566,16 +568,24 @@ def _int_tests(tree: ast.AST, scope: str):
                 and node.func.id == "isinstance" and len(node.args) == 2
                 and any(isinstance(n, ast.Name) and n.id == "int"
                         for n in ast.walk(node.args[1]))):
-            yield inner
+            yield inner, "isinstance"
+        elif isinstance(node, (ast.Set, ast.Compare)) and any(
+                isinstance(n, ast.Name) and n.id == "int" for n in ast.iter_child_nodes(node)):
+            yield inner, "type"
         yield from _int_tests(node, inner)
 
 
 def test_every_integer_check_asks_is_int():
-    # an inline isinstance(x, int) lets bools through, unlike _is_int
+    # an inline isinstance(x, int) lets bools through, unlike _is_int; the
+    # one C pass over exact ints, which falls back to _is_int, stays in brauer
     found = []
     for path in sorted(Path(brauer_kit.__file__).parent.glob("*.py")):
         found.extend(_int_tests(ast.parse(path.read_text()), path.stem))
-    assert found == ["brauer._is_int"]
+    assert sorted(found) == [
+        ("brauer._all_ints", "type"),
+        ("brauer._is_int", "isinstance"),
+        ("brauer.invariants_from_tallies", "type"),
+    ]
 
 
 def test_invariants_from_tallies_reject_rows_of_unequal_length():

@@ -468,6 +468,11 @@ def test_measure_target_values():
         with pytest.raises(ScoreError) as err:
             measure_target(time)
         assert str(err.value) == f"unsupported time signature {time[0]}/{time[1]}"
+    # a signature is a pair
+    for time in [(4, 4, 4), 4]:
+        with pytest.raises(ScoreError) as err:
+            measure_target(time)
+        assert str(err.value) == f"unsupported time signature {time!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +760,8 @@ def test_config_to_message_rejects_foreign_labels():
         config_to_message(config, clef="nope")
     with pytest.raises(ScoreError, match=r"^unsupported time signature 3/5$"):
         config_to_message(config, time=(3, 5))
+    with pytest.raises(ScoreError, match=r"^unsupported time signature \(4, 4, 4\)$"):
+        config_to_message(config, time=(4, 4, 4))
 
 
 def test_round_trip_is_fixpoint_on_canonical_text():
