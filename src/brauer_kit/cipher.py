@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 
-from .brauer import _all_ints, ascii_ints
+from .brauer import _all_ints, _is_int, ascii_ints
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _FOLD = str.maketrans(LETTERS.lower(), LETTERS)
@@ -98,6 +98,9 @@ def parse_permutation(text: str) -> tuple[int, ...]:
 
 def split_blocks(text: str, sizes: Sequence[int]) -> list[str]:
     """Partition ``text`` into consecutive blocks of the given sizes."""
+    if not _all_ints(sizes):
+        bad = next(size for size in sizes if not _is_int(size))
+        raise CipherError(f"block size {bad!r} is not an integer")
     if any(size < 0 for size in sizes):
         raise CipherError(f"negative block size {min(sizes)}")
     if sum(sizes) != len(text):

@@ -91,6 +91,8 @@ def index_of_coincidence(text: str) -> Fraction:
 def decimate(text: str, m: int) -> list[str]:
     """Split ``text`` into m lists; list i takes positions i, i+m, i+2m, ...
     Each list must hold 2 characters, so the text needs 2m: checked first."""
+    if not _is_int(m):
+        raise CipherError(f"list count {m!r} is not an integer")
     if m < 1:
         raise CipherError("list count must be >= 1")
     if len(text) < 2 * m:
@@ -127,6 +129,8 @@ def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
     multiples explain the same text equally well), each carries the others
     in ``related`` rather than being dropped.
     """
+    if not _is_int(max_len):
+        raise CipherError(f"max_len {max_len!r} is not an integer")
     if max_len < 1:
         raise CipherError("max_len must be >= 1")
     if len(cipher) < 2 * max_len:

@@ -19,6 +19,9 @@ from brauer_kit import cipher, cli, coincidence
 from brauer_kit.cli import main
 from brauer_kit.score import MAX_EVENTS
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = SRC / "brauer_kit" / "fixtures"
 GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -817,6 +820,102 @@ def test_a_byte_order_mark_changes_no_stdin_answer(capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "latin-1"))
         outputs.append(run(capsys, "decrypt", "--system", "vigenere", "--key", "MDPI"))
     assert outputs[1] == outputs[0] == (0, "CLASSICALCRYPTOGRAPHY\n", "")
+
+
+# Each row runs ``python -S -m brauer_kit.cli``: -S leaves site-packages off
+# the path, so a third-party import on the row's path fails it.  A row is
+# its argv, stdin, exit code, and stdout and stderr, each either the exact
+# bytes or the fragments it must hold.  A new CLI check is a row here.
+SEED7_80K = "<seed 7, 80 000 letters>"  # stand-in for a file of bench/gen.py's text
+# "AB" * SPLIT in SPLIT lists: list i is "AA" or "BB".  Each letter has
+# valency F = SPLIT and lies in L = SPLIT / 2 lists, no list holds both,
+# and the text has N = 2 * SPLIT letters, so
+# dim Lambda = 2m + sum F(F - 1), loops = N - sum L, dim Z = 1 + m + loops.
+SPLIT = 2048
+SPLIT_LOOPS = 2 * SPLIT - 2 * (SPLIT // 2)
+SCORE_PARSE = "brauer-kit: error[E_SCORE_PARSE]: "
+STDLIB_ROWS = [
+    # the attack at its key length ceiling: 5 050 ranked lists and 4 950
+    # recovery products
+    pytest.param(["attack", "--max-keylen", "100", "--keylen", "100", "--ciphertext",
+                  "OOPAELRIXFGGBWDODDEPK" * 100], b"", 0, (b'"recoveredKeylen": 100,',), b"",
+                 id="attack-ceiling"),
+    # at the ceiling 80 000 letters share 37 splits, and every length up to
+    # 50 sums 2m
+    pytest.param(["attack", "--in", SEED7_80K, "--max-keylen", "100"], b"", 0,
+                 (b'"recoveredKeylen": 9,', b'"key": "QUAERENDO"'), b"", id="attack-80k-max100"),
+    # many short lists, each counted in place by list_counts
+    pytest.param(["analyze", "--keylen", str(SPLIT), "--ciphertext", "AB" * SPLIT], b"", 0, (
+        f'"dimLambda": {2 * SPLIT + 2 * SPLIT * (SPLIT - 1)},'.encode(),
+        f'"dimCenter": {1 + SPLIT + SPLIT_LOOPS},'.encode(),
+        f'"loops": {SPLIT_LOOPS},'.encode(),
+        b'"connected": false',
+    ), b"", id="split-2048"),
+    # a Vigenere key is its letters, folded like the text
+    pytest.param(["encrypt", "--system", "vigenere", "--key", "m dpi"],
+                 b"classicalcryptography\n", 0, b"OOPAELRIXFGGBWDODDEPK\n", b"",
+                 id="vigenere-encrypt-folded-key"),
+    pytest.param(["decrypt", "--system", "vigenere", "--key", "m dpi"],
+                 b"OOPAELRIXFGGBWDODDEPK\n", 0, b"CLASSICALCRYPTOGRAPHY\n", b"",
+                 id="vigenere-decrypt-folded-key"),
+    pytest.param(["encrypt", "--system", "transposition", "--key", "1 1 2"], b"CRARGPYOHPTY\n",
+                 2, b"", b"brauer-kit: error[E_CIPHER]: malformed permutation '1 1 2'\n",
+                 id="transposition-repeated-entry"),
+    # a byte-order mark on real stdin, which is decoded through reconfigure()
+    pytest.param(["attack", "--max-keylen", "4"], b"\xef\xbb\xbfOOPAELRIXFGGBWDODDEPK", 0,
+                 (GOLDENS / "attack_reference_max4.json").read_bytes(), b"", id="attack-bom-stdin"),
+    # arguments a command's own parser leaves over go to the full parser,
+    # which words the error
+    pytest.param(["attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--bogus"], b"", 2, b"",
+                 b"usage: brauer-kit [-h] {encrypt,decrypt,attack,analyze,score-check,graph} ...\n"
+                 b"brauer-kit: error: unrecognized arguments: --bogus\n", id="unknown-option"),
+    # a measure-sum error is placed at its measure's first event, even when
+    # the measure starts after a comment, brackets and a repeat, or inside a
+    # glued word; a dotted sixty-fourth fails at its token
+    pytest.param(["score-check", "/dev/stdin"], b"time=4/4\n| c16 c16 c16 c16 | c16 c16 c16\n", 2,
+                 b"", f"{SCORE_PARSE}line 2, column 21: measure 2 sums to 48, expected 64 for 4/4\n"
+                 .encode(), id="measure-sum-at-first-event"),
+    pytest.param(["score-check", "/dev/stdin"], b"time=4/4\n| a64 | c16 c16 c8 c1.\n", 2, b"",
+                 f"{SCORE_PARSE}line 2, column 20: a sixty-fourth value cannot be dotted\n".encode(),
+                 id="dotted-sixty-fourth"),
+    pytest.param(["score-check", "/dev/stdin"],
+                 b"time=4/4\n| a64 # one |\n| [ c16 c16 ] { c16 }x1\n", 2, b"",
+                 f"{SCORE_PARSE}line 3, column 5: measure 2 sums to 48, expected 64 for 4/4\n"
+                 .encode(), id="measure-sum-after-comment-and-groups"),
+    pytest.param(["score-check", "/dev/stdin"], b"time=4/4\n| a64 | (c16c16 ) c16\n", 2, b"",
+                 f"{SCORE_PARSE}line 2, column 10: measure 2 sums to 48, expected 64 for 4/4\n"
+                 .encode(), id="measure-sum-in-glued-word"),
+    # connectivity settles at the first component that holds every vertex;
+    # a vertex held once before that still gains its second holder, and a
+    # split stays split
+    pytest.param(["analyze", "--config", "/dev/stdin"], b"a b\nb c\na a\nc b\n", 0,
+                 (b'"loops": 1,',), b"", id="config-settled-vertex-gains-holder"),
+    pytest.param(["analyze", "--config", "/dev/stdin"], b"a b\nc d\nb e\n", 0,
+                 (b'"connected": false',), b"", id="config-stays-split"),
+]
+
+
+@pytest.fixture(scope="module")
+def seed7_80k(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bench") / "seed7_80k.txt"
+    path.write_text(gen.attack_input(7, 80_000)["text"])
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, stdin, code, out, err", STDLIB_ROWS)
+def test_cli_runs_on_the_standard_library_alone(seed7_80k, argv, stdin, code, out, err):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "brauer_kit.cli",
+         *(seed7_80k if arg == SEED7_80K else arg for arg in argv)],
+        input=stdin, capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC), "BRAUER_KIT_COLOR": "never", "COLUMNS": "80"},
+    )
+    assert proc.returncode == code, proc.stderr
+    for got, want in ((proc.stdout, out), (proc.stderr, err)):
+        if isinstance(want, bytes):
+            assert got == want
+        else:
+            assert [fragment for fragment in want if fragment not in got] == []
 
 
 # Numbers past Python's 4 300-digit int/str limit: a measure sum, a time

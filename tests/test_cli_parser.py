@@ -120,7 +120,7 @@ def test_a_valid_command_does_not_build_the_full_parser(monkeypatch, argv):
 
 
 @pytest.mark.parametrize("flag", ["--max-keylen", "--keylen", "--top"])
-@pytest.mark.parametrize("value", ["1_0", " 7", "٤", "+5", "", "-", "7 "])
+@pytest.mark.parametrize("value", ["x", "1_0", " 7", "٤", "+5", "", "-", "7 "])
 def test_attack_int_flags_take_only_ascii_digits(monkeypatch, flag, value):
     code, out, err = outcome(monkeypatch, ["attack", "--ciphertext", CIPHERTEXT, flag, value])
     assert (code, out) == (2, "")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brauer_kit import coincidence
-from brauer_kit.cipher import LETTERS, CipherError, vigenere_decrypt, vigenere_encrypt
+from brauer_kit.cipher import LETTERS, CipherError, split_blocks, vigenere_decrypt, vigenere_encrypt
 from brauer_kit.coincidence import (
     ENGLISH_FREQUENCIES,
     IOC_TARGET,
@@ -121,6 +121,23 @@ def test_mutual_index_swap_symmetry(t1, t2, s):
 # ---------------------------------------------------------------------------
 # Key length estimation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("door, args, value", [
+    (list_counts, ("ABAB", True), "list count True"),
+    (decimate, ("ABAB", True), "list count True"),
+    (split_blocks, ("AB", [True, True]), "block size True"),
+    (friedman_keylength, (CIPHERTEXT, True), "max_len True"),
+    (list_counts, ("ABAB", 2.0), "list count 2.0"),
+    (friedman_keylength, (CIPHERTEXT, 2.0), "max_len 2.0"),
+    (split_blocks, ("AB", [1.0, 1]), "block size 1.0"),
+], ids=["list_counts-bool", "decimate-bool", "split_blocks-bool", "friedman_keylength-bool",
+        "list_counts-float", "friedman_keylength-float", "split_blocks-float"])
+def test_length_doors_name_a_value_that_is_not_an_integer(door, args, value):
+    # Python counts a bool as an int and a float fails in range() and in
+    # slicing; each door asks brauer._is_int first
+    with pytest.raises(CipherError, match=f"^{value} is not an integer$"):
+        door(*args)
+
 
 def test_decimate_round_robin():
     assert decimate("ABCDEFG", 3) == ["ADG", "BE", "CF"]

@@ -29,12 +29,16 @@ ATTACK_FLAGS = {
     "max20top26": ["--max-keylen", "20", "--top", "26"],
     "keylen9": ["--max-keylen", "5", "--keylen", "9"],
     "keylen30": ["--max-keylen", "30", "--keylen", "30", "--top", "26"],
+    "max4": ["--max-keylen", "4"],
 }
 # 21 letters are too short to rank key lengths up to 20: that run exits 2
 # with an empty stdout, so it has no golden.  Recovery at m = 30 (435 list
 # pairs, 245 of them off the star) has one golden, on seed 7.  Only
-# ranking up to 20 is run on 80 000 letters.
-ATTACK_SOURCES = {"max20top26": ("seed7", "seed508", "seed7_80k"), "keylen30": ("seed7",)}
+# ranking up to 20 is run on 80 000 letters.  Ranking up to 4 on the
+# reference is also what test_cli.py reads from stdin behind a byte-order mark.
+ATTACK_SOURCES = {
+    "max20top26": ("seed7", "seed508", "seed7_80k"), "keylen30": ("seed7",), "max4": ("reference",),
+}
 ATTACK_CASES = [
     (source, flags)
     for flags in ATTACK_FLAGS
