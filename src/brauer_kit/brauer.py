@@ -67,8 +67,11 @@ class BrauerConfiguration(namedtuple("BrauerConfiguration", "polygons")):
             for i, poly in enumerate(polygons):
                 if len(poly.word) < 2:
                     raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
-                if any(not isinstance(v, str) or not v for v in poly.word):
-                    raise ConfigError(f"polygon {i}: empty vertex label")
+                for v in poly.word:
+                    if not isinstance(v, str):
+                        raise ConfigError(f"polygon {i}: vertex label {v!r} is not a string")
+                    if not v:
+                        raise ConfigError(f"polygon {i}: empty vertex label")
         return super().__new__(cls, polygons)
 
 

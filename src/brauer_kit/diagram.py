@@ -68,7 +68,7 @@ def diagram_for_score(
         raise DiagramError("score has no events")
     pitches = [class_parts(label)[0] for label in labels]
     clef = score.clef if clef is None else clef
-    if clef not in CLEFS:
+    if not isinstance(clef, str) or clef not in CLEFS:
         raise DiagramError(f"unknown clef {clef!r}")
     if orientation not in ORIENTATIONS:
         raise DiagramError(f"unknown orientation {orientation!r}")

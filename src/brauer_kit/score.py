@@ -34,15 +34,17 @@ canonical text of its (duration + dot, accidental, pitch-or-rest) class, so
 the measures are already the words of the score's configuration: one
 polygon per measure, one vertex per class.  Octaves and grouping never
 enter vertex identity.  ``class_parts`` reads a token's pitch letter and
-effective exponent from the class table.
+effective exponent from the class table, and ``Score`` checks its tokens
+where it is made; ``parse_score`` and ``score_to_config``, whose input has
+met those rules, build their records with ``_make``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import islice, repeat
-from .brauer import BrauerConfiguration, _is_int, config_from_words
+from itertools import chain, islice, repeat
+from .brauer import BrauerConfiguration, Polygon, _is_int
 
 
 class ScoreError(ValueError):
@@ -87,31 +89,46 @@ _WEIGHT = {token: exponent for token, (_, exponent) in _CLASSES.items()}
 def class_parts(token: str) -> tuple:
     """Pitch letter (None for a rest) and effective exponent of a class
     token, read from the class table."""
-    parts = _CLASSES.get(token)
-    if parts is None:
+    parts = isinstance(token, str) and _CLASSES.get(token)
+    if not parts:
         raise ScoreError(f"foreign vertex label {token!r}")
     if parts[1] is None:
         raise ScoreError("a sixty-fourth value cannot be dotted")
     return parts
 
 
+def _check_tokens(words) -> None:
+    """Check that every label of ``words`` is a class token a score may hold:
+    the distinct labels in one pass, then on a fault ``class_parts`` names the first."""
+    try:
+        if _PLAIN.keys() >= set(chain.from_iterable(words)):
+            return
+    except TypeError:  # a label that is not hashable
+        pass
+    for label in chain.from_iterable(words):
+        class_parts(label)
+
+
 class Score(namedtuple("Score", "measures clef time warnings")):
-    """One tuple of note tokens per measure, the clef, the time signature
-    (n, denominator) with denominator = 2^m, or None, and the warnings."""
+    """One tuple of class tokens per measure, the clef, the time signature
+    (n, denominator) with denominator = 2^m, or None, and the warnings.  The
+    constructor checks each; ``_make`` and ``_replace`` do not."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        measures: tuple,
-        clef: str = "treble",
-        time: tuple | None = None,
-        warnings: tuple = (),
-    ):
+    def __new__(cls, measures: tuple, clef: str = "treble", time: tuple | None = None,
+                warnings: tuple = ()):
+        try:
+            measures = tuple(map(tuple, measures))
+        except TypeError:  # not an iterable of iterables
+            raise ScoreError(f"{measures!r} is not a sequence of measures") from None
         if not measures:
             raise ScoreError("a score needs at least one measure")
-        if clef not in CLEFS:
+        _check_tokens(measures)
+        if not isinstance(clef, str) or clef not in CLEFS:
             raise ScoreError(f"unknown clef {clef!r}")
+        if time is not None:
+            measure_target(time)
         return super().__new__(cls, measures, clef, time, warnings)
 
 
@@ -312,12 +329,8 @@ def parse_score(text: str, strict: bool = True) -> Score:
                         raise _error(message, rows, *starts[i])
                     warnings.append(message)
 
-    return Score(
-        measures=tuple(measures),
-        clef=header.get("clef", "treble"),
-        time=time,
-        warnings=tuple(warnings),
-    )
+    # the tokens came from _PLAIN, and the clef and time passed _parse_header_item
+    return Score._make((tuple(measures), header.get("clef", "treble"), time, tuple(warnings)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +338,13 @@ def parse_score(text: str, strict: bool = True) -> Score:
 # ---------------------------------------------------------------------------
 
 def score_to_config(score: Score) -> BrauerConfiguration:
-    """One polygon per measure, in score order; vertices are note classes."""
+    """One polygon per measure, in score order; vertices are note classes.
+    A score's tokens are non-empty strings, so only a short measure can fail."""
     if min(map(len, score.measures)) < 2:
         for i, measure in enumerate(score.measures):
             if len(measure) < 2:
                 raise ScoreError(f"measure {i + 1} has fewer than 2 events")
-    return config_from_words(score.measures)
+    return BrauerConfiguration._make((tuple(map(Polygon, score.measures)),))
 
 
 def config_to_message(
@@ -341,13 +355,8 @@ def config_to_message(
     """Emit the concatenated polygon words as DSL text, one measure per
     polygon.  Every vertex label must be a well-formed note or rest token,
     and the clef and time signature ones that ``parse_score`` reads."""
-    for poly in config.polygons:
-        for label in poly.word:
-            class_parts(label)
-    if clef is not None and clef not in CLEFS:
-        raise ScoreError(f"unknown clef {clef!r}")
-    if time is not None:
-        measure_target(time)
+    words = [poly.word for poly in config.polygons]
+    Score(words, "treble" if clef is None else clef, time)  # the door checks labels, clef and time
     lines = []
     head = []
     if clef is not None:
@@ -356,5 +365,5 @@ def config_to_message(
         head.append(f"time={time[0]}/{time[1]}")
     if head:
         lines.append(" ".join(head))
-    lines.extend("| " + " ".join(poly.word) for poly in config.polygons)
+    lines.extend("| " + " ".join(word) for word in words)
     return "\n".join(lines) + "\n"

@@ -227,8 +227,11 @@ def check_polygons(polygons) -> None:
     for i, poly in enumerate(polygons):
         if len(poly.word) < 2:
             raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
-        if any(not isinstance(v, str) or not v for v in poly.word):
+        bad = [v for v in poly.word if not isinstance(v, str) or v == ""]
+        if bad and isinstance(bad[0], str):
             raise ConfigError(f"polygon {i}: empty vertex label")
+        if bad:
+            raise ConfigError(f"polygon {i}: vertex label {bad[0]!r} is not a string")
 
 
 def parse_config_by_lines(text: str) -> BrauerConfiguration:

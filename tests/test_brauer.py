@@ -98,6 +98,13 @@ def test_polygon_rejects_short_word():
         config_from_words([["a", ""]])
 
 
+@pytest.mark.parametrize("label", [5, None, b"x", ["b"]])
+def test_a_label_that_is_not_a_string_is_named(label):
+    with pytest.raises(ConfigError) as err:
+        config_from_words([["a", label]])
+    assert str(err.value) == f"polygon 0: vertex label {label!r} is not a string"
+
+
 class Label(str):
     """A label of a ``str`` subclass: a label like any other."""
 

@@ -86,11 +86,10 @@ def test_classify_rejects_empty_score():
 
 
 def test_classify_rejects_foreign_token_before_clef():
-    # a hand-built score skips the parser; its foreign token fails before
-    # the unknown clef is seen
-    hand_built = Score(measures=(("c16", "h8"),))
+    # a hand-built score skips the parser, but not the score's own door: its
+    # foreign token fails where it is built, before the unknown clef is seen
     with pytest.raises(ScoreError, match="foreign vertex label 'h8'"):
-        diagram_for_score(hand_built, clef="tenor")
+        diagram_for_score(Score(measures=(("c16", "h8"),)), clef="tenor")
 
 
 def test_classify_rejects_token_with_trailing_newline():
@@ -140,6 +139,9 @@ def test_clef_references():
     # an empty clef is no clef, not the score's own
     with pytest.raises(DiagramError, match="unknown clef ''"):
         diagram_for_score(A6, clef="")
+    # a clef that cannot be hashed is named too
+    with pytest.raises(DiagramError, match=r"^unknown clef \['bass'\]$"):
+        diagram_for_score(A6, clef=["bass"])
     with pytest.raises(DiagramError, match="unknown orientation 'sideways'"):
         diagram_for_score(A6, orientation="sideways", extra_edges=[(0, 99)])
 

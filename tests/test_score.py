@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from brauer_kit.brauer import config_from_words, invariants
 from brauer_kit.score import (
     MAX_EVENTS,
+    _CLASSES,
     _PLAIN,
     _SYMBOLS,
     Score,
@@ -56,6 +57,33 @@ def test_event_foreign_label_rejected():
     for label in ["h8", "g3", "g", "rr8", "-r8", "O", "", "b8 ", "b8\n"]:
         with pytest.raises(ScoreError, match="foreign vertex label"):
             class_parts(label)
+    # a label that is not a string, hashable or not, is named
+    for label, text in [(["c4"], "['c4']"), (5, "5"), (None, "None")]:
+        with pytest.raises(ScoreError) as err:
+            class_parts(label)
+        assert str(err.value) == f"foreign vertex label {text}"
+
+
+def outcome(check, *args):
+    """The message of the ScoreError that ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ScoreError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.sampled_from(sorted(_CLASSES)) | st.text(max_size=4)
+       | st.sampled_from(["h8", "c3", "b8\n", "-r8", "c4 "]), st.integers(0, 2))
+def test_score_door_accepts_exactly_the_class_tokens(label, at):
+    # the door's one pass and class_parts agree on every label: a score
+    # holding it is built, or fails with class_parts's own message
+    measure = ["c4", "d8"]
+    measure.insert(at, label)
+    assert outcome(Score, (("e4", "f4"), measure)) == outcome(class_parts, label)
+    if label:  # an empty label is the configuration's own fault
+        config = config_from_words([["e4", "f4"], measure])
+        assert outcome(config_to_message, config) == outcome(class_parts, label)
 
 
 def test_dotted_effective_exponent():
@@ -758,6 +786,8 @@ def test_config_to_message_rejects_foreign_labels():
     config = config_from_words([["c4", "d4"]])
     with pytest.raises(ScoreError, match=r"^unknown clef 'nope'$"):
         config_to_message(config, clef="nope")
+    with pytest.raises(ScoreError, match=r"^unknown clef \['bass'\]$"):
+        config_to_message(config, clef=["bass"])
     with pytest.raises(ScoreError, match=r"^unsupported time signature 3/5$"):
         config_to_message(config, time=(3, 5))
     with pytest.raises(ScoreError, match=r"^unsupported time signature \(4, 4, 4\)$"):
