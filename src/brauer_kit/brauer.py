@@ -56,22 +56,14 @@ class BrauerConfiguration(namedtuple("BrauerConfiguration", "polygons")):
     def __new__(cls, polygons: tuple[Polygon, ...]):
         if not polygons:
             raise ConfigError("configuration has no polygons")
-        words = [poly.word for poly in polygons]
-        try:  # each word's length, then each distinct label, once
-            valid = min(map(len, words)) >= 2 and all(
-                isinstance(v, str) and v for v in set(chain.from_iterable(words))
-            )
-        except TypeError:  # a label that is not hashable
-            valid = False
-        if not valid:  # name the first fault, polygon by polygon
-            for i, poly in enumerate(polygons):
-                if len(poly.word) < 2:
-                    raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
-                for v in poly.word:
-                    if not isinstance(v, str):
-                        raise ConfigError(f"polygon {i}: vertex label {v!r} is not a string")
-                    if not v:
-                        raise ConfigError(f"polygon {i}: empty vertex label")
+        for i, poly in enumerate(polygons):
+            if len(poly.word) < 2:
+                raise ConfigError(f"polygon {i}: word length {len(poly.word)} < 2")
+            for v in poly.word:
+                if not isinstance(v, str):
+                    raise ConfigError(f"polygon {i}: vertex label {v!r} is not a string")
+                if not v:
+                    raise ConfigError(f"polygon {i}: empty vertex label")
         return super().__new__(cls, polygons)
 
 
@@ -186,25 +178,26 @@ def invariants(config: BrauerConfiguration) -> AlgebraInvariants:
 def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
     """``invariants`` of the configuration whose polygon i holds
     ``rows[i][c]`` occurrences of vertex c, read from that tally table
-    without listing an occurrence.  The rows have one length, and every
-    entry is an integer, not a bool, and not negative; a Vigenere split is
-    the table of its lists' letter counts (``coincidence.list_counts``).
+    without listing an occurrence.  The rows are sequences of one length,
+    and every entry is an integer, not a bool, and not negative; a Vigenere
+    split is the table of its lists' letter counts (``coincidence.list_counts``).
 
     The vertices are the columns with a nonzero entry, each of valency its
     column sum, and a polygon holds its row's nonzero columns.
     """
+    if not isinstance(rows, Sequence):
+        raise ConfigError(f"tally table {rows!r} is not a sequence")
     sizes = []
-    try:  # one C pass over the whole table; a table of exact ints walks no row
-        exact = {int}.issuperset(map(type, chain.from_iterable(rows)))
-    except TypeError:  # a row that is not iterable fails len() below
-        exact = False
     for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ConfigError(f"polygon {i}: {len(row)} tallies, expected {len(rows[0])}")
-        if not exact:
-            for f in row:
-                if not _is_int(f):
-                    raise ConfigError(f"polygon {i}: occurrence count {f!r} is not an integer")
+        try:
+            width = len(row)
+        except TypeError:  # not a sequence
+            raise ConfigError(f"polygon {i}: tally row {row!r} is not a sequence") from None
+        if width != len(rows[0]):
+            raise ConfigError(f"polygon {i}: {width} tallies, expected {len(rows[0])}")
+        if not _all_ints(row):
+            bad = next(f for f in row if not _is_int(f))
+            raise ConfigError(f"polygon {i}: occurrence count {bad!r} is not an integer")
         if min(row, default=0) < 0:
             raise ConfigError(f"polygon {i}: negative occurrence count {min(row)}")
         sizes.append(sum(row))
@@ -216,16 +209,14 @@ def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
 
 
 def _is_int(value) -> bool:
-    """Whether ``value`` is an integer and not a bool, which Python counts
-    as one: the package's one rule for a count, an index or a permutation
-    entry.  ``_all_ints`` and ``invariants_from_tallies`` pass exact ints
-    in one C pass and ask it of the rest."""
+    """Whether ``value`` is an integer and not a bool, which Python counts as
+    one: the package's one rule for a count, an index or a permutation entry."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _all_ints(values: Sequence) -> bool:
-    """Whether every entry of ``values`` passes ``_is_int``; a sequence of
-    exact ints passes in one C pass, without a call per entry."""
+    """Whether every entry of ``values`` passes ``_is_int``: the package's one
+    pass that takes a sequence of exact ints in C, without a call per entry."""
     return {int}.issuperset(map(type, values)) or all(map(_is_int, values))
 
 

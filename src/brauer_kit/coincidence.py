@@ -201,7 +201,7 @@ and the key ``candidates``, ranked by chi-squared, best first."""
 def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     """Recover Vigenere key candidates from the letter counts of a
     ciphertext's m decimated lists (``list_counts``, or a ranked length's
-    ``counts``): 26 integers per list, none a bool or negative.
+    ``counts``): sequences of 26 integers, none a bool or negative.
 
     A shift by s rotates a list's tally, so for each list pair i < j the
     shift with the largest overlap sum_h f_i[h] * f_j[h - s] gives one
@@ -215,10 +215,14 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     frequencies; each decryption's tally is a rotation of the first, which
     sums each list's tally rotated back by its key residue.
     """
+    if not isinstance(counts, Sequence):
+        raise CipherError(f"letter counts {counts!r} are not a sequence of lists")
     n, m = len(LETTERS), len(counts)
     if not m:
         raise CipherError("key recovery needs at least one list")
     for j, c in enumerate(counts):
+        if not isinstance(c, Sequence):
+            raise CipherError(f"list {j} is {c!r}, not a sequence of letter counts")
         if len(c) != n:
             raise CipherError(f"list {j} has {len(c)} letter counts, expected {n}")
         for f in c:

@@ -34,9 +34,9 @@ canonical text of its (duration + dot, accidental, pitch-or-rest) class, so
 the measures are already the words of the score's configuration: one
 polygon per measure, one vertex per class.  Octaves and grouping never
 enter vertex identity.  ``class_parts`` reads a token's pitch letter and
-effective exponent from the class table, and ``Score`` checks its tokens
-where it is made; ``parse_score`` and ``score_to_config``, whose input has
-met those rules, build their records with ``_make``.
+effective exponent from the class table, and ``Score`` walks its tokens
+through it where it is made; ``parse_score`` and ``score_to_config``,
+whose input has met those rules, build their records with ``_make``.
 """
 
 from __future__ import annotations
@@ -97,22 +97,10 @@ def class_parts(token: str) -> tuple:
     return parts
 
 
-def _check_tokens(words) -> None:
-    """Check that every label of ``words`` is a class token a score may hold:
-    the distinct labels in one pass, then on a fault ``class_parts`` names the first."""
-    try:
-        if _PLAIN.keys() >= set(chain.from_iterable(words)):
-            return
-    except TypeError:  # a label that is not hashable
-        pass
-    for label in chain.from_iterable(words):
-        class_parts(label)
-
-
 class Score(namedtuple("Score", "measures clef time warnings")):
     """One tuple of class tokens per measure, the clef, the time signature
-    (n, denominator) with denominator = 2^m, or None, and the warnings.  The
-    constructor checks each; ``_make`` and ``_replace`` do not."""
+    (n, denominator) with denominator = 2^m, or None, and a tuple of warning
+    strings.  The constructor checks each; ``_make`` and ``_replace`` do not."""
 
     __slots__ = ()
 
@@ -124,23 +112,30 @@ class Score(namedtuple("Score", "measures clef time warnings")):
             raise ScoreError(f"{measures!r} is not a sequence of measures") from None
         if not measures:
             raise ScoreError("a score needs at least one measure")
-        _check_tokens(measures)
+        for label in chain.from_iterable(measures):
+            class_parts(label)
         if not isinstance(clef, str) or clef not in CLEFS:
             raise ScoreError(f"unknown clef {clef!r}")
-        if time is not None:
-            measure_target(time)
-        return super().__new__(cls, measures, clef, time, warnings)
+        time = None if time is None else _time_pair(time)
+        if not (isinstance(warnings, (tuple, list)) and all(isinstance(w, str) for w in warnings)):
+            raise ScoreError(f"warnings {warnings!r} are not a tuple of strings")
+        return super().__new__(cls, measures, clef, time, tuple(warnings))
 
 
-def measure_target(time: tuple) -> int:
-    """Required exponent sum for one measure of signature n/2^m; ``time``
-    is the pair (n, 2^m) of ints, and not bools."""
+def _time_pair(time) -> tuple:
+    """``time`` as the pair (n, 2^m) of ints, and not bools, of a signature n/2^m."""
     try:
         n, denom = time
     except (TypeError, ValueError):  # not a pair
         raise ScoreError(f"unsupported time signature {time!r}") from None
     if not (_is_int(n) and _is_int(denom)) or denom not in EXPONENTS or n < 1:
         raise ScoreError(f"unsupported time signature {n}/{denom}")
+    return n, denom
+
+
+def measure_target(time: tuple) -> int:
+    """Required exponent sum for one measure of the time signature (n, 2^m)."""
+    n, denom = _time_pair(time)
     return n * (64 // denom)
 
 

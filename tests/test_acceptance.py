@@ -5,6 +5,7 @@ measured numbers (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -332,3 +333,18 @@ def test_criterion_10_loop_oracle_equivalence():
         config = config_from_words(words)
         assert build_quiver(config).loop_count == _loop_closed_form(config)
     report(10, "1000/1000 cyclic-successor loop counts match the closed form")
+
+
+# ---------------------------------------------------------------------------
+# All ten
+# ---------------------------------------------------------------------------
+
+def test_every_criterion_prints_its_pass_line(capsys):
+    # a deleted or renamed criterion test would leave the rest of the suite
+    # passing; run every one and read the PASS lines they print
+    printed = []
+    for name, criterion in sorted(globals().items()):
+        if name.startswith("test_criterion_"):
+            criterion()
+            printed += re.findall(r"^PASS criterion (\d+):", capsys.readouterr().out, re.M)
+    assert sorted(map(int, printed)) == list(range(1, 11))

@@ -127,8 +127,8 @@ def config_error(build):
 ))
 def test_constructor_names_the_first_fault_of_the_polygon_loop(words):
     # short words, empty labels, labels that are not strings and labels that
-    # cannot be hashed: the one-pass check and the polygon-by-polygon loop
-    # raise the same message, or none
+    # cannot be hashed: the constructor and the reference loop raise the
+    # same message, or none
     polygons = tuple(Polygon(tuple(word)) for word in words)
     assert config_error(lambda: BrauerConfiguration(polygons)) == config_error(
         lambda: check_polygons(polygons)
@@ -584,14 +584,13 @@ def _int_tests(tree: ast.AST, scope: str):
 
 def test_every_integer_check_asks_is_int():
     # an inline isinstance(x, int) lets bools through, unlike _is_int; the
-    # one C pass over exact ints, which falls back to _is_int, stays in brauer
+    # one C pass over exact ints, which falls back to _is_int, is _all_ints
     found = []
     for path in sorted(Path(brauer_kit.__file__).parent.glob("*.py")):
         found.extend(_int_tests(ast.parse(path.read_text()), path.stem))
     assert sorted(found) == [
         ("brauer._all_ints", "type"),
         ("brauer._is_int", "isinstance"),
-        ("brauer.invariants_from_tallies", "type"),
     ]
 
 
@@ -601,6 +600,16 @@ def test_invariants_from_tallies_reject_rows_of_unequal_length():
         invariants_from_tallies([[1, 1, 1], [1, 1]])
     with pytest.raises(ConfigError, match=r"^polygon 2: 4 tallies, expected 3$"):
         invariants_from_tallies([[1, 1, 1], [2, 0, 0], [1, 1, 0, 1]])
+    # a table or a row that is not a sequence is named where it is met
+    for table in (5, None, (row for row in [[1, 1]])):
+        with pytest.raises(ConfigError, match=r"^tally table .* is not a sequence$"):
+            invariants_from_tallies(table)
+    with pytest.raises(ConfigError, match=r"^polygon 0: tally row 5 is not a sequence$"):
+        invariants_from_tallies([5, 6])
+    with pytest.raises(ConfigError, match=r"^polygon 1: tally row None is not a sequence$"):
+        invariants_from_tallies([[1, 1], None, [1]])
+    with pytest.raises(ConfigError, match=r"^polygon 1: 1 tallies, expected 2$"):
+        invariants_from_tallies([[1, 1], [1], 5])
 
 
 # ---------------------------------------------------------------------------

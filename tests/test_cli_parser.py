@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from brauer_kit import cli
+from brauer_kit.brauer import BrauerConfiguration, Polygon
+from brauer_kit.score import Score
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "brauer_kit" / "fixtures"
 SCORE = str(FIXTURES / "canon_a6.bsc")
@@ -117,6 +119,39 @@ def test_a_valid_command_does_not_build_the_full_parser(monkeypatch, argv):
     code, out, err = outcome(monkeypatch, argv)
     assert (code, err) == (0, "")
     assert out
+
+
+def _constructor(*args, **kwargs):
+    raise AssertionError("a record was built through its constructor")
+
+
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "--system", "vigenere", "--key", "MDPI"],
+    ["decrypt", "--system", "vigenere", "--key", "MDPI"],
+    ["attack", "--max-keylen", "4", "--top", "1", "--keylen", "4"],
+    ["analyze", "--config", "CONFIG"],
+    ["analyze", "--score", SCORE],
+    ["analyze", "--ciphertext", CIPHERTEXT, "--keylen", "4"],
+    ["analyze", "--verify"],
+    ["score-check", SCORE],
+    ["graph", SCORE, "--svg", "SVG"],
+], ids=lambda argv: " ".join(argv).replace(SCORE, "SCORE"))
+def test_a_valid_command_builds_no_record_through_its_constructor(monkeypatch, tmp_path, argv):
+    # the producers build configurations and scores with _make, so the
+    # constructors' walks over every label run only for library callers
+    config, svg = tmp_path / "config.txt", tmp_path / "out.svg"
+    config.write_text("a b c\nc d a label: 2 1 3\n")
+    argv = [{"CONFIG": str(config), "SVG": str(svg)}.get(arg, arg) for arg in argv]
+    want = outcome(monkeypatch, argv), svg.exists() and svg.read_text()
+    assert want[0][0] == 0 and want[0][1]
+    monkeypatch.setattr(BrauerConfiguration, "__new__", _constructor)
+    monkeypatch.setattr(Score, "__new__", _constructor)
+    with pytest.raises(AssertionError):  # the patches take hold
+        BrauerConfiguration((Polygon(("a", "b")),))
+    with pytest.raises(AssertionError):
+        Score((("c4", "d4"),))
+    svg.unlink(missing_ok=True)
+    assert (outcome(monkeypatch, argv), svg.exists() and svg.read_text()) == want
 
 
 @pytest.mark.parametrize("flag", ["--max-keylen", "--keylen", "--top"])

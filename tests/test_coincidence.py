@@ -400,6 +400,16 @@ def test_recover_key_rejects_a_row_not_of_26_counts():
         friedman_recover_key([[1] * 26, [1] * 25])
     with pytest.raises(ValueError, match="^list 0 has 27 letter counts, expected 26$"):
         friedman_recover_key([[1] * 27])
+    # a table or a row that is not a sequence is named where it is met
+    for table in (5, None, iter([[1] * 26])):
+        with pytest.raises(CipherError, match="^letter counts .* are not a sequence of lists$"):
+            friedman_recover_key(table)
+    with pytest.raises(CipherError, match="^list 0 is 5, not a sequence of letter counts$"):
+        friedman_recover_key([5])
+    with pytest.raises(CipherError, match="^list 1 is None, not a sequence of letter counts$"):
+        friedman_recover_key([[1] * 26, None, [1] * 25])
+    with pytest.raises(CipherError, match="^list 0 has 25 letter counts, expected 26$"):
+        friedman_recover_key([[1] * 25, 5])
 
 
 def test_recover_key_rejects_a_negative_count():

@@ -134,6 +134,13 @@ RECORDS = {
             (((), "tenor"), ScoreError, "a score needs at least one measure"),
             (((("h8", "g4"),), "tenor", (4, 3)), ScoreError, "foreign vertex label 'h8'"),
             (((("e4", "g4"),), "tenor", (4, 3)), ScoreError, "unknown clef 'tenor'"),
+            (((("e4", "g4"),), "treble", (4, 3), 5), ScoreError, "unsupported time signature 4/3"),
+            # warnings are a tuple or a list of strings
+            (((("e4", "g4"),), "treble", None, 5), ScoreError, "warnings 5 are not a tuple of strings"),
+            (((("e4", "g4"),), "treble", None, "w"), ScoreError,
+             "warnings 'w' are not a tuple of strings"),
+            (((("e4", "g4"),), "treble", None, ["w", 1]), ScoreError,
+             "warnings ['w', 1] are not a tuple of strings"),
         ],
     ),
 }
@@ -166,6 +173,20 @@ def test_record_keeps_its_fields_repr_equality_immutability_and_checks(name):
         with pytest.raises(error) as err:
             type(record)(*args)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("time, warnings, stored", [
+    ([4, 4], (), ((4, 4), ())),
+    (iter((4, 4)), (), ((4, 4), ())),
+    ((2, 2), ["w"], ((2, 2), ("w",))),
+    (None, ("w", "v"), (None, ("w", "v"))),
+])
+def test_every_score_the_constructor_admits_can_be_hashed(time, warnings, stored):
+    # the time is kept as the pair (n, 2^m) and the warnings as a tuple, as
+    # parse_score keeps them, whatever held them
+    score = Score((("c4", "d4"),), "treble", time, warnings)
+    assert (score.time, score.warnings) == stored
+    assert hash(score) == hash(Score._make(((("c4", "d4"),), "treble", *stored)))
 
 
 # "module.function" -> the test that shows, over the function's whole input

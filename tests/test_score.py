@@ -76,8 +76,8 @@ def outcome(check, *args):
 @given(st.sampled_from(sorted(_CLASSES)) | st.text(max_size=4)
        | st.sampled_from(["h8", "c3", "b8\n", "-r8", "c4 "]), st.integers(0, 2))
 def test_score_door_accepts_exactly_the_class_tokens(label, at):
-    # the door's one pass and class_parts agree on every label: a score
-    # holding it is built, or fails with class_parts's own message
+    # the door walks every label through class_parts: a score holding it
+    # is built, or fails with class_parts's own message
     measure = ["c4", "d8"]
     measure.insert(at, label)
     assert outcome(Score, (("e4", "f4"), measure)) == outcome(class_parts, label)
