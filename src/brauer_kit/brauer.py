@@ -38,6 +38,8 @@ SCHEMA = "1"  # the "schema" field of every JSON document brauer-kit writes
 class ConfigError(ValueError):
     """Structurally invalid polygon, configuration or configuration file."""
 
+    code = "E_CONFIG"  # the CLI's error code
+
 
 # ---------------------------------------------------------------------------
 # Data types
@@ -49,11 +51,16 @@ Polygon.__doc__ = """One word of a configuration: the ordered vertex occurrences
 
 
 class BrauerConfiguration(namedtuple("BrauerConfiguration", "polygons")):
-    """An ordered tuple of polygons; polygon order fixes successor sequences."""
+    """An ordered tuple of polygons; polygon order fixes successor sequences.
+    The polygons are kept as a tuple, whatever iterable held them."""
 
     __slots__ = ()
 
-    def __new__(cls, polygons: tuple[Polygon, ...]):
+    def __new__(cls, polygons: Iterable[Polygon]):
+        try:
+            polygons = tuple(polygons)
+        except TypeError:  # not iterable
+            raise ConfigError(f"{polygons!r} is not a sequence of polygons") from None
         if not polygons:
             raise ConfigError("configuration has no polygons")
         for i, poly in enumerate(polygons):
@@ -189,10 +196,11 @@ def invariants_from_tallies(rows: Sequence[Sequence[int]]) -> AlgebraInvariants:
         raise ConfigError(f"tally table {rows!r} is not a sequence")
     sizes = []
     for i, row in enumerate(rows):
-        try:
-            width = len(row)
-        except TypeError:  # not a sequence
-            raise ConfigError(f"polygon {i}: tally row {row!r} is not a sequence") from None
+        # a set or a dict has a length but no order; a list or a tuple, the
+        # rows of a split, skips the slower abstract test
+        if type(row) not in (list, tuple) and not isinstance(row, Sequence):
+            raise ConfigError(f"polygon {i}: tally row {row!r} is not a sequence")
+        width = len(row)
         if width != len(rows[0]):
             raise ConfigError(f"polygon {i}: {width} tallies, expected {len(rows[0])}")
         if not _all_ints(row):

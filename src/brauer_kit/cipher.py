@@ -24,6 +24,8 @@ _FOREIGN = re.compile(r"[^A-Z\s]")  # neither a letter nor whitespace
 class CipherError(ValueError):
     """Invalid key, block shape, permutation or out-of-alphabet character."""
 
+    code = "E_CIPHER"  # the CLI's error code
+
 
 class Alphabet:
     """Folding of free text into ``LETTERS``."""

@@ -6,9 +6,12 @@ invariants of a configuration read from a polygon file, a ciphertext split
 or a score, ``score-check`` validates DSL files, ``graph`` renders
 note-point diagrams to JSON and SVG.  A command builds only its own option
 parser; the help, and a usage error at the top level, come from the full one.
+Importing this module loads only ``brauer`` of the package: each command
+imports the modules it runs.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal error.  Errors
-print to stderr as ``brauer-kit: error[CODE]: message``.  Set
+print to stderr as ``brauer-kit: error[CODE]: message``, with the ``code``
+of the package's error class, or ``E_IO`` for an ``OSError``.  Set
 ``BRAUER_KIT_COLOR=never`` to disable coloring (default ``auto``).
 """
 
@@ -28,28 +31,6 @@ from .brauer import (
     invariants_from_histogram,
     invariants_from_tallies,
     parse_config,
-)
-from .bridge import brauer_ioc
-from .cipher import (
-    CipherError,
-    DEFAULT_ALPHABET,
-    parse_permutation,
-    transposition_decrypt,
-    transposition_encrypt,
-    vigenere_decrypt,
-    vigenere_encrypt,
-)
-from .coincidence import MAX_KEYLEN, friedman_keylength, friedman_recover_key, list_counts
-from .diagram import ORIENTATIONS, DiagramError, diagram_for_score, emit_json, emit_svg, parse_edges
-from .score import CLEFS, ScoreError, ScoreParseError, parse_score, score_to_config
-
-_ERROR_CODES = (
-    (ScoreParseError, "E_SCORE_PARSE"),
-    (ScoreError, "E_SCORE"),
-    (ConfigError, "E_CONFIG"),
-    (CipherError, "E_CIPHER"),
-    (DiagramError, "E_DIAGRAM"),
-    (OSError, "E_IO"),
 )
 
 # worked reference values used by --verify
@@ -121,6 +102,8 @@ def _read(path: str | None) -> str:
 def _read_score(path: str, lax: bool):
     """The score in the file at ``path``; each lax-mode warning goes to
     stderr."""
+    from .score import parse_score
+
     score = parse_score(_read(path), strict=not lax)
     for warning in score.warnings:
         print(f"brauer-kit: warning: {warning}", file=sys.stderr)
@@ -136,6 +119,9 @@ def _round(value) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_crypt(args, encrypting: bool) -> int:
+    from .cipher import (CipherError, DEFAULT_ALPHABET, parse_permutation, transposition_decrypt,
+                         transposition_encrypt, vigenere_decrypt, vigenere_encrypt)
+
     text = DEFAULT_ALPHABET.normalize(_read(args.infile), strip=args.strip)
     if args.system == "vigenere":
         crypt = vigenere_encrypt if encrypting else vigenere_decrypt
@@ -160,6 +146,10 @@ def _cmd_crypt(args, encrypting: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_attack(args) -> int:
+    from .bridge import brauer_ioc
+    from .cipher import CipherError, DEFAULT_ALPHABET
+    from .coincidence import MAX_KEYLEN, friedman_keylength, friedman_recover_key, list_counts
+
     if args.ciphertext is not None and args.infile is not None:
         raise CipherError("attack reads --ciphertext or --in, not both")
     for flag, value in (("--max-keylen", args.max_keylen), ("--keylen", args.keylen)):
@@ -231,6 +221,9 @@ def _cmd_analyze(args) -> int:
     if args.score is None and args.lax:
         raise ConfigError("--lax applies only to --score")
     if args.ciphertext is not None:
+        from .cipher import CipherError, DEFAULT_ALPHABET
+        from .coincidence import list_counts
+
         if args.keylen is None:
             raise ConfigError("--ciphertext requires --keylen")
         if args.keylen < 1:
@@ -240,6 +233,8 @@ def _cmd_analyze(args) -> int:
     elif args.config is not None:
         count, source = invariants, parse_config(_read(args.config))
     else:
+        from .score import score_to_config
+
         count, source = invariants, score_to_config(_read_score(args.score, args.lax))
     with _outputs(args.out):
         _write(_invariants_payload(count(source)), args.out)
@@ -251,6 +246,10 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_checks():
+    from .cipher import vigenere_encrypt
+    from .coincidence import list_counts
+    from .score import parse_score, score_to_config
+
     yield (
         "vigenere-encrypt",
         lambda: vigenere_encrypt(_REFERENCE_PLAINTEXT, _REFERENCE_KEY),
@@ -329,6 +328,8 @@ def _mismatch(actual, expected) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_score_check(args) -> int:
+    from .score import parse_score
+
     score = parse_score(_read(args.score), strict=not args.lax)
     events = sum(map(len, score.measures))
     for warning in score.warnings:
@@ -346,6 +347,8 @@ def _cmd_score_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_graph(args) -> int:
+    from .diagram import diagram_for_score, emit_json, emit_svg, parse_edges
+
     score = _read_score(args.score, args.lax)
     extra = parse_edges(_read(args.edges)) if args.edges is not None else ()
     with _outputs(args.svg, args.json_out):
@@ -429,6 +432,9 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
     else:  # score-check, graph
         p.add_argument("score")
         if name == "graph":
+            from .diagram import ORIENTATIONS
+            from .score import CLEFS
+
             p.add_argument("--clef", choices=tuple(CLEFS), default=None,
                            help="override the score header clef")
             p.add_argument("--orientation", choices=ORIENTATIONS, default="standard")
@@ -461,11 +467,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except tuple(cls for cls, _ in _ERROR_CODES) as exc:
-        code = next(code for cls, code in _ERROR_CODES if isinstance(exc, cls))
-        _error(code, str(exc))
+    except OSError as exc:
+        _error("E_IO", str(exc))
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if type(exc).__module__.startswith(f"{__package__}.") and hasattr(exc, "code"):
+            _error(exc.code, str(exc))  # an error class of the package names its code
+            return 2
         _error("E_INTERNAL", f"{type(exc).__name__}: {exc}")
         return 1
 

@@ -31,6 +31,8 @@ ORIENTATIONS = ("standard", "reversed")
 class DiagramError(ValueError):
     """Invalid diagram request (unknown clef, bad edge, empty score)."""
 
+    code = "E_DIAGRAM"  # the CLI's error code
+
 
 def letter_offset(pitch: str, reference: str) -> int:
     """Signed letter distance from ``reference``, reduced to the window

@@ -50,9 +50,13 @@ from .brauer import BrauerConfiguration, Polygon, _is_int
 class ScoreError(ValueError):
     """Invalid score, event or vertex label."""
 
+    code = "E_SCORE"  # the CLI's error code
+
 
 class ScoreParseError(ScoreError):
     """DSL parse failure with source position."""
+
+    code = "E_SCORE_PARSE"  # the CLI's error code
 
     def __init__(self, message: str, line: int, col: int):
         self.line = line

@@ -608,6 +608,12 @@ def test_invariants_from_tallies_reject_rows_of_unequal_length():
         invariants_from_tallies([5, 6])
     with pytest.raises(ConfigError, match=r"^polygon 1: tally row None is not a sequence$"):
         invariants_from_tallies([[1, 1], None, [1]])
+    # a set or a dict row has a length but no order of its own
+    with pytest.raises(ConfigError, match=r"^polygon 1: tally row \{5, 7\} is not a sequence$"):
+        invariants_from_tallies([[1, 1], {5, 7}])
+    with pytest.raises(ConfigError, match=r"^polygon 0: tally row \{0: 2, 1: 2\} is not a sequence$"):
+        invariants_from_tallies([{0: 2, 1: 2}, [1, 1]])
+    assert invariants_from_tallies([(1, 1), range(2, 4)]) == invariants_from_tallies([[1, 1], [2, 3]])
     with pytest.raises(ConfigError, match=r"^polygon 1: 1 tallies, expected 2$"):
         invariants_from_tallies([[1, 1], [1], 5])
 

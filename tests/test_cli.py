@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from brauer_kit import cipher, cli, coincidence
+from brauer_kit import cipher, cli, coincidence, diagram
 from brauer_kit.cli import main
 from brauer_kit.score import MAX_EVENTS
 
@@ -154,7 +154,7 @@ def test_analyze_verify_reports_each_failing_check_and_runs_the_rest(capsys, mon
 
     monkeypatch.setenv("BRAUER_KIT_COLOR", "never")
     monkeypatch.setattr(cli, "invariants_from_tallies", broken)
-    monkeypatch.setattr(cli, "vigenere_encrypt", lambda text, key: "WRONG")
+    monkeypatch.setattr(cipher, "vigenere_encrypt", lambda text, key: "WRONG")
     code, out, err = run(capsys, "analyze", "--verify")
     lines = out.strip().splitlines()
     assert code == 2 and "E_INTERNAL" not in out + err
@@ -198,6 +198,45 @@ def test_start_up_loads_no_typing_resources_pathlib_dataclasses_or_inspect():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# A child that runs one command through cli.main and then prints, as its last
+# line, the package modules and the fraction modules it loaded.
+LOADED_BY = (
+    "import sys\n"
+    "from brauer_kit import cli\n"
+    "if sys.argv[1:] and cli.main(sys.argv[1:]) != 0:\n"
+    "    sys.exit('the command failed')\n"
+    "print(sorted(n.removeprefix('brauer_kit.') for n in sys.modules\n"
+    "             if n.startswith('brauer_kit.') or n in ('fractions', 'decimal')))\n"
+)
+BASE = ["brauer", "cli"]
+FRACTIONS = ["decimal", "fractions"]  # fractions imports decimal
+
+
+@pytest.mark.parametrize("argv, stdin, loaded", [
+    ([], "", BASE),
+    (["analyze", "--config", "/dev/stdin", "--out", "x.json"], "a b\nb c\n", BASE),
+    (["encrypt", "--system", "vigenere", "--key", "MDPI"], "classical", [*BASE, "cipher"]),
+    (["decrypt", "--system", "transposition", "--key", "2 1"], "OOPA", [*BASE, "cipher"]),
+    (["attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--max-keylen", "4", "--out", "x.json"],
+     "", [*BASE, "bridge", "cipher", "coincidence", *FRACTIONS]),
+    (["analyze", "--score", str(FIXTURES / "slym.bsc"), "--out", "x.json"], "",
+     [*BASE, "score"]),
+    (["score-check", str(FIXTURES / "slym.bsc")], "", [*BASE, "score"]),
+    (["graph", str(FIXTURES / "slym.bsc"), "--svg", "x.svg", "--json", "x.json"], "",
+     [*BASE, "diagram", "score"]),
+    (["analyze", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--keylen", "4", "--out", "x.json"],
+     "", [*BASE, "cipher", "coincidence", *FRACTIONS]),
+], ids=["import", "analyze-config", "encrypt", "decrypt", "attack", "analyze-score",
+        "score-check", "graph", "analyze-ciphertext"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, stdin, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LOADED_BY, *argv], input=stdin, capture_output=True,
+        text=True, timeout=60, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == repr(sorted(loaded))
 
 
 def test_encrypt_vigenere(capsys, tmp_path):
@@ -637,18 +676,19 @@ def test_graph_failed_output_leaves_no_file(capsys, tmp_path, monkeypatch):
         assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv, computation", [
+@pytest.mark.parametrize("argv, home, computation", [
     (["attack", "--ciphertext", "OOPAELRIXFGGBWDODDEPK", "--max-keylen", "4"],
-     "friedman_keylength"),
-    (["analyze", "--config", "k.cfg"], "invariants"),
-    (["graph", str(FIXTURES / "slym.bsc"), "--svg", "ok.svg"], "diagram_for_score"),
+     coincidence, "friedman_keylength"),
+    (["analyze", "--config", "k.cfg"], cli, "invariants"),
+    (["graph", str(FIXTURES / "slym.bsc"), "--svg", "ok.svg"], diagram, "diagram_for_score"),
 ], ids=["attack", "analyze", "graph"])
 def test_outputs_are_opened_before_the_computation(capsys, tmp_path, monkeypatch,
-                                                    argv, computation):
+                                                    argv, home, computation):
+    # each computation is patched where its command looks it up when it runs
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k.cfg").write_text("a b\nb c\n")
     calls = []
-    monkeypatch.setattr(cli, computation, lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(home, computation, lambda *args, **kwargs: calls.append(args))
     out_flag = "--json" if argv[0] == "graph" else "--out"
     code, out, err = run(capsys, *argv, out_flag, "nodir/x.json")
     assert (code, out, calls) == (2, "", [])
@@ -892,6 +932,19 @@ STDLIB_ROWS = [
                  (b'"loops": 1,',), b"", id="config-settled-vertex-gains-holder"),
     pytest.param(["analyze", "--config", "/dev/stdin"], b"a b\nc d\nb e\n", 0,
                  (b'"connected": false',), b"", id="config-stays-split"),
+    # each error class's code, read from a class its command imported when it ran
+    pytest.param(["analyze", "--config", "/dev/stdin"], b"a\n", 2, b"",
+                 b"brauer-kit: error[E_CONFIG]: line 1: polygon needs at least 2 vertices\n",
+                 id="error-config"),
+    pytest.param(["analyze", "--score", "/dev/stdin"], b"clef=treble\n| c4\n", 2, b"",
+                 b"brauer-kit: error[E_SCORE]: measure 1 has fewer than 2 events\n",
+                 id="error-score"),
+    pytest.param(["graph", str(FIXTURES / "slym.bsc"), "--edges", "/dev/stdin"], b"x y\n", 2,
+                 b"", b"brauer-kit: error[E_DIAGRAM]: edge line 1: expected two indices\n",
+                 id="error-diagram"),
+    pytest.param(["attack", "--in", "no-such-dir/in.txt"], b"", 2, b"",
+                 b"brauer-kit: error[E_IO]: [Errno 2] No such file or directory: "
+                 b"'no-such-dir/in.txt'\n", id="error-io"),
 ]
 
 

@@ -64,6 +64,9 @@ RECORDS = {
             (((Polygon(("a", "")),),), ConfigError, "polygon 0: empty vertex label"),
             (((Polygon(("a", ["b"])),),), ConfigError,
              "polygon 0: vertex label ['b'] is not a string"),
+            ((5,), ConfigError, "5 is not a sequence of polygons"),
+            ((None,), ConfigError, "None is not a sequence of polygons"),
+            ((iter(()),), ConfigError, "configuration has no polygons"),
         ],
     ),
     "AlgebraInvariants": (
@@ -187,6 +190,20 @@ def test_every_score_the_constructor_admits_can_be_hashed(time, warnings, stored
     score = Score((("c4", "d4"),), "treble", time, warnings)
     assert (score.time, score.warnings) == stored
     assert hash(score) == hash(Score._make(((("c4", "d4"),), "treble", *stored)))
+
+
+@pytest.mark.parametrize("polygons", [
+    [Polygon(("a", "b")), Polygon(("b", "c"))],
+    (polygon for polygon in [Polygon(("a", "b")), Polygon(("b", "c"))]),
+], ids=["list", "generator"])
+def test_every_configuration_the_constructor_admits_can_be_hashed(polygons):
+    # the polygons are kept as a tuple, as parse_config keeps them, and a
+    # generator is read once, not stored spent
+    config = BrauerConfiguration(polygons)
+    stored = (Polygon(("a", "b")), Polygon(("b", "c")))
+    assert config.polygons == stored
+    assert hash(config) == hash(BrauerConfiguration._make((stored,)))
+    assert invariants(config) == invariants(BrauerConfiguration._make((stored,)))
 
 
 # "module.function" -> the test that shows, over the function's whole input
