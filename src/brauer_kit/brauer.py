@@ -52,7 +52,7 @@ Polygon.__doc__ = """One word of a configuration: the ordered vertex occurrences
 
 class BrauerConfiguration(namedtuple("BrauerConfiguration", "polygons")):
     """An ordered tuple of polygons; polygon order fixes successor sequences.
-    The polygons are kept as a tuple, whatever iterable held them."""
+    The polygons, and each one's word, are kept as tuples, whatever held them."""
 
     __slots__ = ()
 
@@ -71,7 +71,7 @@ class BrauerConfiguration(namedtuple("BrauerConfiguration", "polygons")):
                     raise ConfigError(f"polygon {i}: vertex label {v!r} is not a string")
                 if not v:
                     raise ConfigError(f"polygon {i}: empty vertex label")
-        return super().__new__(cls, polygons)
+        return super().__new__(cls, tuple(Polygon(tuple(poly.word)) for poly in polygons))
 
 
 def config_from_words(words: Iterable[Sequence[str]]) -> BrauerConfiguration:

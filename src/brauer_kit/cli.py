@@ -4,10 +4,11 @@ Subcommands: ``encrypt``/``decrypt`` stream classical-cipher text,
 ``attack`` emits a JSON cryptanalysis report, ``analyze`` emits the
 invariants of a configuration read from a polygon file, a ciphertext split
 or a score, ``score-check`` validates DSL files, ``graph`` renders
-note-point diagrams to JSON and SVG.  A command builds only its own option
-parser; the help, and a usage error at the top level, come from the full one.
-Importing this module loads only ``brauer`` of the package: each command
-imports the modules it runs.
+note-point diagrams to JSON and SVG.  A valid command line is read against
+one option table; ``argparse`` is imported only to build the full parser
+from that table, which words the help and every usage error.  Importing
+this module loads only ``brauer`` of the package: each command imports the
+modules it runs.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal error.  Errors
 print to stderr as ``brauer-kit: error[CODE]: message``, with the ``code``
@@ -17,11 +18,11 @@ of the package's error class, or ``E_IO`` for an ``OSError``.  Set
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from .brauer import (
     SCHEMA,
@@ -369,13 +370,13 @@ def _cmd_graph(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {  # each command and its line in the full parser's help
-    "encrypt": "encrypt text read from --in or stdin",
-    "decrypt": "decrypt text read from --in or stdin",
-    "attack": "coincidence-index attack report (JSON)",
-    "analyze": "invariants of a configuration (JSON)",
-    "score-check": "validate a score DSL file",
-    "graph": "note-point diagram (JSON, optionally SVG)",
+_COMMANDS = {  # each command, its handler and its line in the full parser's help
+    "encrypt": (lambda args: _cmd_crypt(args, True), "encrypt text read from --in or stdin"),
+    "decrypt": (lambda args: _cmd_crypt(args, False), "decrypt text read from --in or stdin"),
+    "attack": (_cmd_attack, "coincidence-index attack report (JSON)"),
+    "analyze": (_cmd_analyze, "invariants of a configuration (JSON)"),
+    "score-check": (_cmd_score_check, "validate a score DSL file"),
+    "graph": (_cmd_graph, "note-point diagram (JSON, optionally SVG)"),
 }
 
 
@@ -384,86 +385,153 @@ def _int(text: str) -> int:
     try:
         (value,) = ascii_ints([text.removeprefix("-")])
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     return -value if text.startswith("-") else value
 
 
-class _Store(argparse.Action):
-    """``store``, but ``--opt=--``, which argparse reads as [], lacks a value."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
-            raise argparse.ArgumentError(self, "expected one argument")
-        setattr(namespace, self.dest, values)
-
-
-def _add_options(p: argparse.ArgumentParser, name: str) -> None:
-    """Add command ``name``'s options to ``p``, its own or the full parser's."""
-    p.register("action", None, _Store)
+def _options(name: str) -> tuple:
+    """The option table's rows for command ``name``, in the full parser's
+    order: flag, dest, kind, default, required and help.  A kind is ``str``
+    (text), ``_int``, ``bool`` (a store-true flag) or a tuple of choices; the
+    flag ``score`` is the positional of score-check and graph."""
     if name in ("encrypt", "decrypt"):
-        p.add_argument("--system", choices=("vigenere", "transposition"), required=True)
-        p.add_argument("--key", required=True,
-                       help="letters for vigenere, one-line permutation for transposition")
-        p.add_argument("--in", dest="infile", help="input file (default stdin)")
-        p.add_argument("--strip", action="store_true",
-                       help="drop non-alphabet characters instead of rejecting them")
-        p.set_defaults(func=lambda a: _cmd_crypt(a, name == "encrypt"))
-    elif name == "attack":
-        p.add_argument("--ciphertext", help="ciphertext argument (default: --in or stdin)")
-        p.add_argument("--in", dest="infile", help="input file")
-        p.add_argument("--max-keylen", type=_int, default=8)
-        p.add_argument("--keylen", type=_int, default=None,
-                       help="force recovery at this key length (default: top candidate)")
-        p.add_argument("--top", type=_int, default=5, help="key candidates to report")
-        p.add_argument("--strip", action="store_true")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.set_defaults(func=_cmd_attack)
-    elif name == "analyze":
-        p.add_argument("--config", help="polygon-per-line configuration file")
-        p.add_argument("--ciphertext", help="ciphertext to split by --keylen")
-        p.add_argument("--keylen", type=_int, default=None)
-        p.add_argument("--score", help="score DSL file")
-        p.add_argument("--lax", action="store_true", help="downgrade measure-sum errors")
-        p.add_argument("--strip", action="store_true")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--verify", action="store_true",
-                       help="re-check all bundled fixtures against their goldens")
-        p.set_defaults(func=_cmd_analyze)
-    else:  # score-check, graph
-        p.add_argument("score")
-        if name == "graph":
-            from .diagram import ORIENTATIONS
-            from .score import CLEFS
+        return (
+            ("--system", "system", ("vigenere", "transposition"), None, True, None),
+            ("--key", "key", str, None, True,
+             "letters for vigenere, one-line permutation for transposition"),
+            ("--in", "infile", str, None, False, "input file (default stdin)"),
+            ("--strip", "strip", bool, False, False,
+             "drop non-alphabet characters instead of rejecting them"),
+        )
+    if name == "attack":
+        return (
+            ("--ciphertext", "ciphertext", str, None, False,
+             "ciphertext argument (default: --in or stdin)"),
+            ("--in", "infile", str, None, False, "input file"),
+            ("--max-keylen", "max_keylen", _int, 8, False, None),
+            ("--keylen", "keylen", _int, None, False,
+             "force recovery at this key length (default: top candidate)"),
+            ("--top", "top", _int, 5, False, "key candidates to report"),
+            ("--strip", "strip", bool, False, False, None),
+            ("--out", "out", str, None, False, "write the report here instead of stdout"),
+        )
+    if name == "analyze":
+        return (
+            ("--config", "config", str, None, False, "polygon-per-line configuration file"),
+            ("--ciphertext", "ciphertext", str, None, False, "ciphertext to split by --keylen"),
+            ("--keylen", "keylen", _int, None, False, None),
+            ("--score", "score", str, None, False, "score DSL file"),
+            ("--lax", "lax", bool, False, False, "downgrade measure-sum errors"),
+            ("--strip", "strip", bool, False, False, None),
+            ("--out", "out", str, None, False, "write the report here instead of stdout"),
+            ("--verify", "verify", bool, False, False,
+             "re-check all bundled fixtures against their goldens"),
+        )
+    if name == "score-check":
+        return (
+            ("score", "score", str, None, True, None),
+            ("--lax", "lax", bool, False, False, None),
+        )
+    from .diagram import ORIENTATIONS
+    from .score import CLEFS
 
-            p.add_argument("--clef", choices=tuple(CLEFS), default=None,
-                           help="override the score header clef")
-            p.add_argument("--orientation", choices=ORIENTATIONS, default="standard")
-            p.add_argument("--edges", help="sidecar file of extra edge pairs, one 'i j' per line")
-            p.add_argument("--connect-equal-y", action="store_true")
-            p.add_argument("--svg", help="write an SVG rendering here")
-            p.add_argument("--json", dest="json_out",
-                           help="write the JSON diagram here instead of stdout")
-        p.add_argument("--lax", action="store_true")
-        p.set_defaults(func=_cmd_graph if name == "graph" else _cmd_score_check)
+    return (
+        ("score", "score", str, None, True, None),
+        ("--clef", "clef", tuple(CLEFS), None, False, "override the score header clef"),
+        ("--orientation", "orientation", ORIENTATIONS, "standard", False, None),
+        ("--edges", "edges", str, None, False,
+         "sidecar file of extra edge pairs, one 'i j' per line"),
+        ("--connect-equal-y", "connect_equal_y", bool, False, False, None),
+        ("--svg", "svg", str, None, False, "write an SVG rendering here"),
+        ("--json", "json_out", str, None, False, "write the JSON diagram here instead of stdout"),
+        ("--lax", "lax", bool, False, False, None),
+    )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The full parser's namespace for ``argv`` when ``argv`` is a command
+    and its plain arguments: exact option names, each followed by its value
+    unless it is a store-true flag, and for score-check and graph one score.
+    No value or score may start with ``-``, every int must pass ``_int``,
+    every choice be in its tuple and every required option be present.  Any
+    other ``argv``, the help, ``--``, ``--flag=value`` and abbreviations
+    among them, gives None: it is the full parser's to read or to refuse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    table = _options(argv[0])
+    kinds = {flag: (dest, kind) for flag, dest, kind, _, _, _ in table}
+    values = {dest: default for _, dest, _, default, _, _ in table}
+    missing = {dest for _, dest, _, _, required, _ in table if required}
+    positionals = [flag for flag in kinds if not flag.startswith("-")]
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            dest, kind = kinds[positionals.pop()]
+        elif word not in kinds:
+            return None
+        else:
+            dest, kind = kinds[word]
+            if kind is bool:
+                values[dest] = True
+                continue
+            word = next(words, "-")  # a missing value reads as a dash
+            if word.startswith("-"):
+                return None
+        if kind is _int:
+            try:
+                word = _int(word)
+            except Exception:  # _int's usage error, which argparse defines
+                return None
+        elif isinstance(kind, tuple) and word not in kind:
+            return None
+        values[dest] = word
+        missing.discard(dest)
+    if missing:
+        return None
+    func, _ = _COMMANDS[argv[0]]
+    return SimpleNamespace(command=argv[0], **values, func=func)
+
+
+def build_parser():
+    """The full ``argparse`` parser, built from the option table: it words
+    the help and every usage error."""
+    import argparse
+
+    class _Store(argparse.Action):
+        """``store``, but ``--opt=--``, which argparse reads as [], lacks a value."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(prog="brauer-kit", description="Brauer configurations from "
                                      "ciphertexts and scores, classical ciphers, and note-point diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, line in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=line), name)
+    for name, (func, line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=line)
+        p.register("action", None, _Store)
+        for flag, dest, kind, default, required, help in _options(name):
+            if not flag.startswith("-"):
+                p.add_argument(flag, help=help)
+            elif kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=help)
+            else:
+                choices = kind if isinstance(kind, tuple) else None
+                p.add_argument(flag, dest=dest, type=None if choices else kind, choices=choices,
+                               default=default, required=required, help=help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    rest = argv  # what the command's own parser leaves over
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"brauer-kit {argv[0]}")
-        _add_options(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-    if rest or not argv:  # the full parser words the help or the usage error
+    args = _read_argv(argv)
+    if args is None:  # the full parser words the help or the usage error
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -537,6 +538,14 @@ def test_invariants_from_tallies_match_the_listed_words(rows):
     # zero columns are no vertex; a column with one nonzero row closes its
     # circular order there with one loop more
     assert invariants_from_tallies(rows) == invariants(config_from_words(tally_words(rows)))
+
+
+def test_invariants_from_tallies_read_a_row_of_int_subclasses_as_its_ints():
+    # an IntEnum entry is an int that is not exactly one, so _all_ints's fast
+    # test fails and its per-entry _is_int test admits it
+    Count = IntEnum("Count", {"ONE": 1, "TWO": 2})
+    rows = [[Count.TWO, 0, Count.ONE], [1, 1, 1]]
+    assert invariants_from_tallies(rows) == invariants_from_tallies([[2, 0, 1], [1, 1, 1]])
 
 
 def test_invariants_from_tallies_reject_what_a_configuration_rejects():

@@ -190,6 +190,11 @@ def test_split_blocks_rejects_negative_size():
         split_blocks("ABCD", [3, -1, 2])
 
 
+def test_split_blocks_takes_a_block_of_size_zero():
+    # only a negative size is refused: an empty block is a block
+    assert split_blocks("AB", [0, 2]) == ["", "AB"]
+
+
 def test_block_permutation_rejects_non_bijection():
     for crypt in (transposition_encrypt, transposition_decrypt):
         with pytest.raises(CipherError, match=r"^\(1, 1, 2\) is not a permutation of 1\.\.3$"):

@@ -201,14 +201,17 @@ def test_start_up_loads_no_typing_resources_pathlib_dataclasses_or_inspect():
 
 
 # A child that runs one command through cli.main and then prints, as its last
-# line, the package modules and the fraction modules it loaded.
+# line, the package modules, the fraction modules and the option-parser
+# modules it loaded, also when a usage error exits from inside main.
 LOADED_BY = (
     "import sys\n"
     "from brauer_kit import cli\n"
-    "if sys.argv[1:] and cli.main(sys.argv[1:]) != 0:\n"
-    "    sys.exit('the command failed')\n"
-    "print(sorted(n.removeprefix('brauer_kit.') for n in sys.modules\n"
-    "             if n.startswith('brauer_kit.') or n in ('fractions', 'decimal')))\n"
+    "try:\n"
+    "    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "finally:\n"
+    "    print(sorted(n.removeprefix('brauer_kit.') for n in sys.modules if n.startswith('brauer_kit.')\n"
+    "                 or n in ('fractions', 'decimal', 'argparse', 'gettext')))\n"
+    "sys.exit(code)\n"
 )
 BASE = ["brauer", "cli"]
 FRACTIONS = ["decimal", "fractions"]  # fractions imports decimal
@@ -237,6 +240,25 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, stdin, loaded)
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == repr(sorted(loaded))
+
+
+def test_a_usage_error_loads_argparse_to_word_it():
+    # a valid command line is read from the option table; argparse, and the
+    # gettext it imports, load only for the help and the usage errors, whose
+    # full parser takes graph's choices from score and diagram
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LOADED_BY, "attack", "--max-keylen", "x"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
+    )
+    loaded = sorted([*BASE, "argparse", "diagram", "gettext", "score"])
+    assert (proc.returncode, proc.stdout) == (2, repr(loaded) + "\n")
+    assert proc.stderr == (
+        "usage: brauer-kit attack [-h] [--ciphertext CIPHERTEXT] [--in INFILE]\n"
+        "                         [--max-keylen MAX_KEYLEN] [--keylen KEYLEN]\n"
+        "                         [--top TOP] [--strip] [--out OUT]\n"
+        "brauer-kit attack: error: argument --max-keylen: invalid int value: 'x'\n"
+    )
 
 
 def test_encrypt_vigenere(capsys, tmp_path):

@@ -1,18 +1,20 @@
-"""The option parsers of ``brauer-kit``: a command's own parser reads its
-argv, and the full parser gives the help and the usage errors, byte for
-byte as when the full parser read every argv."""
+"""The option parsing of ``brauer-kit``: the reader of the option table
+reads a valid argv, and the full parser gives the help and the usage
+errors, byte for byte as when the full parser read every argv."""
 
 import contextlib
 import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brauer_kit import cli
 from brauer_kit.brauer import BrauerConfiguration, Polygon
 from brauer_kit.score import Score
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "brauer_kit" / "fixtures"
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 SCORE = str(FIXTURES / "canon_a6.bsc")
 CIPHERTEXT = "OOPAELRIXFGGBWDODDEPK"
 COMMANDS = ("encrypt", "decrypt", "attack", "analyze", "score-check", "graph")
@@ -76,14 +78,103 @@ def outcome(monkeypatch, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", CORPUS, ids=[" ".join(argv).replace(SCORE, "SCORE") or "(none)"
-                                               for argv in CORPUS])
-def test_output_matches_the_full_parser(monkeypatch, argv):
+def assert_matches_the_full_parser(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at a fixed width
     monkeypatch.setenv("BRAUER_KIT_COLOR", "never")
     own = outcome(monkeypatch, argv)
-    monkeypatch.setattr(cli, "_COMMANDS", _NoCommandNamed(cli._COMMANDS))
-    assert own == outcome(monkeypatch, argv)
+    with monkeypatch.context() as full:
+        full.setattr(cli, "_COMMANDS", _NoCommandNamed(cli._COMMANDS))
+        assert own == outcome(full, argv)
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=[" ".join(argv).replace(SCORE, "SCORE") or "(none)"
+                                               for argv in CORPUS])
+def test_output_matches_the_full_parser(monkeypatch, argv):
+    assert_matches_the_full_parser(monkeypatch, argv)
+
+
+SCORES = [str(FIXTURES / "slym.bsc"), SCORE]
+# values that no plain argv holds: the reader leaves an argv with one to argparse
+ODD_VALUES = ["", "-x", "-3", "--", "-h"]
+# words that no plain argv holds: the end of options, help, an unknown flag
+# and a lone dash
+ODD_WORDS = ["--", "-h", "--bogus", "-"]
+# the one break that a drawn argv may hold, or None
+BREAKS = [None] * 3 + ["value"] * 2 + ["positional", "word", "joined", "abbreviated", "bare",
+                                      "missing"]
+
+
+def plain_values(dest, kind):
+    if kind is cli._int:
+        return ["1", "4", "0004", "20"]
+    if isinstance(kind, tuple):
+        return list(kind)
+    if dest in ("out", "svg", "json_out"):  # outputs land in the working directory
+        return ["a.out", "b.out"]
+    return [CIPHERTEXT, *SCORES]
+
+
+@st.composite
+def argvs(draw):
+    """A plain argv of one command, built from its rows of the option table
+    in any order, or that argv with one break in it: a positional too many,
+    an odd word, an odd or bad value, ``--flag=value``, an abbreviation, a
+    flag without its value or a required row left out."""
+    name = draw(st.sampled_from(COMMANDS))
+    table = cli._options(name)
+    rows = [row for row in table if row[4]]
+    rows += draw(st.lists(st.sampled_from([row for row in table if row[0].startswith("-")]),
+                          max_size=4))
+    pieces = []  # (row, its words)
+    for row in rows:
+        flag, dest, kind, _, _, _ = row
+        value = draw(st.sampled_from(plain_values(dest, kind)))
+        words = [flag] if kind is bool else [value] if not flag.startswith("-") else [flag, value]
+        pieces.append((row, words))
+    fault = draw(st.sampled_from(BREAKS))
+    valued = [i for i, (row, _) in enumerate(pieces) if row[2] is not bool]
+    options = [i for i, (row, _) in enumerate(pieces) if row[0].startswith("-")]
+    if fault == "positional":  # a second one, or one that the command does not take
+        pieces.append((None, [SCORE]))
+    elif fault == "word":
+        pieces.append((None, [draw(st.sampled_from(ODD_WORDS))]))
+    elif fault == "value" and valued:
+        row, words = pieces[draw(st.sampled_from(valued))]
+        bad = "1_0" if row[2] is cli._int else "bogus" if isinstance(row[2], tuple) else None
+        words[-1] = bad or draw(st.sampled_from(ODD_VALUES))
+    elif fault in ("joined", "bare") and [i for i in valued if i in options]:
+        _, words = pieces[draw(st.sampled_from([i for i in valued if i in options]))]
+        words[:] = ["=".join(words)] if fault == "joined" else words[:1]
+    elif fault == "abbreviated" and options:
+        _, words = pieces[draw(st.sampled_from(options))]
+        # the shortest abbreviation, often ambiguous, or the longest
+        words[0] = words[0][:draw(st.sampled_from([3, len(words[0]) - 1]))]
+    elif fault == "missing" and any(row[4] for row, _ in pieces):
+        pieces.pop(next(i for i, (row, _) in enumerate(pieces) if row[4]))
+    return [name, *(word for _, words in draw(st.permutations(pieces)) for word in words)]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_drawn_output_matches_the_full_parser(workdir, argv):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.chdir(workdir)
+        assert_matches_the_full_parser(monkeypatch, argv)
+
+
+@pytest.mark.parametrize("command", ["", *COMMANDS])
+def test_help_matches_its_golden(monkeypatch, command):
+    # the full parser, built from the option table, words the help as the
+    # hand-written parser did; COLUMNS fixes where it wraps
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = GOLDENS / f"help{'_' + command if command else ''}.txt"
+    argv = [command, "-h"] if command else ["-h"]
+    assert outcome(monkeypatch, argv) == (0, golden.read_text(encoding="utf-8"), "")
 
 
 def test_corpus_reaches_both_parsers_and_every_exit(monkeypatch):

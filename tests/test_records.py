@@ -195,10 +195,11 @@ def test_every_score_the_constructor_admits_can_be_hashed(time, warnings, stored
 @pytest.mark.parametrize("polygons", [
     [Polygon(("a", "b")), Polygon(("b", "c"))],
     (polygon for polygon in [Polygon(("a", "b")), Polygon(("b", "c"))]),
-], ids=["list", "generator"])
+    [Polygon(["a", "b"]), Polygon("bc")],
+], ids=["list", "generator", "words-not-tuples"])
 def test_every_configuration_the_constructor_admits_can_be_hashed(polygons):
-    # the polygons are kept as a tuple, as parse_config keeps them, and a
-    # generator is read once, not stored spent
+    # the polygons and each word are kept as tuples, as parse_config keeps
+    # them, and a generator is read once, not stored spent
     config = BrauerConfiguration(polygons)
     stored = (Polygon(("a", "b")), Polygon(("b", "c")))
     assert config.polygons == stored
