@@ -496,9 +496,10 @@ def _read_argv(argv) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **values, func=func)
 
 
-def build_parser():
+def build_parser(argv=None):
     """The full ``argparse`` parser, built from the option table: it words
-    the help and every usage error."""
+    the help and every usage error.  Given ``argv``, only the command that
+    argparse runs, its first word not starting with ``-``, gets its rows."""
     import argparse
 
     class _Store(argparse.Action):
@@ -512,10 +513,12 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="brauer-kit", description="Brauer configurations from "
                                      "ciphertexts and scores, classical ciphers, and note-point diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = next((word for word in argv or () if not word.startswith("-")), None)
     for name, (func, line) in _COMMANDS.items():
         p = sub.add_parser(name, help=line)
         p.register("action", None, _Store)
-        for flag, dest, kind, default, required, help in _options(name):
+        rows = _options(name) if argv is None or name == command else ()
+        for flag, dest, kind, default, required, help in rows:
             if not flag.startswith("-"):
                 p.add_argument(flag, help=help)
             elif kind is bool:
@@ -532,7 +535,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
     if args is None:  # the full parser words the help or the usage error
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

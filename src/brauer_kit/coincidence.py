@@ -1,15 +1,15 @@
 """Coincidence statistics and the Friedman ciphertext-only attack.
 
-Indices of coincidence are exact rationals; decimals appear only when
+Every figure is an int or an exact rational; decimals appear only when
 rendering reports.  The attack splits a ciphertext into candidate decimated
 lists, scores key lengths by how close the per-list indices come to the
 English target 0.065, recovers shift differences from the 26 cyclic overlaps
 of each pair of lists' tallies (a Vigenere shift rotates a tally), and ranks
-the anchored keys by a chi-squared fit of the decryption.  Both steps work
-in integers: the ranking compares and sums the deviations of each list's
-coincidence count from the target, and recovery reads a pair's 26 overlaps
-from one product of two big integers that hold the tallies in fixed-width
-slots (Kronecker substitution).
+the anchored keys by a chi-squared fit of the decryption, all in integers:
+the ranking compares and sums the deviations of each list's coincidence
+count from the target, recovery reads a pair's 26 overlaps from one product
+of two big integers that hold the tallies in fixed-width slots (Kronecker
+substitution), and a chi-squared is one fraction over integer products.
 
 Everything after the split reads the lists' letter counts.  Ranking key
 lengths up to M counts letters only for a few splits: from M down, a length
@@ -32,22 +32,24 @@ from collections.abc import Sequence
 from .brauer import _is_int
 from .cipher import CipherError, LETTERS
 
-# Relative letter frequencies of English text, in percent, A to Z.
+# Relative letter frequencies F of English text, A to Z, in thousandths of
+# a percent: letter h is expected N * F_h / 10**5 times in N letters.
 ENGLISH_FREQUENCIES = dict(zip(LETTERS, (
-    8.167, 1.492, 2.782, 4.253, 12.702, 2.228, 2.015, 6.094, 6.966, 0.153,
-    0.772, 4.025, 2.406, 6.749, 7.507, 1.929, 0.095, 5.987, 6.327, 9.056,
-    2.758, 0.978, 2.360, 0.150, 1.974, 0.074,
+    8167, 1492, 2782, 4253, 12702, 2228, 2015, 6094, 6966, 153,
+    772, 4025, 2406, 6749, 7507, 1929, 95, 5987, 6327, 9056,
+    2758, 978, 2360, 150, 1974, 74,
 )))
+_LCM = lcm(*ENGLISH_FREQUENCIES.values())  # L, 218 bits
+_WEIGHTS = [_LCM // f for f in ENGLISH_FREQUENCIES.values()]  # the integers L / F_h
 
 IOC_TARGET = Fraction(65, 1000)
 IOC_WINDOW = Fraction(1, 100)
 
 # Ceiling of the attack's --keylen and --max-keylen.  Recovery at m compares
 # m(m-1)/2 list pairs and the ranking up to M reports M(M+1)/2 list indices,
-# so the work grows with the square of either flag.  At the ceiling the
-# slowest attack on 100 000 letters takes 0.22-0.45 s and about 20 MB as a
-# subprocess, in 15 runs on a shared 2-CPU x86-64 host under Python 3.11
-# (README's Limits).
+# so the work grows with the square of either flag.  The ceiling was set
+# against a budget of 2 s and 100 MB for the slowest attack on 100 000
+# letters (README's Limits).
 MAX_KEYLEN = 100
 
 # Fewest letters in a list of a split shared by several key lengths.  A
@@ -98,15 +100,6 @@ def decimate(text: str, m: int) -> list[str]:
     if len(text) < 2 * m:
         raise CipherError(f"splitting into {m} lists leaves a list shorter than 2")
     return [text[i::m] for i in range(m)]
-
-
-def _chi_squared(counts: list[int], expected: list[float]) -> float:
-    """Chi-squared statistic of letter counts against their ``expected``
-    counts, each ``n * freq / 100.0`` for the counts' sum n > 0."""
-    score = 0.0
-    for count, exp in zip(counts, expected):
-        score += (count - exp) ** 2 / exp
-    return score
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +183,7 @@ def friedman_keylength(cipher: str, max_len: int) -> list[KeyLengthCandidate]:
 
 KeyCandidate = namedtuple("KeyCandidate", "key chi2")
 KeyCandidate.__doc__ = """A recovered ``key`` and the chi-squared fit of its
-decryption against English (``chi2``)."""
+decryption against English (``chi2``), an exact ``Fraction``."""
 
 KeyRecovery = namedtuple("KeyRecovery", "differences residuals candidates")
 KeyRecovery.__doc__ = """The shift ``differences`` (i, j, k_i - k_j mod n) of the
@@ -211,9 +204,9 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     at the largest count top.  The star of pairs (0, j)
     fixes the key up to k_0; every other pair is checked against it and,
     where it disagrees, reported in ``residuals``.  The 26 choices of k_0
-    are ranked by the chi-squared fit of their decryptions against English
-    frequencies; each decryption's tally is a rotation of the first, which
-    sums each list's tally rotated back by its key residue.
+    are ranked by the exact chi-squared fit of their decryptions against
+    English, ties in anchor order; each decryption's tally is a rotation of
+    the first, which sums each list's tally rotated back by its key residue.
     """
     if not isinstance(counts, Sequence):
         raise CipherError(f"letter counts {counts!r} are not a sequence of lists")
@@ -260,13 +253,14 @@ def friedman_recover_key(counts: Sequence[Sequence[int]]) -> KeyRecovery:
     )
     # list j decrypts cipher letter h + k_j to plaintext letter h
     plain = list(map(sum, zip(*(c[k:] + c[:k] for c, k in zip(counts, base)))))
-    length = sum(plain)  # the text's, split into the lists
-    expected = [length * freq / 100.0 for freq in ENGLISH_FREQUENCIES.values()]
-    # anchoring k_0 at a adds a to every k_j and rotates the decryption by a
-    candidates = [
-        KeyCandidate("".join(LETTERS[(k + a) % n] for k in base),
-                     _chi_squared(plain[a:] + plain[:a], expected))
-        for a in range(n)
-    ]
-    candidates.sort(key=lambda c: c.chi2)
-    return KeyRecovery(tuple(differences), residuals, tuple(candidates))
+    # sum (c_h - e_h)**2 / e_h, e_h = N * F_h / 10**5 for N letters, is 10**5 / N
+    # * sum c_h**2 / F_h - 2N + N * sum(F) / 10**5: integers over 10**5 * N * L
+    length, squares = sum(plain), [c * c for c in plain]
+    rest = length * length * _LCM * (sum(ENGLISH_FREQUENCIES.values()) - 2 * 10**5)
+    # anchoring k_0 at a adds a to every k_j and rotates the decryption by a;
+    # the numerators over the one denominator rank the anchors, ties in order
+    ranked = sorted((10**10 * sum(map(mul, squares[a:] + squares[:a], _WEIGHTS)) + rest, a)
+                    for a in range(n))
+    candidates = tuple(KeyCandidate("".join(LETTERS[(k + a) % n] for k in base),
+                                    Fraction(num, 10**5 * length * _LCM)) for num, a in ranked)
+    return KeyRecovery(tuple(differences), residuals, candidates)

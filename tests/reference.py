@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from collections import Counter, namedtuple
 from itertools import chain
@@ -366,11 +367,24 @@ def list_counts(cipher: str, m: int) -> list[list[int]]:
     return counts
 
 
-def _chi_squared(counts: list[int], n: int) -> float:
-    """Chi-squared statistic of letter counts summing to ``n`` > 0."""
-    score = 0.0
+def chi_squared(counts) -> Fraction:
+    """Chi-squared statistic of letter counts summing to n > 0, from its
+    definition sum (c - e)**2 / e, each expected count e = n * freq / 100
+    with ``freq`` in percent, in exact fractions."""
+    n, score = sum(counts), Fraction(0)
     for count, freq in zip(counts, ENGLISH_FREQUENCIES.values()):
-        exp = n * freq / 100.0
+        exp = n * Fraction(freq, 1000) / 100
+        score += (count - exp) ** 2 / exp
+    return score
+
+
+def chi_squared_float(counts) -> float:
+    """``chi_squared`` in float operations, each frequency the float of its
+    percentage: the exact statistic must read the same at the report's 6
+    places."""
+    n, score = sum(counts), 0.0
+    for count, freq in zip(counts, ENGLISH_FREQUENCIES.values()):
+        exp = n * (freq / 1000) / 100.0
         score += (count - exp) ** 2 / exp
     return score
 
@@ -379,7 +393,8 @@ def recover_key_by_overlaps(counts) -> KeyRecovery:
     """``friedman_recover_key`` index by index: for each list pair the shift
     s maximizing sum_h f_i[h] * f_j[h - s] (the first, on ties) gives
     k_i - k_j; the star (0, j) fixes the key up to k_0, and each of the 26
-    anchors is scored on its own recount of the decryption's tally."""
+    anchors is scored on its own recount of the decryption's tally, by the
+    chi-squared's definition."""
     n, m = len(LETTERS), len(counts)
     differences = tuple(
         (i, j, max(range(n), key=lambda s: sum(
@@ -394,12 +409,11 @@ def recover_key_by_overlaps(counts) -> KeyRecovery:
         for i, j, d in differences
         if (residual := (d - (base[i] - base[j])) % n)
     )
-    length = sum(map(sum, counts))
     candidates = []
     for k0 in range(n):
         key = tuple((r + k0) % n for r in base)
         plain = [sum(c[(h + k) % n] for c, k in zip(counts, key)) for h in range(n)]
-        candidates.append(KeyCandidate("".join(LETTERS[k] for k in key), _chi_squared(plain, length)))
+        candidates.append(KeyCandidate("".join(LETTERS[k] for k in key), chi_squared(plain)))
     candidates.sort(key=lambda c: c.chi2)
     return KeyRecovery(differences, residuals, tuple(candidates))
 

@@ -244,14 +244,15 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, stdin, loaded)
 
 def test_a_usage_error_loads_argparse_to_word_it():
     # a valid command line is read from the option table; argparse, and the
-    # gettext it imports, load only for the help and the usage errors, whose
-    # full parser takes graph's choices from score and diagram
+    # gettext it imports, load only for the help and the usage errors, and
+    # the full parser builds the rows of the one command it runs, so graph's
+    # choices load score and diagram only for graph
     proc = subprocess.run(
         [sys.executable, "-S", "-c", LOADED_BY, "attack", "--max-keylen", "x"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
     )
-    loaded = sorted([*BASE, "argparse", "diagram", "gettext", "score"])
+    loaded = sorted([*BASE, "argparse", "gettext"])
     assert (proc.returncode, proc.stdout) == (2, repr(loaded) + "\n")
     assert proc.stderr == (
         "usage: brauer-kit attack [-h] [--ciphertext CIPHERTEXT] [--in INFILE]\n"

@@ -167,6 +167,20 @@ def test_drawn_output_matches_the_full_parser(workdir, argv):
         assert_matches_the_full_parser(monkeypatch, argv)
 
 
+@pytest.mark.parametrize("argv", CORPUS, ids=[" ".join(argv).replace(SCORE, "SCORE") or "(none)"
+                                               for argv in CORPUS])
+def test_output_matches_the_parser_with_every_command_s_rows(monkeypatch, argv):
+    # the full parser builds the rows of the one command that argparse runs;
+    # built with every command's rows, it says the same
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("BRAUER_KIT_COLOR", "never")
+    own = outcome(monkeypatch, argv)
+    every = cli.build_parser
+    with monkeypatch.context() as full:
+        full.setattr(cli, "build_parser", lambda argv: every())
+        assert own == outcome(full, argv)
+
+
 @pytest.mark.parametrize("command", ["", *COMMANDS])
 def test_help_matches_its_golden(monkeypatch, command):
     # the full parser, built from the option table, words the help as the

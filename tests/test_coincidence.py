@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from brauer_kit import coincidence
+from brauer_kit import cli, coincidence
 from brauer_kit.cipher import LETTERS, CipherError, split_blocks, vigenere_decrypt, vigenere_encrypt
 from brauer_kit.coincidence import (
     ENGLISH_FREQUENCIES,
@@ -20,7 +20,8 @@ from brauer_kit.coincidence import (
     index_of_coincidence,
     list_counts,
 )
-from reference import list_counts as list_counts_by_list, recover_key_by_overlaps
+from reference import (chi_squared as reference_chi_squared, chi_squared_float,
+                       list_counts as list_counts_by_list, recover_key_by_overlaps)
 from textgen import SAMPLE_TEXT, sample_english, sample_uniform
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -50,13 +51,9 @@ def mutual_index_shift(t1, t2, shift):
 def chi_squared(text):
     """Reference for the attack's chi-squared, which it takes from rotated
     per-list counts: the statistic of ``text``'s own letter counts against
-    English frequencies, in the same float operations."""
+    English frequencies, from its definition in exact fractions."""
     counts = Counter(text)
-    score = 0.0
-    for letter, freq in ENGLISH_FREQUENCIES.items():
-        expected = len(text) * freq / 100.0
-        score += (counts[letter] - expected) ** 2 / expected
-    return score
+    return reference_chi_squared([counts[letter] for letter in ENGLISH_FREQUENCIES])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +486,7 @@ def test_recovery_reads_the_overlaps_and_decryptions_from_rotations(rows):
 @pytest.mark.parametrize("m, length", [(1, 200), (3, 301), (4, 803), (7, 1000)])
 def test_key_candidate_chi2_equals_chi2_of_decryption(m, length):
     # candidates are scored from rotated per-list counts; the decryption
-    # they stand for must give exactly the same float
+    # they stand for must give exactly the same fraction
     rng = random.Random(m * length)
     key = "".join(LETTERS[rng.randrange(26)] for _ in range(m))
     cipher = vigenere_encrypt(sample_english(rng, length), key)
@@ -498,3 +495,24 @@ def test_key_candidate_chi2_equals_chi2_of_decryption(m, length):
     for c in candidates:
         plain = vigenere_decrypt(cipher, c.key)
         assert c.chi2 == chi_squared(plain)
+
+
+@pytest.mark.parametrize("length", [60, 500, 5_000, 20_000])
+def test_exact_chi2_rounds_and_ranks_as_the_float_statistic(length):
+    # the report rounds each exact chi2 to 6 places; on the benchmark's
+    # attack texts, at the key's length and at a length that is not one of
+    # its multiples, it reads as the float statistic did, in the same order
+    for seed in range(120):
+        cipher = gen.attack_input(seed, length)["cipher"]
+        for m in (len(gen.ATTACK_KEY), 8):
+            counts = list_counts(cipher, m)
+            candidates = friedman_recover_key(counts).candidates
+            floats = []
+            for c in candidates:
+                plain = [sum(row[(h + LETTERS.index(k)) % 26] for row, k in zip(counts, c.key))
+                         for h in range(26)]
+                floats.append((chi_squared_float(plain), c.key))
+                assert cli._round(c.chi2) == round(floats[-1][0], 6), (seed, m, c.key)
+            # anchor a's key starts with letter a: float ties in anchor order
+            assert [key for _, key in sorted(floats, key=lambda f: (f[0], f[1][0]))] == \
+                [c.key for c in candidates], (seed, m)

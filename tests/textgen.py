@@ -5,7 +5,9 @@ import random
 from brauer_kit.coincidence import ENGLISH_FREQUENCIES
 
 LETTERS = sorted(ENGLISH_FREQUENCIES)
-WEIGHTS = [ENGLISH_FREQUENCIES[ch] for ch in LETTERS]
+# percentages: f / 1000 is the float of the decimal (8.167 for 8167), so
+# every text drawn from a seed stays the same
+WEIGHTS = [ENGLISH_FREQUENCIES[ch] / 1000 for ch in LETTERS]
 
 # Plain prose, letters only, for deterministic statistics tests.
 SAMPLE_TEXT = (
